@@ -10,7 +10,6 @@
 //	chipletbench -platform 7302 -mode bandwidth -op read -cores 16
 //	chipletbench -platform 9634 -mode bandwidth -dest cxl -cores 7 -demand 20
 //	chipletbench -platform 9634 -mode latency -dest llc-intra -cores 7 -demand 25
-//	chipletbench -bench BENCH_after.json
 package main
 
 import (
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -47,8 +45,6 @@ func main() {
 	duration := flag.Int("duration", 100, "measurement window, microseconds")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	showProfile := flag.Bool("profile", false, "print a per-flow profile report")
-	benchOut := flag.String("bench", "", "run the scheduler benchmark suite and write results to this JSON file")
-	gomaxprocs := flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS values for the -bench cell-throughput sweep (default: the current setting)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile (post-GC heap) to this file")
 	flag.Parse()
@@ -62,17 +58,6 @@ func main() {
 			log.Print(err)
 		}
 	}()
-
-	if *benchOut != "" {
-		gmps, err := parseGoMaxProcs(*gomaxprocs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := runBenchSuite(*benchOut, gmps); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	prof, ok := topology.ProfileByName(*platform)
 	if !ok {
@@ -175,23 +160,6 @@ func runChase(net *core.Network, prof *topology.Profile, ws units.ByteSize, nps 
 	fmt.Printf("chase      ws=%v %s, %v\n", ws, nps, kind)
 	fmt.Printf("latency    mean=%v p50=%v p99=%v p999=%v\n",
 		h.Mean(), h.P50(), h.P99(), h.P999())
-}
-
-// parseGoMaxProcs parses the -gomaxprocs sweep list; empty means one
-// pass at the process's current setting.
-func parseGoMaxProcs(s string) ([]int, error) {
-	if s == "" {
-		return []int{runtime.GOMAXPROCS(0)}, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n < 1 {
-			return nil, fmt.Errorf("invalid -gomaxprocs entry %q (want positive integers)", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func parseOp(s string) (txn.Op, error) {

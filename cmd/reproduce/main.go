@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	reproduce [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6] [-scale N] [-seed N] [-workers N] [-domains N]
+//	reproduce [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6] [-scale N] [-seed N] [-workers N]
 //	reproduce -trace out.json [-trace-scenario N] [-trace-case N] [-trace-spans N] [-scale N] [-seed N]
 //	reproduce -stats out.json [-stats-experiment fig4|fig5] [-stats-scenario N] [-stats-case N]
 //	          [-stats-window D] [-stats-format json|openmetrics|csv] [-stats-top N]
@@ -14,15 +14,6 @@
 // recorded in EXPERIMENTS.md; larger is faster but noisier). -workers sets
 // how many experiment cells run concurrently (0 = GOMAXPROCS, 1 = serial);
 // results are identical for every worker count.
-//
-// -domains enables the domain-partitioned parallel engine inside each
-// Figure 4/5 cell: the component graph splits into per-chiplet domains
-// plus an I/O-die hub domain, advanced in conservative lookahead epochs
-// by N worker goroutines. Results are byte-identical for every N >= 1
-// (the partition is fixed; N only sets the worker count) but differ from
-// the default -domains 0 classic single-engine build, whose seeded
-// output reproduce_output.txt records. workers x domains is capped at
-// GOMAXPROCS. Traced cells (-trace) always run classic.
 //
 // -trace runs one Figure 4 cell with the hop-level flight recorder
 // enabled over the measurement window, writes the spans as Chrome
@@ -68,7 +59,6 @@ func main() {
 	scale := flag.Int("scale", 1, "time-scale divisor for measurement windows")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	workers := flag.Int("workers", 0, "concurrent experiment cells (0 = GOMAXPROCS, 1 = serial)")
-	domains := flag.Int("domains", 0, "per-cell domain workers for the partitioned engine (0 = classic single engine; results identical for every N >= 1)")
 	traceFile := flag.String("trace", "", "write a flight-recorder trace of one Figure 4 cell to this file (Chrome trace_event JSON)")
 	traceScenario := flag.Int("trace-scenario", 1, "Figure 4 scenario index to trace (see fig4 output order)")
 	traceCase := flag.Int("trace-case", 2, "Figure 4 demand case index to trace (default: equal over-subscribing demands)")
@@ -94,7 +84,7 @@ func main() {
 		}
 	}()
 
-	opt := harness.Options{Seed: *seed, TimeScale: *scale, Workers: *workers, Domains: *domains}
+	opt := harness.Options{Seed: *seed, TimeScale: *scale, Workers: *workers}
 	if *traceFile != "" && *statsFile != "" {
 		win := units.Nanos(float64(statsWindow.Nanoseconds()))
 		err := runFused(opt, *traceScenario, *traceCase, *traceSpans, win, *statsFormat, *statsTop, *traceFile, *statsFile)

@@ -81,22 +81,20 @@ func (a Access) destEndpoint(p *topology.Profile) txn.Endpoint {
 // the traffic-matrix keys — is pooled or precomputed, so steady-state
 // issues allocate nothing.
 func (n *Network) Issue(a Access, extraTokens []*link.TokenPool, done func(*txn.Transaction)) {
-	zi := n.zoneOf(a.Src.CCD)
-	z := n.zones[zi]
-	z.nextID++
+	n.nextID++
 	var t *txn.Transaction
 	if n.recycle {
-		t = z.txns.Get()
+		t = n.txns.Get()
 	} else {
 		t = &txn.Transaction{}
 	}
-	t.ID = z.idBase | z.nextID
+	t.ID = n.nextID
 	t.Op = a.Op
 	t.Size = units.CacheLine
 	t.Flow = txn.Flow{Src: txn.CoreEP(a.Src), Dst: a.destEndpoint(n.prof)}
 
 	idx := n.coreIndex(a.Src)
-	w := n.getWalker(zi)
+	w := n.getWalker()
 	w.t = t
 	w.a = a
 	w.done = done
@@ -173,8 +171,6 @@ func retryQuantum(capacity units.Bandwidth, size units.ByteSize) units.Time {
 
 // retryBackoff jitters a retry quantum uniformly over [q/2, 3q/2] using
 // the given engine's seeded stream, desynchronizing competing retriers.
-// Retries draw from the domain they run in, keeping every RNG stream
-// domain-private.
 func retryBackoff(eng *sim.Engine, quantum units.Time) units.Time {
 	return quantum/2 + units.Time(eng.Rand().Int63n(int64(quantum)+1))
 }

@@ -22,15 +22,9 @@
 // sender-driven aggressive partitioning — all emerge from the same
 // mechanisms the hardware exhibits.
 //
-// A network runs in one of two modes:
-//
-//   - Classic (New): one engine owns every component — the default, and
-//     the mode every seeded experiment output was produced in.
-//   - Partitioned (NewPartitioned): the component graph is split into
-//     per-CCD domains plus a hub domain (NoC, UMCs, CXL modules) on a
-//     sim.Cluster, so one cell can use several cores. The partition is
-//     fixed by the topology; the worker count only sets how many domains
-//     run concurrently, so results are byte-identical for any -domains N.
+// One engine owns every component of a network. Parallelism lives a level
+// up: independent experiment cells each build a private network and run
+// concurrently (see internal/harness).
 package core
 
 import (
@@ -47,52 +41,23 @@ import (
 	"repro/internal/units"
 )
 
-// zone is one partition domain's private resources. Everything here is
-// touched only from events executing on the zone's engine, which is what
-// keeps the partitioned hot path lock-free: walkers, transactions, RNG
-// draws and matrix updates never cross a domain except through the
-// cluster mailboxes. A classic network is a single zone wrapping its one
-// engine, so both modes run the same walker code.
-type zone struct {
-	eng *sim.Engine
+// Network is one chiplet server SoC's intra-host network.
+type Network struct {
+	eng  *sim.Engine
+	prof *topology.Profile
 
 	// llcJitter perturbs cache-to-cache transfers: snoop collisions and
 	// coherence-directory variance give the IF latency distribution its
 	// tail (Fig 3-a reports a 490 ns P999 at a 144.5 ns average).
 	llcJitter *memsys.Jitter
 
-	// matrix is this zone's shard of the traffic matrix; every zone
-	// interns the same names in the same order, so the dense endpoint ids
-	// are interchangeable and Network.Matrix folds shards by id.
+	// matrix is the source/destination traffic matrix.
 	matrix *telemetry.TrafficMatrix
 
 	// Free lists for the per-transaction objects, and the id counter.
-	// idBase keys transaction ids by zone so they stay unique without a
-	// shared counter.
 	txns   txn.Pool
 	freeW  []*walker
 	nextID uint64
-	idBase uint64
-}
-
-// Network is one chiplet server SoC's intra-host network.
-type Network struct {
-	eng  *sim.Engine // classic mode only; nil when partitioned
-	prof *topology.Profile
-
-	// Partitioned mode: the cluster, one zone per CCD plus the hub zone
-	// (index hubZi) owning the I/O die. plan is the lookahead retiming
-	// budget (see planPartition): every cross-domain leg is stretched to
-	// the negotiated lookahead and the stretch is paid back out of the
-	// path's deterministic domain-local legs, so end-to-end latency is
-	// preserved while epochs span several times the raw link latency.
-	// Classic mode: cl is nil, zones has one entry, and plan carries the
-	// profile's unshifted constants (classicPlan).
-	cl      *sim.Cluster
-	zones   []*zone
-	hubZi   int
-	plan    retimePlan
-	postHub []func(units.Time, func()) // hub -> per-CCD cross-domain posts
 
 	noc   *mesh.NoC
 	drams []*memsys.DRAMChannel
@@ -146,226 +111,30 @@ type Network struct {
 	interHop trace.HopID   // inter-chiplet fabric slack through the I/O die
 }
 
-// New assembles a classic single-engine network for the profile. It panics
-// if the profile fails validation — a network built from a broken profile
-// would silently produce garbage measurements.
-func New(eng *sim.Engine, prof *topology.Profile) *Network {
-	if err := prof.Validate(); err != nil {
+// New assembles a network for the profile on eng. It panics if the
+// profile fails validation — a network built from a broken profile would
+// silently produce garbage measurements.
+func New(eng *sim.Engine, p *topology.Profile) *Network {
+	if err := p.Validate(); err != nil {
 		panic(err.Error())
 	}
-	n := &Network{
-		eng:   eng,
-		prof:  prof,
-		plan:  classicPlan(prof),
-		zones: []*zone{{eng: eng}},
-	}
-	n.build()
-	return n
-}
-
-// retimePlan is a network's cross-domain latency budget: which modelled
-// leg carries how much of each path's deterministic latency, after the
-// epoch-crossing legs have been stretched to the conservative lookahead.
-// Both modes walk the same plan-driven formulas; classicPlan holds the
-// profile's unshifted constants so classic networks reproduce the
-// original math bit-for-bit, and planPartition redistributes the budget
-// so every cross-domain delivery provably lands outside the epoch window
-// while end-to-end path latency is unchanged.
-type retimePlan struct {
-	// look is the cluster lookahead — the floor under every cross-domain
-	// delivery, and the stretch applied to each crossing. 0 in classic
-	// mode (there are no crossings to stretch).
-	look units.Time
-	// gmiLat is the GMI out-bundle's propagation latency. Classic: the
-	// profile's GMILinkLatency. Partitioned: look, since the bundle's
-	// deliveries ride the epoch mailbox.
-	gmiLat units.Time
-	// ccmDRAM/ccmCXL/ccmInter are the CCM handling legs of the three
-	// hub-bound paths — the first legs to give up budget to the stretched
-	// crossings (classic: all CacheMissBase).
-	ccmDRAM  units.Time
-	ccmCXL   units.Time
-	ccmInter units.Time
-	// dramShift/cxlShift come off the device service legs once the CCM
-	// leg is exhausted; planPartition proves them no larger than the
-	// device's deterministic base latency (classic: 0).
-	dramShift units.Time
-	cxlShift  units.Time
-	// interExtra and interL3 are the inter-CC path's remaining budget:
-	// the deterministic slack beyond the explicitly modelled legs, and
-	// the remote LLC lookup leg (classic: the profile's values).
-	interExtra units.Time
-	interL3    units.Time
-}
-
-// interHopBase is the inter-CC path's deterministic latency beyond the
-// explicitly modelled legs (CCM, two GMI crossings, remote LLC lookup).
-func interHopBase(p *topology.Profile) units.Time {
-	base := p.InterCCLatency - p.CacheMissBase - 2*p.GMILinkLatency - p.L3Latency
-	if base < 0 {
-		base = 0
-	}
-	return base
-}
-
-// classicPlan carries the profile's constants unshifted.
-func classicPlan(p *topology.Profile) retimePlan {
-	return retimePlan{
-		look:       0,
-		gmiLat:     p.GMILinkLatency,
-		ccmDRAM:    p.CacheMissBase,
-		ccmCXL:     p.CacheMissBase,
-		ccmInter:   p.CacheMissBase,
-		interExtra: interHopBase(p),
-		interL3:    p.L3Latency,
-	}
-}
-
-// planPartition negotiates the largest lookahead the profile's path
-// budgets can fund, then allocates the stretch each path must pay back.
-//
-// Relative to classic, a partitioned path gains look-G per GMI-out
-// crossing (the bundle's latency is raised from G to look) plus look per
-// hub->CCD handoff (response and inter-CC forward crossings, which
-// classic delivers instantly relative to their producing leg). The DRAM
-// and CXL paths cross twice (debt 2*look-G), the inter-CC path four
-// times (debt 4*look-2G). Each path repays its debt from its own
-// deterministic domain-local legs — CCM handling first, then the device
-// service base or the inter-CC slack and LLC legs — so the largest
-// feasible lookahead is the smallest per-path cap:
-//
-//	dram:  2*look-G <= CacheMissBase + DRAMLatency
-//	cxl:   2*look-G <= CacheMissBase + CXLDeviceLatency  (if modules exist)
-//	inter: 4*look-2G <= CacheMissBase + interHopBase + L3Latency
-//
-// The result is floored at G (never worse than the raw-link lookahead)
-// and, on both modelled EPYC profiles, lands at InterCCLatency/4 — 33.5ns
-// on the 7302 and 37.5ns on the 9634 versus the 9ns GMI latency, cutting
-// epoch count by the same factor before idle-skip and backlog slack
-// stretch epochs further.
-func planPartition(p *topology.Profile) retimePlan {
-	g, c := p.GMILinkLatency, p.CacheMissBase
-	hopBase := interHopBase(p)
-	look := (c + g + p.DRAMLatency) / 2
-	if p.CXLModules > 0 {
-		if cap := (c + g + p.CXLDeviceLatency) / 2; cap < look {
-			look = cap
-		}
-	}
-	if cap := (c + hopBase + p.L3Latency + 2*g) / 4; cap < look {
-		look = cap
-	}
-	if look < g {
-		look = g
-	}
-	pl := retimePlan{look: look, gmiLat: look}
-	pay := func(leg, debt units.Time) (units.Time, units.Time) {
-		if leg >= debt {
-			return leg - debt, 0
-		}
-		return 0, debt - leg
-	}
-	// Hub-bound device paths: one GMI-out crossing + one response handoff.
-	var debt units.Time
-	pl.ccmDRAM, debt = pay(c, 2*look-g)
-	pl.dramShift = debt
-	if pl.dramShift > p.DRAMLatency {
-		panic("core: partition plan overdraws the DRAM service leg")
-	}
-	if p.CXLModules > 0 {
-		pl.ccmCXL, debt = pay(c, 2*look-g)
-		pl.cxlShift = debt
-		if pl.cxlShift > p.CXLDeviceLatency {
-			panic("core: partition plan overdraws the CXL service leg")
-		}
-	} else {
-		pl.ccmCXL = c
-	}
-	// Inter-CC: two GMI-out crossings + the forward handoff into the
-	// target chiplet + the response handoff.
-	pl.ccmInter, debt = pay(c, 4*look-2*g)
-	pl.interExtra, debt = pay(hopBase, debt)
-	pl.interL3, debt = pay(p.L3Latency, debt)
-	if debt != 0 {
-		panic("core: partition plan overdraws the inter-CC path")
-	}
-	return pl
-}
-
-// NewPartitioned assembles a domain-partitioned network on a sim.Cluster:
-// one domain per CCD owning that chiplet's channels, token pools and
-// issuing state, plus a hub domain owning the I/O die (NoC, UMCs, CXL
-// modules). The lookahead is the retiming plan's negotiated budget
-// (planPartition) — several times the raw GMI latency, with the stretch
-// repaid out of each path's domain-local legs. workers bounds how many
-// domains run concurrently; it does not affect results (the partition,
-// and therefore every RNG stream and event order, is fixed by the
-// topology). Call Close when done to release the cluster's worker
-// goroutines.
-func NewPartitioned(seed uint64, prof *topology.Profile, workers int) *Network {
-	if err := prof.Validate(); err != nil {
-		panic(err.Error())
-	}
-	if prof.GMILinkLatency <= 0 {
-		panic("core: profile GMI latency is zero; no conservative lookahead")
-	}
-	plan := planPartition(prof)
-	cl := sim.NewCluster(seed, prof.CCDs+1, plan.look, workers)
-	n := &Network{
-		prof:  prof,
-		cl:    cl,
-		hubZi: prof.CCDs,
-		plan:  plan,
-	}
-	for zi := 0; zi <= prof.CCDs; zi++ {
-		n.zones = append(n.zones, &zone{
-			eng:    cl.Zone(zi),
-			idBase: uint64(zi) << 48,
-		})
-	}
-	n.build()
-	for ccd := 0; ccd < prof.CCDs; ccd++ {
-		// Requests cross CCD -> hub on the GMI out bundle, whose own
-		// latency equals the lookahead, so rerouting its deliveries
-		// through the mailbox never violates the epoch horizon. The
-		// bundle is also the one serializer every hub-bound crossing out
-		// of the chiplet rides, so its backlog high-water mark is a valid
-		// earliest-output floor for the whole domain: registering it as
-		// the zone's slack lets its neighbours run through the backlog's
-		// shadow instead of stopping at nextEvent+lookahead.
-		n.gmiOut[ccd].SetPost(cl.Poster(ccd, n.hubZi))
-		cl.SetSlack(ccd, n.gmiOut[ccd].NextFree)
-		n.postHub = append(n.postHub, cl.Poster(n.hubZi, ccd))
-	}
-	return n
-}
-
-// build assembles the components shared by both modes, placing each on its
-// owning zone's engine: chiplet-side channels and pools on the CCD zones,
-// the I/O die on the hub zone. In classic mode every zone lookup resolves
-// to the single engine, reproducing the original construction exactly.
-func (n *Network) build() {
-	p := n.prof
-	hub := n.zones[n.hubZi].eng
-	for _, z := range n.zones {
-		z.llcJitter = memsys.NewJitter(z.eng.Rand(), p.DRAMJitterMean,
-			p.TailSpikeProb, p.TailSpikeDelay)
-		z.matrix = telemetry.NewTrafficMatrix()
-	}
-	n.noc = mesh.New(hub, p)
+	n := &Network{eng: eng, prof: p, recycle: true, express: true}
+	n.llcJitter = memsys.NewJitter(eng.Rand(), p.DRAMJitterMean,
+		p.TailSpikeProb, p.TailSpikeDelay)
+	n.matrix = telemetry.NewTrafficMatrix()
+	n.noc = mesh.New(eng, p)
 	for u := 0; u < p.UMCChannels; u++ {
-		n.drams = append(n.drams, memsys.NewDRAMChannel(hub, p, u))
+		n.drams = append(n.drams, memsys.NewDRAMChannel(eng, p, u))
 	}
 	for m := 0; m < p.CXLModules; m++ {
-		n.cxls = append(n.cxls, memsys.NewCXLModule(hub, p, m))
+		n.cxls = append(n.cxls, memsys.NewCXLModule(eng, p, m))
 	}
 	for c := 0; c < p.CCDs; c++ {
-		eng := n.zones[n.zoneOf(c)].eng
 		name := fmt.Sprintf("ccd%d", c)
 		n.gmiIn = append(n.gmiIn, link.NewChannel(eng, name+"/gmi/in",
 			p.GMIReadCap, 0, 0))
 		n.gmiOut = append(n.gmiOut, link.NewChannel(eng, name+"/gmi/out",
-			p.GMIWriteCap, n.plan.gmiLat, p.GMIWriteQueue))
+			p.GMIWriteCap, p.GMILinkLatency, p.GMIWriteQueue))
 		n.intraIn = append(n.intraIn, link.NewChannel(eng, name+"/if/in",
 			p.IntraCCReadCap, 0, 0))
 		n.intraOut = append(n.intraOut, link.NewChannel(eng, name+"/if/out",
@@ -382,12 +151,10 @@ func (n *Network) build() {
 		}
 	}
 	for x := 0; x < p.CCXs; x++ {
-		eng := n.zones[n.zoneOf(x/p.CCXPerCCD())].eng
 		n.ccxTokens = append(n.ccxTokens, link.NewTokenPool(eng,
 			fmt.Sprintf("ccx%d/tokens", x), p.CCXTokens))
 	}
 	for c := 0; c < p.Cores; c++ {
-		eng := n.zones[n.zoneOf(c/p.CoresPerCCD())].eng
 		name := fmt.Sprintf("core%d", c)
 		n.readMSHRs = append(n.readMSHRs, link.NewTokenPool(eng, name+"/mshr", p.CoreReadMSHRs))
 		n.writeWCBs = append(n.writeWCBs, link.NewTokenPool(eng, name+"/wcb", p.CoreWriteWCBs))
@@ -397,19 +164,19 @@ func (n *Network) build() {
 			n.cxlWrites = append(n.cxlWrites, link.NewTokenPool(eng, name+"/cxlwr", p.CoreCXLWrites))
 		}
 	}
-	n.recycle = true
-	n.express = true
 	n.buildPoolSets()
 	n.buildMatrixKeys()
+	return n
 }
 
-// zoneOf maps a CCD to its partition domain: the identity in partitioned
-// mode, domain 0 always in classic mode.
-func (n *Network) zoneOf(ccd int) int {
-	if n.cl == nil {
-		return 0
+// interHopBase is the inter-CC path's deterministic latency beyond the
+// explicitly modelled legs (CCM, two GMI crossings, remote LLC lookup).
+func interHopBase(p *topology.Profile) units.Time {
+	base := p.InterCCLatency - p.CacheMissBase - 2*p.GMILinkLatency - p.L3Latency
+	if base < 0 {
+		base = 0
 	}
-	return ccd
+	return base
 }
 
 // numPoolSets is the pool-set slots per core: four destination kinds times
@@ -460,17 +227,6 @@ func (n *Network) buildPoolSets() {
 	}
 }
 
-// intern assigns an endpoint name its dense id in every zone's matrix
-// shard. The shards intern identical names in identical order, so one id
-// indexes them all.
-func (n *Network) intern(name string) telemetry.EndpointID {
-	id := n.zones[0].matrix.Intern(name)
-	for _, z := range n.zones[1:] {
-		z.matrix.Intern(name)
-	}
-	return id
-}
-
 // buildMatrixKeys interns every endpoint name the network can record, so
 // the per-transaction matrix update is two integer map operations.
 func (n *Network) buildMatrixKeys() {
@@ -480,23 +236,23 @@ func (n *Network) buildMatrixKeys() {
 		for ccx := 0; ccx < p.CCXPerCCD(); ccx++ {
 			for c := 0; c < p.CoresPerCCX(); c++ {
 				id := topology.CoreID{CCD: ccd, CCX: ccx, Core: c}
-				n.srcKeys[n.coreIndex(id)] = n.intern(txn.CoreEP(id).String())
+				n.srcKeys[n.coreIndex(id)] = n.matrix.Intern(txn.CoreEP(id).String())
 			}
 		}
 	}
 	n.dramKeys = make([]telemetry.EndpointID, p.UMCChannels)
 	for u := 0; u < p.UMCChannels; u++ {
-		n.dramKeys[u] = n.intern(txn.DRAMEP(u).String())
+		n.dramKeys[u] = n.matrix.Intern(txn.DRAMEP(u).String())
 	}
 	n.cxlKeys = make([]telemetry.EndpointID, p.CXLModules)
 	for m := 0; m < p.CXLModules; m++ {
-		n.cxlKeys[m] = n.intern(txn.CXLEP(m).String())
+		n.cxlKeys[m] = n.matrix.Intern(txn.CXLEP(m).String())
 	}
 	n.llcKeys = make([]telemetry.EndpointID, p.CCXs)
 	for ccd := 0; ccd < p.CCDs; ccd++ {
 		for ccx := 0; ccx < p.CCXPerCCD(); ccx++ {
 			id := topology.CCXID{CCD: ccd, CCX: ccx}
-			n.llcKeys[ccd*p.CCXPerCCD()+ccx] = n.intern(txn.LLCEP(id).String())
+			n.llcKeys[ccd*p.CCXPerCCD()+ccx] = n.matrix.Intern(txn.LLCEP(id).String())
 		}
 	}
 }
@@ -536,108 +292,25 @@ func (n *Network) SetExpress(on bool) { n.express = on }
 // Express reports whether express-path event fusion is enabled.
 func (n *Network) Express() bool { return n.express }
 
-// Engine reports the simulation engine driving a classic network. A
-// partitioned network has no single engine: it panics there, forcing
-// callers onto EngineFor/ControlEngine/Runner, where the domain is
-// explicit.
-func (n *Network) Engine() *sim.Engine {
-	if n.eng == nil {
-		panic("core: partitioned network has no single engine; use EngineFor, ControlEngine or Runner")
-	}
-	return n.eng
-}
+// Engine reports the simulation engine driving the network.
+func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// EngineFor reports the engine owning a CCD's domain: the chiplet-local
-// clock flow generators and per-chiplet subsystems must schedule on. In
-// classic mode it is the network's one engine.
-func (n *Network) EngineFor(ccd int) *sim.Engine {
-	return n.zones[n.zoneOf(ccd)].eng
-}
-
-// ControlEngine reports the engine for cross-domain observers (metrics
-// harvests, experiment schedules): the cluster's control engine, whose
-// events run at epoch barriers and may therefore read any domain's state.
-// In classic mode it is the network's one engine.
-func (n *Network) ControlEngine() *sim.Engine {
-	if n.cl != nil {
-		return n.cl.Control()
-	}
-	return n.eng
-}
-
-// Runner drives a simulation: the engine in classic mode, the cluster in
-// partitioned mode.
-type Runner interface {
-	Now() units.Time
-	RunFor(units.Time)
-	RunUntil(units.Time)
-}
-
-// Runner reports the object that advances this network's simulated time.
-func (n *Network) Runner() Runner {
-	if n.cl != nil {
-		return n.cl
-	}
-	return n.eng
-}
-
-// Cluster reports the partition cluster, nil for classic networks.
-func (n *Network) Cluster() *sim.Cluster { return n.cl }
-
-// ClusterStats reports the partition cluster's epoch counters, zero for
-// classic networks (no epochs, no barriers).
-func (n *Network) ClusterStats() sim.ClusterStats {
-	if n.cl == nil {
-		return sim.ClusterStats{}
-	}
-	return n.cl.Stats()
-}
-
-// Close releases the cluster's worker goroutines; a no-op for classic
-// networks. The network must not run again afterwards.
-func (n *Network) Close() {
-	if n.cl != nil {
-		n.cl.Shutdown()
-	}
-}
-
-// EventsExecuted reports the total simulation events run by the network's
-// engines — the work counter cell-throughput benchmarks divide by seconds.
-func (n *Network) EventsExecuted() uint64 {
-	if n.cl != nil {
-		return n.cl.Executed()
-	}
-	return n.eng.Executed()
-}
+// EventsExecuted reports the simulation events the network's engine has
+// run — the work counter cell-throughput benchmarks divide by seconds.
+func (n *Network) EventsExecuted() uint64 { return n.eng.Executed() }
 
 // EventsFused reports the calendar events express-path fusion elided:
 // hops and timers whose bookkeeping was applied in closed form instead of
 // being dispatched. EventsExecuted + EventsFused equals the classic
 // (fusion-off) event count for the same run — the effective simulated
 // work — which is what throughput benchmarks should divide by seconds.
-func (n *Network) EventsFused() uint64 {
-	if n.cl != nil {
-		return n.cl.Fused()
-	}
-	return n.eng.Fused()
-}
+func (n *Network) EventsFused() uint64 { return n.eng.Fused() }
 
 // Profile reports the platform profile the network was built from.
 func (n *Network) Profile() *topology.Profile { return n.prof }
 
-// Matrix reports the network's source/destination traffic matrix. A
-// partitioned network folds its per-domain shards into a fresh matrix, in
-// domain order — deterministic, since shard contents are.
-func (n *Network) Matrix() *telemetry.TrafficMatrix {
-	if n.cl == nil {
-		return n.zones[0].matrix
-	}
-	m := telemetry.NewTrafficMatrix()
-	for _, z := range n.zones {
-		m.Merge(z.matrix)
-	}
-	return m
-}
+// Matrix reports the network's source/destination traffic matrix.
+func (n *Network) Matrix() *telemetry.TrafficMatrix { return n.matrix }
 
 // DRAM reports memory channel umc.
 func (n *Network) DRAM(umc int) *memsys.DRAMChannel { return n.drams[umc] }

@@ -28,13 +28,6 @@ func (n *Network) AttachTracer(tr *trace.Tracer) {
 	if tr == nil {
 		panic("core: nil tracer")
 	}
-	if n.cl != nil {
-		// Exact span tiling assumes the single-engine event order; traced
-		// cells therefore always run classic (the harness forces it), and
-		// wiring a tracer into a partitioned network is a programming
-		// error, not a degraded mode.
-		panic("core: flight recorder requires a classic (single-engine) network")
-	}
 	n.tracer = tr
 	n.noc.AttachTracer(tr)
 	for c := 0; c < n.prof.CCDs; c++ {
@@ -109,53 +102,11 @@ func (n *Network) trRange(hop trace.HopID, cause trace.Cause, from, to units.Tim
 	}
 }
 
-// trBefore attributes the d just elapsed before now to a stage —
-// the retroactive form used when a stage delay rode a channel's
-// per-message extra or an After.
-func (n *Network) trBefore(hop trace.HopID, cause trace.Cause, d units.Time) {
-	if n.tracer != nil {
-		now := n.eng.Now()
-		n.tracer.Range(hop, cause, now-d, now)
-	}
-}
-
-// trAfter attributes the d about to elapse after now to a stage — used
-// when the walker knows the delay before scheduling it (device service).
-func (n *Network) trAfter(hop trace.HopID, cause trace.Cause, d units.Time) {
-	if n.tracer != nil {
-		now := n.eng.Now()
-		n.tracer.Range(hop, cause, now, now+d)
-	}
-}
-
-// trMeshHops retroactively attributes a memory-path NoC crossing that
-// just completed: the switch-hop run, then the coherent station.
-func (n *Network) trMeshHops(shops, cs units.Time) {
-	if n.tracer == nil {
-		return
-	}
-	now := n.eng.Now()
-	n.tracer.Range(n.noc.ShopsHop(), trace.CausePropagating, now-cs-shops, now-cs)
-	n.tracer.Range(n.noc.CSHop(), trace.CauseProcessing, now-cs, now)
-}
-
-// trHubHops retroactively attributes a device-path NoC crossing that just
-// completed: switch hops, I/O hub, root complex.
-func (n *Network) trHubHops(shops, hub, rc units.Time) {
-	if n.tracer == nil {
-		return
-	}
-	now := n.eng.Now()
-	n.tracer.Range(n.noc.ShopsHop(), trace.CausePropagating, now-rc-hub-shops, now-rc-hub)
-	n.tracer.Range(n.noc.IOHubHop(), trace.CauseProcessing, now-rc-hub, now-rc)
-	n.tracer.Range(n.noc.RootHop(), trace.CauseProcessing, now-rc, now)
-}
-
-// The walker-clock variants below anchor on w.vnow instead of the engine
-// clock: a fused state runs at a virtual timestamp ahead of the engine,
-// and its spans must carry the stamps the classic execution would have
-// recorded. At a real resumption vnow equals the engine clock, so these
-// are drop-in replacements for the Network helpers on every walker path.
+// The stage helpers below anchor on the walker's virtual clock w.vnow
+// instead of the engine clock: a fused state runs at a virtual timestamp
+// ahead of the engine, and its spans must carry the stamps the classic
+// execution would have recorded. At a real resumption vnow equals the
+// engine clock.
 
 // trBefore attributes the d just elapsed before the walker's virtual
 // clock to a stage.

@@ -19,12 +19,6 @@ import (
 // event callback, in the same order, with the same tracer attributions and
 // the same random draws. Changing the sequence changes seeded replay.
 //
-// zi tracks which partition domain the walker currently executes in: every
-// engine access (Now, After, RNG, jitter, free lists) resolves through it,
-// and it advances when a step's continuation crosses a domain (a GMI or
-// NoC response delivery). In classic mode zi is always 0 and every lookup
-// resolves to the single engine, so both modes share this code unchanged.
-//
 // # Express-path event fusion
 //
 // Uncontended hops have closed-form timing: a message that finds a channel
@@ -43,10 +37,9 @@ import (
 // segment ends — and a real calendar event rematerializes at the exact
 // classic timestamp — the moment a hop is busy, a stamp would reach the
 // fence (which is how harvest windows and every other observer are
-// protected), a cluster-domain crossing begins (fused segments never span
-// zones), or the next state is terminal (finish releases tokens and runs
-// done callbacks whose synchronous continuations must observe the real
-// engine clock).
+// protected), or the next state is terminal (finish releases tokens and
+// runs done callbacks whose synchronous continuations must observe the
+// real engine clock).
 type walker struct {
 	n    *Network
 	t    *txn.Transaction
@@ -63,10 +56,8 @@ type walker struct {
 	id             uint64 // trace attribution: t.ID, or 0 for writebacks
 	wb             bool   // asynchronous dirty-writeback walker
 
-	phase  int
-	state  int
-	zi     int // domain the walker currently executes in
-	pushZi int // domain the in-flight push's delivery lands in
+	phase int
+	state int
 
 	// Path constants computed on entry (former walker locals).
 	shops    units.Time     // switch-hop delay run
@@ -118,25 +109,22 @@ const (
 const (
 	opPush    = iota // bounded admission with retry (pushTo)
 	opSend           // unconditional send (responses, device legs)
-	opRespond        // NoC response with an explicit cross-domain post
 	opSendNil        // writeback tail: send with no delivery, then recycle
 )
 
-// getWalker pops a recycled walker from domain zi's free list or builds a
-// fresh one. The method closures are the only per-walker allocations,
-// paid once per free-list entry for the lifetime of the network.
-func (n *Network) getWalker(zi int) *walker {
-	z := n.zones[zi]
+// getWalker pops a recycled walker from the free list or builds a fresh
+// one. The method closures are the only per-walker allocations, paid once
+// per free-list entry for the lifetime of the network.
+func (n *Network) getWalker() *walker {
 	if n.recycle {
-		if ln := len(z.freeW); ln > 0 {
-			w := z.freeW[ln-1]
-			z.freeW[ln-1] = nil
-			z.freeW = z.freeW[:ln-1]
-			w.zi = zi
+		if ln := len(n.freeW); ln > 0 {
+			w := n.freeW[ln-1]
+			n.freeW[ln-1] = nil
+			n.freeW = n.freeW[:ln-1]
 			return w
 		}
 	}
-	w := &walker{n: n, zi: zi}
+	w := &walker{n: n}
 	w.stepFn = w.step
 	w.eventFn = w.stepEvent
 	w.retryFn = w.attempt
@@ -144,10 +132,8 @@ func (n *Network) getWalker(zi int) *walker {
 	return w
 }
 
-// putWalker recycles a finished walker onto the free list of the domain it
-// finished in (walkers migrate with their transactions; the frames are
-// domain-agnostic), dropping object references so the free list pins
-// nothing.
+// putWalker recycles a finished walker onto the free list, dropping object
+// references so the free list pins nothing.
 func (n *Network) putWalker(w *walker) {
 	if !n.recycle {
 		return
@@ -157,8 +143,7 @@ func (n *Network) putWalker(w *walker) {
 	w.hw = nil
 	w.extra = nil
 	w.ch = nil
-	z := n.zones[w.zi]
-	z.freeW = append(z.freeW, w)
+	n.freeW = append(n.freeW, w)
 }
 
 // step is the synchronous continuation: token grants and in-event handoffs
@@ -168,20 +153,20 @@ func (n *Network) putWalker(w *walker) {
 // express mode stays off until the next calendar resumption.
 func (w *walker) step() {
 	w.express = false
-	w.vnow = w.n.zones[w.zi].eng.Now()
+	w.vnow = w.n.eng.Now()
 	w.dispatch()
 }
 
-// stepEvent is the calendar continuation: channel deliveries, timers and
-// mailbox handoffs fire here, directly from the engine loop. Nothing else
-// runs at this timestamp after it returns except other calendar events,
-// which all lie at or beyond the express fence — so the walker may apply
-// hops whose stamps stay strictly inside the fence in closed form.
+// stepEvent is the calendar continuation: channel deliveries and timers
+// fire here, directly from the engine loop. Nothing else runs at this
+// timestamp after it returns except other calendar events, which all lie
+// at or beyond the express fence — so the walker may apply hops whose
+// stamps stay strictly inside the fence in closed form.
 func (w *walker) stepEvent() {
-	z := w.n.zones[w.zi]
-	w.vnow = z.eng.Now()
+	eng := w.n.eng
+	w.vnow = eng.Now()
 	if w.express = w.n.express; w.express {
-		w.fence1 = z.eng.LimitFence()
+		w.fence1 = eng.LimitFence()
 		w.fenceOK = false
 	}
 	w.dispatch()
@@ -238,9 +223,9 @@ func (w *walker) pathStep() {
 	}
 }
 
-// noteFused adjusts the current domain engine's fused-event counter.
+// noteFused adjusts the engine's fused-event counter.
 func (w *walker) noteFused(d int64) {
-	w.n.zones[w.zi].eng.NoteFused(d)
+	w.n.eng.NoteFused(d)
 }
 
 // chanFence is the proof bound for the hop the walker is about to apply
@@ -252,20 +237,17 @@ func (w *walker) noteFused(d int64) {
 // ahead of the engine clock is genuinely early and must stay below the
 // next calendar event.
 func (w *walker) chanFence() units.Time {
-	if w.vnow == w.n.zones[w.zi].eng.Now() {
+	if w.vnow == w.n.eng.Now() {
 		return w.fence1
 	}
 	return w.strictFence()
 }
 
 // strictFence returns the express fence for stamps ahead of the engine
-// clock, computing it on first use per calendar resumption. Fused
-// segments never change zones while express stays on (cross-domain hops
-// end the segment first), so the engine consulted here is the one the
-// resumption started on.
+// clock, computing it on first use per calendar resumption.
 func (w *walker) strictFence() units.Time {
 	if !w.fenceOK {
-		w.fence = w.n.zones[w.zi].eng.ExpressFence()
+		w.fence = w.n.eng.ExpressFence()
 		w.fenceOK = true
 	}
 	return w.fence
@@ -307,7 +289,7 @@ func (w *walker) resume(at units.Time) {
 		return
 	}
 	w.express = false
-	w.n.zones[w.zi].eng.At(at, w.eventFn)
+	w.n.eng.At(at, w.eventFn)
 }
 
 // after continues the walker d after its virtual clock (negative d clamps
@@ -320,31 +302,22 @@ func (w *walker) after(d units.Time) {
 		w.resume(w.vnow + d)
 		return
 	}
-	w.n.zones[w.zi].eng.After(d, w.eventFn)
+	w.n.eng.After(d, w.eventFn)
 }
 
 // xsend sends unconditionally on ch with the walker's step as the
-// delivery, landing in domain toZi. In express mode the hop is applied in
-// closed form when the channel admits it; a delivery that crosses domains
-// still rides the mailbox (fused segments never span zones), ending the
-// segment.
-func (w *walker) xsend(ch *link.Channel, size units.ByteSize, extra units.Time, toZi int) {
+// delivery. In express mode the hop is applied in closed form when the
+// channel admits it.
+func (w *walker) xsend(ch *link.Channel, size units.ByteSize, extra units.Time) {
 	if w.express {
 		if arrive, ok := ch.TryExpress(size, extra, w.vnow, w.chanFence()); ok {
-			w.zi = toZi
-			if ch.Posted() {
-				w.express = false
-				ch.Deliver(arrive, w.eventFn)
-				return
-			}
 			w.resume(arrive)
 			return
 		}
-		w.ch, w.size, w.pExtra, w.pushZi = ch, size, extra, toZi
+		w.ch, w.size, w.pExtra = ch, size, extra
 		w.exitExpress(opSend)
 		return
 	}
-	w.zi = toZi
 	ch.SendAfter(size, extra, w.eventFn)
 }
 
@@ -356,10 +329,9 @@ func (w *walker) xsend(ch *link.Channel, size units.ByteSize, extra units.Time, 
 func (w *walker) exitExpress(op int) {
 	w.pendOp = op
 	w.express = false
-	z := w.n.zones[w.zi]
-	if w.vnow > z.eng.Now() {
+	if eng := w.n.eng; w.vnow > eng.Now() {
 		w.noteFused(-1)
-		z.eng.At(w.vnow, w.flushFn)
+		eng.At(w.vnow, w.flushFn)
 		return
 	}
 	w.flush()
@@ -375,11 +347,7 @@ func (w *walker) flush() {
 	case opPush:
 		w.attempt()
 	case opSend:
-		w.zi = w.pushZi
 		w.ch.SendAfter(w.size, w.pExtra, w.eventFn)
-	case opRespond:
-		w.zi = w.pushZi
-		n.noc.Read.SendPost(w.size, w.pExtra, w.eventFn, n.postHub[w.a.Src.CCD])
 	case opSendNil:
 		w.ch.SendAfter(w.size, w.pExtra, nil)
 		n.putWalker(w)
@@ -389,72 +357,51 @@ func (w *walker) flush() {
 // enterPath runs once all tokens are held: it computes the walker's path
 // constants (sampling jitter exactly where the closure walkers did) and
 // performs the path's first action.
-//
-// In partitioned mode the paths that cross domains are retimed by the
-// network's plan (see planPartition): each crossing is stretched to the
-// negotiated lookahead, and the stretch is repaid here out of the path's
-// deterministic domain-local legs — CCM handling first, then the device
-// service base or the inter-CC slack and LLC legs — so every mailbox
-// delivery provably lands outside the conservative epoch while the
-// end-to-end path latency is bit-for-bit what the classic single-engine
-// model produces. In classic mode the plan carries the profile's
-// constants unshifted and these are the original formulas.
 func (w *walker) enterPath() {
 	n, p, a := w.n, w.n.prof, w.a
-	z := n.zones[w.zi]
 	w.phase = phasePath
 	w.state = 1
 	switch a.Kind {
 	case DestDRAM:
 		w.shops = n.noc.MemoryHopDelay(a.Src.CCD, a.UMC)
 		w.hopExtra = w.shops + p.CSLatency
-		w.after(n.plan.ccmDRAM)
+		w.after(p.CacheMissBase)
 	case DestCXL:
 		w.shops = n.noc.IOHopDelay(a.Src.CCD)
 		w.hopExtra = w.shops + p.IOHubLatency + p.RootComplexLatency
-		w.after(n.plan.ccmCXL)
+		w.after(p.CacheMissBase)
 	case DestLLCIntra:
-		w.hopExtra = p.IntraCCLatency + z.llcJitter.Sample()
+		w.hopExtra = p.IntraCCLatency + n.llcJitter.Sample()
 		if a.Op == txn.NTWrite {
-			w.pushTo(n.intraOut[a.Src.CCD], units.CacheLine, w.hopExtra, w.zi)
+			w.pushTo(n.intraOut[a.Src.CCD], units.CacheLine, w.hopExtra)
 		} else {
-			w.pushTo(n.intraOut[a.Src.CCD], p.ReadRequestSize, w.hopExtra, w.zi)
+			w.pushTo(n.intraOut[a.Src.CCD], p.ReadRequestSize, w.hopExtra)
 		}
 	case DestLLCInter:
 		// The deterministic latency budget beyond the explicitly modelled
 		// legs (GMI crossings and the remote LLC lookup), plus coherence
-		// jitter. The inter-CC path crosses domains four times, so it
-		// repays the largest share of the lookahead stretch.
-		w.hopExtra = n.plan.interExtra + z.llcJitter.Sample()
+		// jitter.
+		w.hopExtra = interHopBase(p) + n.llcJitter.Sample()
 		if a.Op == txn.NTWrite {
 			w.respSize = p.WriteAckSize
 		} else {
 			w.respSize = units.CacheLine
 		}
-		w.after(n.plan.ccmInter)
+		w.after(p.CacheMissBase)
 	}
 }
 
 // pushTo starts (re)trying to enter ch with the walker's step as the
 // delivery continuation. Callers advance w.state first, so the delivery
-// lands in the next case; toZi names the domain the delivery runs in (the
-// channel must be owned by the walker's current domain, deliveries may
-// cross). An express walker admits the message in closed form when the
-// channel is idle — an empty bounded queue always accepts, so the classic
-// retry loop is provably not entered — and otherwise falls back to the
-// classic admission attempt at the exact classic timestamp.
-func (w *walker) pushTo(ch *link.Channel, size units.ByteSize, extra units.Time, toZi int) {
+// lands in the next case. An express walker admits the message in closed
+// form when the channel is idle — an empty bounded queue always accepts,
+// so the classic retry loop is provably not entered — and otherwise falls
+// back to the classic admission attempt at the exact classic timestamp.
+func (w *walker) pushTo(ch *link.Channel, size units.ByteSize, extra units.Time) {
 	w.ch, w.size, w.pExtra = ch, size, extra
-	w.pushZi = toZi
 	w.blocked = -1
 	if w.express {
 		if arrive, ok := ch.TryExpress(size, extra, w.vnow, w.chanFence()); ok {
-			w.zi = toZi
-			if ch.Posted() {
-				w.express = false
-				ch.Deliver(arrive, w.eventFn)
-				return
-			}
 			w.resume(arrive)
 			return
 		}
@@ -466,52 +413,20 @@ func (w *walker) pushTo(ch *link.Channel, size units.ByteSize, extra units.Time,
 
 // attempt is one admission try; refusals rearm it after a jittered service
 // quantum, exactly like pushWithRetry (see SendWithRetry for why the
-// cadence matters). Retries run on the current domain's engine — the
-// channel's owner — and the walker migrates to the delivery domain once
-// the channel accepts.
+// cadence matters).
 func (w *walker) attempt() {
-	n := w.n
-	z := n.zones[w.zi]
+	n, eng := w.n, w.n.eng
 	n.trSet(w.id)
 	if w.ch.TrySendAfter(w.size, w.pExtra, w.eventFn) {
 		if w.blocked >= 0 {
-			n.trRange(w.ch.Hop(), trace.CauseBackpressured, w.blocked, z.eng.Now())
+			n.trRange(w.ch.Hop(), trace.CauseBackpressured, w.blocked, eng.Now())
 		}
-		w.zi = w.pushZi
 		return
 	}
 	if w.blocked < 0 {
-		w.blocked = z.eng.Now()
+		w.blocked = eng.Now()
 	}
-	z.eng.After(retryBackoff(z.eng, retryQuantum(w.ch.Capacity(), w.size)), w.retryFn)
-}
-
-// respondNoC sends a response across the NoC read channel back toward the
-// source chiplet. In partitioned mode that delivery crosses hub -> source
-// domain: it rides the mailbox with the lookahead added — stretch the
-// path's plan repaid out of its domain-local legs — so it provably lands
-// outside the epoch and the end-to-end latency is unchanged. An express
-// walker still applies the hop's serialization in closed form; only the
-// delivery crosses, so the fused segment ends at the zone boundary.
-func (w *walker) respondNoC(size units.ByteSize) {
-	n := w.n
-	if zi := n.zoneOf(w.a.Src.CCD); zi != w.zi {
-		if w.express {
-			if arrive, ok := n.noc.Read.TryExpress(size, n.plan.look, w.vnow, w.chanFence()); ok {
-				w.zi = zi
-				w.express = false
-				n.postHub[w.a.Src.CCD](arrive, w.eventFn)
-				return
-			}
-			w.ch, w.size, w.pExtra, w.pushZi = n.noc.Read, size, n.plan.look, zi
-			w.exitExpress(opRespond)
-			return
-		}
-		w.zi = zi
-		n.noc.Read.SendPost(size, n.plan.look, w.eventFn, n.postHub[w.a.Src.CCD])
-		return
-	}
-	w.xsend(n.noc.Read, size, 0, w.zi)
+	eng.After(retryBackoff(eng, retryQuantum(w.ch.Capacity(), w.size)), w.retryFn)
 }
 
 // finish completes the transaction: stamp, trace, release every token in
@@ -519,15 +434,13 @@ func (w *walker) respondNoC(size units.ByteSize) {
 // the transaction to done and recycle both objects. The walker is recycled
 // before done runs so a done callback that issues the next transaction
 // (closed loops) reuses this frame; the transaction is recycled after done
-// returns, unless the callback pinned it. Every path ends in the source
-// domain, so releases and the done callback are domain-local. finish only
-// ever runs at a real calendar event — terminal states are never fused —
-// so the released-token wakeups and the done callback observe the engine
-// clock, exactly as in classic execution.
+// returns, unless the callback pinned it. finish only ever runs at a real
+// calendar event — terminal states are never fused — so the released-token
+// wakeups and the done callback observe the engine clock, exactly as in
+// classic execution.
 func (w *walker) finish() {
 	n, t := w.n, w.t
-	z := n.zones[w.zi]
-	t.Completed = z.eng.Now()
+	t.Completed = n.eng.Now()
 	if n.tracer != nil {
 		n.tracer.EndTxn(t.ID, t.Issued, t.Completed)
 	}
@@ -537,14 +450,14 @@ func (w *walker) finish() {
 	for i := len(w.extra) - 1; i >= 0; i-- {
 		w.extra[i].Release()
 	}
-	z.matrix.RecordID(w.srcKey, w.dstKey, t.Size)
+	n.matrix.RecordID(w.srcKey, w.dstKey, t.Size)
 	done := w.done
 	n.putWalker(w)
 	if done != nil {
 		done(t)
 	}
 	if n.recycle {
-		z.txns.Put(t)
+		n.txns.Put(t)
 	}
 }
 
@@ -571,34 +484,31 @@ func (w *walker) stepDRAM() {
 		w.trBefore(n.ccmHop(ccd), trace.CauseProcessing, p.CacheMissBase)
 		w.state = 2
 		if nt {
-			w.pushTo(n.gmiOut[ccd], units.CacheLine, 0, n.hubZi)
+			w.pushTo(n.gmiOut[ccd], units.CacheLine, 0)
 		} else {
 			// A temporal write is a read-for-ownership: the line is
 			// fetched like a read; the dirty writeback happens
 			// asynchronously later.
-			w.pushTo(n.gmiOut[ccd], p.ReadRequestSize, 0, n.hubZi)
+			w.pushTo(n.gmiOut[ccd], p.ReadRequestSize, 0)
 		}
 	case 2:
 		n.trSet(w.id)
 		w.state = 3
 		if nt {
-			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra, w.zi)
+			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra)
 		} else {
-			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra, w.zi)
+			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra)
 		}
 	case 3:
 		n.trSet(w.id)
 		w.trMeshHops(w.shops, p.CSLatency)
 		w.state = 4
 		if nt {
-			w.xsend(dram.Write, units.CacheLine, 0, w.zi)
+			w.xsend(dram.Write, units.CacheLine, 0)
 		} else {
-			// The service leg repays the plan's remaining stretch; the
-			// shift never exceeds the deterministic DRAMLatency base, so
-			// the jittered access time always covers it (0 in classic).
 			access := dram.AccessTime()
 			w.trAfter(dram.ServiceHop(), trace.CauseService, access)
-			w.after(access - n.plan.dramShift)
+			w.after(access)
 		}
 	case 4:
 		n.trSet(w.id)
@@ -606,29 +516,29 @@ func (w *walker) stepDRAM() {
 		if nt {
 			access := dram.AccessTime()
 			w.trAfter(dram.ServiceHop(), trace.CauseService, access)
-			w.after(access - n.plan.dramShift)
+			w.after(access)
 		} else {
-			w.xsend(dram.Read, units.CacheLine, 0, w.zi)
+			w.xsend(dram.Read, units.CacheLine, 0)
 		}
 	case 5:
 		n.trSet(w.id)
 		w.state = 6
 		if nt {
-			w.respondNoC(p.WriteAckSize)
+			w.xsend(n.noc.Read, p.WriteAckSize, 0)
 		} else {
-			w.respondNoC(units.CacheLine)
+			w.xsend(n.noc.Read, units.CacheLine, 0)
 		}
 	case 6:
 		n.trSet(w.id)
 		w.state = 7
 		if nt {
-			w.xsend(n.gmiIn[ccd], p.WriteAckSize, 0, w.zi)
+			w.xsend(n.gmiIn[ccd], p.WriteAckSize, 0)
 		} else {
-			w.xsend(n.gmiIn[ccd], units.CacheLine, 0, w.zi)
+			w.xsend(n.gmiIn[ccd], units.CacheLine, 0)
 		}
 	case 7:
 		if a.Op == txn.Write {
-			n.startWriteback(a, w.hopExtra, w.zi)
+			n.startWriteback(a, w.hopExtra)
 		}
 		w.finish()
 	}
@@ -647,7 +557,7 @@ func (w *walker) stepWriteback() {
 		// register must be set here.
 		n.trSet(0)
 		w.state = 2
-		w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra, w.zi)
+		w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra)
 	case 2:
 		// The tail holds no tokens and completes nobody, so unlike the
 		// transaction-terminal states it may run at a virtual timestamp:
@@ -672,12 +582,11 @@ func (w *walker) stepWriteback() {
 
 // startWriteback launches a writeback walker for the dirty line a temporal
 // write leaves behind, reusing the parent's NoC hop-extra (same CCD -> UMC
-// route). zi is the issuing domain (the source chiplet's). The launch is
-// synchronous inside the parent's terminal event, so the fresh walker
-// starts classic (getWalker leaves express off until its first calendar
-// resumption).
-func (n *Network) startWriteback(a Access, hopExtra units.Time, zi int) {
-	w := n.getWalker(zi)
+// route). The launch is synchronous inside the parent's terminal event,
+// so the fresh walker starts classic (getWalker leaves express off until
+// its first calendar resumption).
+func (n *Network) startWriteback(a Access, hopExtra units.Time) {
+	w := n.getWalker()
 	w.a = a
 	w.wb = true
 	w.id = 0
@@ -685,8 +594,8 @@ func (n *Network) startWriteback(a Access, hopExtra units.Time, zi int) {
 	w.phase = phasePath
 	w.state = 1
 	w.express = false
-	w.vnow = n.zones[zi].eng.Now()
-	w.pushTo(n.gmiOut[a.Src.CCD], units.CacheLine, 0, n.hubZi)
+	w.vnow = n.eng.Now()
+	w.pushTo(n.gmiOut[a.Src.CCD], units.CacheLine, 0)
 }
 
 // stepCXL walks a device transaction: CCM -> GMI -> switch hops -> I/O hub
@@ -703,26 +612,26 @@ func (w *walker) stepCXL() {
 		w.trBefore(n.ccmHop(ccd), trace.CauseProcessing, p.CacheMissBase)
 		w.state = 2
 		if nt {
-			w.pushTo(n.gmiOut[ccd], units.CacheLine, 0, n.hubZi)
+			w.pushTo(n.gmiOut[ccd], units.CacheLine, 0)
 		} else {
-			w.pushTo(n.gmiOut[ccd], p.ReadRequestSize, 0, n.hubZi)
+			w.pushTo(n.gmiOut[ccd], p.ReadRequestSize, 0)
 		}
 	case 2:
 		n.trSet(w.id)
 		w.state = 3
 		if nt {
-			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra, w.zi)
+			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra)
 		} else {
-			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra, w.zi)
+			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra)
 		}
 	case 3:
 		n.trSet(w.id)
 		w.trHubHops(w.shops, p.IOHubLatency, p.RootComplexLatency)
 		w.state = 4
 		if nt {
-			w.pushTo(mod.Write, mod.FlitSize(units.CacheLine), p.PLinkLatency, w.zi)
+			w.pushTo(mod.Write, mod.FlitSize(units.CacheLine), p.PLinkLatency)
 		} else {
-			w.pushTo(mod.Write, p.ReadRequestSize, p.PLinkLatency, w.zi)
+			w.pushTo(mod.Write, p.ReadRequestSize, p.PLinkLatency)
 		}
 	case 4:
 		n.trSet(w.id)
@@ -730,30 +639,30 @@ func (w *walker) stepCXL() {
 		access := mod.AccessTime()
 		w.trAfter(mod.ServiceHop(), trace.CauseService, access)
 		w.state = 5
-		w.after(access - n.plan.cxlShift)
+		w.after(access)
 	case 5:
 		n.trSet(w.id)
 		w.state = 6
 		if nt {
-			w.xsend(mod.Read, p.WriteAckSize, 0, w.zi)
+			w.xsend(mod.Read, p.WriteAckSize, 0)
 		} else {
-			w.xsend(mod.Read, mod.FlitSize(units.CacheLine), 0, w.zi)
+			w.xsend(mod.Read, mod.FlitSize(units.CacheLine), 0)
 		}
 	case 6:
 		n.trSet(w.id)
 		w.state = 7
 		if nt {
-			w.respondNoC(p.WriteAckSize)
+			w.xsend(n.noc.Read, p.WriteAckSize, 0)
 		} else {
-			w.respondNoC(units.CacheLine)
+			w.xsend(n.noc.Read, units.CacheLine, 0)
 		}
 	case 7:
 		n.trSet(w.id)
 		w.state = 8
 		if nt {
-			w.xsend(n.gmiIn[ccd], p.WriteAckSize, 0, w.zi)
+			w.xsend(n.gmiIn[ccd], p.WriteAckSize, 0)
 		} else {
-			w.xsend(n.gmiIn[ccd], units.CacheLine, 0, w.zi)
+			w.xsend(n.gmiIn[ccd], units.CacheLine, 0)
 		}
 	case 8:
 		w.finish()
@@ -762,8 +671,7 @@ func (w *walker) stepCXL() {
 
 // stepLLCIntra walks a cache-to-cache transfer within one compute chiplet.
 // Its first push happens in enterPath (there is no CCM delay stage), so the
-// machine starts at the delivery. The whole path stays in the source
-// domain.
+// machine starts at the delivery.
 func (w *walker) stepLLCIntra() {
 	n, p, a := w.n, w.n.prof, w.a
 	ccd := a.Src.CCD
@@ -773,9 +681,9 @@ func (w *walker) stepLLCIntra() {
 		w.trBefore(n.ifHop(ccd), trace.CausePropagating, w.hopExtra)
 		w.state = 2
 		if a.Op == txn.NTWrite {
-			w.xsend(n.intraIn[ccd], p.WriteAckSize, 0, w.zi)
+			w.xsend(n.intraIn[ccd], p.WriteAckSize, 0)
 		} else {
-			w.xsend(n.intraIn[ccd], units.CacheLine, 0, w.zi)
+			w.xsend(n.intraIn[ccd], units.CacheLine, 0)
 		}
 	case 2:
 		w.finish()
@@ -798,61 +706,44 @@ func (w *walker) stepLLCInter() {
 		w.trBefore(n.ccmHop(src), trace.CauseProcessing, p.CacheMissBase)
 		w.state = 2
 		if nt {
-			w.pushTo(n.gmiOut[src], units.CacheLine, 0, n.hubZi)
+			w.pushTo(n.gmiOut[src], units.CacheLine, 0)
 		} else {
-			w.pushTo(n.gmiOut[src], p.ReadRequestSize, 0, n.hubZi)
+			w.pushTo(n.gmiOut[src], p.ReadRequestSize, 0)
 		}
 	case 2:
 		n.trSet(w.id)
 		w.state = 3
 		if nt {
-			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra, w.zi)
+			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra)
 		} else {
-			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra, w.zi)
+			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra)
 		}
 	case 3:
 		n.trSet(w.id)
 		w.trBefore(n.interHop, trace.CausePropagating, w.hopExtra)
-		w.state = 30
-		if zi := n.zoneOf(dst); zi != w.zi {
-			// The request enters the target chiplet's domain: hand the
-			// walker across one lookahead later, stretch the plan
-			// withheld from the path's latency budget. The handoff is a
-			// mailbox delivery either way, so a fused segment simply ends
-			// here.
-			at := w.vnow + n.plan.look
-			w.zi = zi
-			w.express = false
-			n.postHub[dst](at, w.eventFn)
-		} else {
-			w.pathStep()
-		}
-	case 30:
-		n.trSet(w.id)
 		w.state = 4
 		if nt {
-			w.xsend(n.gmiIn[dst], units.CacheLine, 0, w.zi)
+			w.xsend(n.gmiIn[dst], units.CacheLine, 0)
 		} else {
-			w.xsend(n.gmiIn[dst], p.ReadRequestSize, 0, w.zi)
+			w.xsend(n.gmiIn[dst], p.ReadRequestSize, 0)
 		}
 	case 4:
 		n.trSet(w.id)
 		w.trAfter(n.llcHop(dst), trace.CauseProcessing, p.L3Latency)
 		w.state = 5
-		w.after(n.plan.interL3)
+		w.after(p.L3Latency)
 	case 5:
 		n.trSet(w.id)
 		w.state = 6
-		// The response re-enters the hub: GMI-out deliveries cross there.
-		w.xsend(n.gmiOut[dst], w.respSize, 0, n.hubZi)
+		w.xsend(n.gmiOut[dst], w.respSize, 0)
 	case 6:
 		n.trSet(w.id)
 		w.state = 7
-		w.respondNoC(w.respSize)
+		w.xsend(n.noc.Read, w.respSize, 0)
 	case 7:
 		n.trSet(w.id)
 		w.state = 8
-		w.xsend(n.gmiIn[src], w.respSize, 0, w.zi)
+		w.xsend(n.gmiIn[src], w.respSize, 0)
 	case 8:
 		w.finish()
 	}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"log"
 	"reflect"
 	"strings"
 	"testing"
@@ -163,34 +162,6 @@ func TestFigure4FusedCellWindowVerdict(t *testing.T) {
 	out := fused.Render(hops, 5)
 	if !strings.Contains(out, "umc0/rd") {
 		t.Errorf("fusion render missing umc0/rd:\n%s", out)
-	}
-}
-
-// TestTraceForcesClassicWarning: requesting Domains with a tracer
-// attached silently fell back to the classic engine before; now it warns
-// once on stderr.
-func TestTraceForcesClassicWarning(t *testing.T) {
-	var buf bytes.Buffer
-	prev := log.Writer()
-	log.SetOutput(&buf)
-	defer log.SetOutput(prev)
-
-	opt := quick()
-	opt.Domains = 2
-	if _, _, err := Figure4TraceCell(opt, 1, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "classic single engine") {
-		t.Errorf("no fallback warning logged; got %q", buf.String())
-	}
-
-	// Once per process: a second traced cell stays quiet.
-	buf.Reset()
-	if _, _, err := Figure4TraceCell(opt, 1, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("warning repeated: %q", buf.String())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -145,26 +144,17 @@ func figure4CellObserved(sc Fig4Scenario, c Fig4Case, opt Options, tr *trace.Tra
 }
 
 // CellPerf is a cell's execution-cost readout: how many simulation
-// events it ran, and — when it ran partitioned — the cluster's epoch
-// counters, the denominator side of the events-per-epoch picture the
-// adaptive epoch scheduler is judged on. Partitioned is false for a
-// classic single-engine cell, whose Cluster counters are all zero.
+// events it ran and how many express-path fusion elided.
 type CellPerf struct {
-	Events      uint64 // calendar events dispatched
-	Fused       uint64 // events elided by express-path fusion
-	Partitioned bool
-	Cluster     sim.ClusterStats
+	Events uint64 // calendar events dispatched
+	Fused  uint64 // events elided by express-path fusion
 }
 
 // figure4CellCounted additionally reports the cell's execution-cost
-// readout (warmup included) — the numerators and denominators of the
-// cell-throughput benchmark in cmd/chipletbench.
+// readout (warmup included).
 func figure4CellCounted(sc Fig4Scenario, c Fig4Case, opt Options, tr *trace.Tracer, reg *metrics.Registry) (Fig4Result, CellPerf, error) {
 	p := sc.Profile()
-	// A traced cell pins the classic build: exact span tiling needs the
-	// single-engine event order (core.AttachTracer enforces this).
-	net := opt.newCellNet(p, tr != nil)
-	defer net.Close()
+	net := opt.newNet(p)
 	if tr != nil {
 		net.AttachTracer(tr)
 	}
@@ -186,29 +176,24 @@ func figure4CellCounted(sc Fig4Scenario, c Fig4Case, opt Options, tr *trace.Trac
 	fb.Start()
 	// Convergence time is set by the adaptation epochs, which model
 	// hardware time constants — it must not shrink with TimeScale.
-	run := net.Runner()
-	run.RunFor(sc.Converge)
+	eng := net.Engine()
+	eng.RunFor(sc.Converge)
 	fa.ResetStats()
 	fb.ResetStats()
 	if tr != nil {
 		tr.Enable()
 	}
 	if reg != nil {
-		reg.Start(net.ControlEngine())
+		reg.Start(eng)
 	}
-	run.RunFor(opt.scale(600 * units.Microsecond))
+	eng.RunFor(opt.scale(600 * units.Microsecond))
 	if reg != nil {
 		reg.Stop()
 	}
 	if tr != nil {
 		tr.Disable()
 	}
-	perf := CellPerf{
-		Events:      net.EventsExecuted(),
-		Fused:       net.EventsFused(),
-		Partitioned: net.Cluster() != nil,
-		Cluster:     net.ClusterStats(),
-	}
+	perf := CellPerf{Events: net.EventsExecuted(), Fused: net.EventsFused()}
 	return Fig4Result{
 		Profile: p.Name, Link: sc.Link, Case: c.Name,
 		DemandA: cfgA.Demand, DemandB: cfgB.Demand,
@@ -219,8 +204,7 @@ func figure4CellCounted(sc Fig4Scenario, c Fig4Case, opt Options, tr *trace.Trac
 
 // Figure4CellThroughput runs one (scenario, case) cell at full length and
 // reports its result plus the execution-cost readout — the cell-level
-// throughput probe behind cmd/chipletbench's serial-vs-domains speedup
-// numbers.
+// throughput probe.
 func Figure4CellThroughput(sc Fig4Scenario, c Fig4Case, opt Options) (Fig4Result, CellPerf, error) {
 	return figure4CellCounted(sc, c, opt, nil, nil)
 }

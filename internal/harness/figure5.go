@@ -75,9 +75,8 @@ func Figure5Run(sc Fig5Scenario, opt Options) (*Fig5Result, error) {
 // so the harvest windows line up with the Figure 5 bandwidth series.
 func figure5Run(sc Fig5Scenario, opt Options, reg *metrics.Registry) (*Fig5Result, error) {
 	p := sc.Fig4.Profile()
-	net := opt.newCellNet(p, false)
-	defer net.Close()
-	run := net.Runner()
+	net := opt.newNet(p)
+	eng := net.Engine()
 	if reg != nil {
 		net.AttachMetrics(reg)
 	}
@@ -96,11 +95,11 @@ func figure5Run(sc Fig5Scenario, opt Options, reg *metrics.Registry) (*Fig5Resul
 	}
 	f0.Start()
 	f1.Start()
-	run.RunFor(sc.Fig4.Converge) // reach the equal-share equilibrium
+	eng.RunFor(sc.Fig4.Converge) // reach the equal-share equilibrium
 
-	t0 := run.Now()
+	t0 := eng.Now()
 	if reg != nil {
-		reg.Start(net.ControlEngine())
+		reg.Start(eng)
 	}
 	interval := 25 * units.Microsecond
 	s0 := telemetry.NewTimeSeries(interval)
@@ -118,14 +117,11 @@ func figure5Run(sc Fig5Scenario, opt Options, reg *metrics.Registry) (*Fig5Resul
 		{4 * fig5VirtualSecond, throttled},
 		{5 * fig5VirtualSecond, demand},
 	}
-	// Demand changes mutate flow 0's pacing state, so they run on flow
-	// 0's own engine — in a partitioned network that is the flow's home
-	// domain, keeping the mutation inside the domain that owns it.
 	for _, s := range schedule {
 		s := s
-		f0.Engine().At(t0+s.at, func() { f0.SetDemand(s.bw) })
+		eng.At(t0+s.at, func() { f0.SetDemand(s.bw) })
 	}
-	run.RunUntil(t0 + 6*fig5VirtualSecond)
+	eng.RunUntil(t0 + 6*fig5VirtualSecond)
 	if reg != nil {
 		reg.Stop()
 	}

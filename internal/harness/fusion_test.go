@@ -13,18 +13,18 @@ import (
 // attached, returning the rendered result row, the registry's JSON dump
 // and the execution-cost readout — the artefacts the express-path fusion
 // contract says must not depend on whether fusion is enabled.
-func fusionCell(t *testing.T, noFusion bool, domains, scIdx, caseIdx int, seed uint64) (string, []byte, CellPerf) {
+func fusionCell(t *testing.T, noFusion bool, scIdx, caseIdx int, seed uint64) (string, []byte, CellPerf) {
 	t.Helper()
-	opt := Options{Seed: seed, TimeScale: 4, Domains: domains, NoFusion: noFusion}
+	opt := Options{Seed: seed, TimeScale: 4, NoFusion: noFusion}
 	reg := metrics.New(metrics.Config{Window: 100 * units.Microsecond})
 	sc := Figure4Scenarios()[scIdx]
 	res, perf, err := figure4CellCounted(sc, Fig4Cases()[caseIdx], opt, nil, reg)
 	if err != nil {
-		t.Fatalf("noFusion=%v domains=%d scenario=%d: %v", noFusion, domains, scIdx, err)
+		t.Fatalf("noFusion=%v scenario=%d: %v", noFusion, scIdx, err)
 	}
 	var dump bytes.Buffer
 	if err := reg.Dump().WriteJSON(&dump); err != nil {
-		t.Fatalf("noFusion=%v domains=%d scenario=%d: dump: %v", noFusion, domains, scIdx, err)
+		t.Fatalf("noFusion=%v scenario=%d: dump: %v", noFusion, scIdx, err)
 	}
 	return RenderFigure4([]Fig4Result{res}), dump.Bytes(), perf
 }
@@ -32,39 +32,39 @@ func fusionCell(t *testing.T, noFusion bool, domains, scIdx, caseIdx int, seed u
 // fusionConfigs is the differential sweep: every scenario (both platforms,
 // all five shared links — the flow mixes cover DRAM, CXL, intra- and
 // inter-chiplet LLC paths), across demand cases from under-subscribed to
-// unequal over-subscription, classic single-engine and partitioned
-// builds, and several seeds. The over-subscribed cases keep the shared
+// unequal over-subscription, and several seeds. The over-subscribed cases
+// keep the shared
 // channels busy, so mid-segment contention constantly aborts fused
 // segments through the exitExpress/flush fallback.
 var fusionConfigs = []struct {
-	domains, scIdx, caseIdx int
-	seed                    uint64
+	scIdx, caseIdx int
+	seed           uint64
 }{
-	{0, 3, 2, 42},  // 7302 inter-CC IF, equal over-subscription, classic engine
-	{1, 3, 1, 7},   // same link, one flow below share, partitioned serial
-	{2, 3, 3, 5},   // unequal demands across three domains, two workers
-	{0, 0, 0, 99},  // 9634 intra-CC IF, under-subscribed (fusion-rich: idle hops)
-	{1, 1, 2, 123}, // 9634 UMC/GMI hub crossings
-	{0, 2, 2, 42},  // 9634 P link (CXL path, slow epochs)
-	{4, 4, 3, 11},  // 7302 UMC/GMI, four domain workers
+	{3, 2, 42},  // 7302 inter-CC IF, equal over-subscription
+	{3, 1, 7},   // same link, one flow below share
+	{3, 3, 5},   // same link, unequal over-subscription
+	{0, 0, 99},  // 9634 intra-CC IF, under-subscribed (fusion-rich: idle hops)
+	{1, 2, 123}, // 9634 UMC/GMI hub crossings
+	{2, 2, 42},  // 9634 P link (CXL path, slow epochs)
+	{4, 3, 11},  // 7302 UMC/GMI, unequal over-subscription
 }
 
 // TestFusionInvisibleCells pins the tentpole's determinism contract: a
 // cell's rendered results and windowed-metrics dumps are byte-identical
 // with express-path fusion on (the default) and off, for every platform,
-// flow mix, seed and engine build in the sweep. Fusion elides events; it
+// flow mix and seed in the sweep. Fusion elides events; it
 // must never reorder, retime or recount anything an observer can see.
 // The classic-equivalent event total (executed + fused) must also agree
 // between the two runs — fusion moves events between the two counters
 // without inventing or losing any.
 func TestFusionInvisibleCells(t *testing.T) {
 	if raceEnabled {
-		t.Skip("byte-identity is race-agnostic; TestDomainsCellRace covers -race")
+		t.Skip("byte-identity is race-agnostic; TestParallelMatchesSerial runs concurrent cells under -race")
 	}
 	var elided uint64
 	for _, cfg := range fusionConfigs {
-		wantRow, wantDump, wantPerf := fusionCell(t, true, cfg.domains, cfg.scIdx, cfg.caseIdx, cfg.seed)
-		row, dump, perf := fusionCell(t, false, cfg.domains, cfg.scIdx, cfg.caseIdx, cfg.seed)
+		wantRow, wantDump, wantPerf := fusionCell(t, true, cfg.scIdx, cfg.caseIdx, cfg.seed)
+		row, dump, perf := fusionCell(t, false, cfg.scIdx, cfg.caseIdx, cfg.seed)
 		if row != wantRow {
 			t.Errorf("%+v: result row differs with fusion on:\n%s\nvs\n%s", cfg, wantRow, row)
 		}
@@ -91,13 +91,12 @@ func TestFusionInvisibleCells(t *testing.T) {
 }
 
 // TestFusionInvisibleSpans pins the trace half of the contract: a traced
-// cell (which always runs the classic single-engine build) produces a
-// byte-identical span stream with fusion on and off. Fused hops record
+// cell produces a byte-identical span stream with fusion on and off. Fused hops record
 // their serializer spans in closed form, in the same ring order and with
 // the same stamps as the classic per-hop events.
 func TestFusionInvisibleSpans(t *testing.T) {
 	if raceEnabled {
-		t.Skip("byte-identity is race-agnostic; TestDomainsCellRace covers -race")
+		t.Skip("byte-identity is race-agnostic; TestParallelMatchesSerial runs concurrent cells under -race")
 	}
 	traceBytes := func(noFusion bool, scIdx, caseIdx int) ([]byte, string) {
 		opt := Options{Seed: 42, TimeScale: 4, NoFusion: noFusion}
@@ -137,10 +136,10 @@ func TestFusionInvisibleSpans(t *testing.T) {
 // elided, and far more events ran than a fully-fused walk would leave.
 func TestFusionContentionFallback(t *testing.T) {
 	if raceEnabled {
-		t.Skip("byte-identity is race-agnostic; TestDomainsCellRace covers -race")
+		t.Skip("byte-identity is race-agnostic; TestParallelMatchesSerial runs concurrent cells under -race")
 	}
-	wantRow, wantDump, wantPerf := fusionCell(t, true, 1, 3, 3, 42)
-	row, dump, perf := fusionCell(t, false, 1, 3, 3, 42)
+	wantRow, wantDump, wantPerf := fusionCell(t, true, 3, 3, 42)
+	row, dump, perf := fusionCell(t, false, 3, 3, 42)
 	if row != wantRow {
 		t.Errorf("contended cell result differs with fusion on:\n%s\nvs\n%s", wantRow, row)
 	}
@@ -160,7 +159,7 @@ func TestFusionContentionFallback(t *testing.T) {
 
 // TestFusionEffectivenessGate is the express-path fusion perf gate, run
 // from ci.sh with CHIPLET_FUSION_GATE=1: the full-length 7302 inter-CC IF
-// cell (the cell-throughput benchmark's flagship) must elide a large,
+// cell (the benchmark's fig4_flagship workload) must elide a large,
 // deterministic share of its classic-equivalent event load. Wall clocks
 // on shared CI hosts are too noisy to gate, so the gate holds the event
 // ledger itself, which is seed-exact:
@@ -182,7 +181,7 @@ func TestFusionEffectivenessGate(t *testing.T) {
 	sc := Figure4Scenarios()[3]
 	c := Fig4Cases()[2]
 	run := func(noFusion bool) CellPerf {
-		opt := Options{Seed: 42, TimeScale: 1, Domains: 1, NoFusion: noFusion}
+		opt := Options{Seed: 42, TimeScale: 1, NoFusion: noFusion}
 		_, perf, err := Figure4CellThroughput(sc, c, opt)
 		if err != nil {
 			t.Fatalf("noFusion=%v: %v", noFusion, err)

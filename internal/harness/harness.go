@@ -8,9 +8,7 @@ package harness
 
 import (
 	"fmt"
-	"log"
 	"strings"
-	"sync"
 	"text/tabwriter"
 
 	"repro/internal/core"
@@ -43,17 +41,6 @@ type Options struct {
 	// differential determinism tests and for benchmarking the classic
 	// event-per-hop execution cost.
 	NoFusion bool
-	// Domains selects the intra-cell parallel engine. 0 (the default)
-	// builds the classic single-engine network, preserving the seeded
-	// outputs committed before the partitioned engine existed. N >= 1
-	// builds a domain-partitioned network — the partition itself is fixed
-	// by the topology (one domain per CCD plus a hub domain), N only caps
-	// how many worker goroutines advance domains concurrently — so the
-	// results are byte-identical for every N >= 1 (Domains=1 runs the
-	// same epoch schedule serially). Cells that attach a flight recorder
-	// always run classic: exact span tiling needs the single-engine
-	// event order.
-	Domains int
 }
 
 // DefaultOptions runs experiments at full length with a fixed seed.
@@ -76,34 +63,6 @@ func (o Options) scale(d units.Time) units.Time {
 // newNet builds a fresh engine+network pair for a profile.
 func (o Options) newNet(p *topology.Profile) *core.Network {
 	n := core.New(sim.New(o.Seed), p)
-	if o.DisableRecycle {
-		n.SetRecycling(false)
-	}
-	if o.NoFusion {
-		n.SetExpress(false)
-	}
-	return n
-}
-
-// classicWarn rate-limits the trace-forces-classic warning to once per
-// process: a sweep's cells all resolve the same Options.
-var classicWarn sync.Once
-
-// newCellNet builds the network for one experiment cell, honouring the
-// Domains option. forceClassic pins the classic single-engine build
-// regardless of Domains — cells that attach a flight recorder need the
-// single-engine event order for exact span tiling.
-func (o Options) newCellNet(p *topology.Profile, forceClassic bool) *core.Network {
-	if o.Domains <= 0 || forceClassic {
-		if forceClassic && o.Domains > 0 {
-			classicWarn.Do(func() {
-				log.Printf("harness: flight recorder attached; ignoring Domains=%d and running traced cells on the classic single engine (exact span tiling needs its event order)",
-					o.Domains)
-			})
-		}
-		return o.newNet(p)
-	}
-	n := core.NewPartitioned(o.Seed, p, o.domainWorkers())
 	if o.DisableRecycle {
 		n.SetRecycling(false)
 	}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"log"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -63,42 +62,11 @@ func runCells[R any](opt Options, n int, cell func(i int) (R, error)) ([]R, erro
 	return results, nil
 }
 
-// oversubWarn rate-limits the oversubscription warning to once per
-// process: every cell of a sweep resolves the same Options, and one
-// line is enough to explain the capped pool.
-var oversubWarn sync.Once
-
-// workers resolves the configured cell-pool width. With Domains > 1
-// each cell spins up its own domain workers, so the pool is capped at
-// GOMAXPROCS / domains — the combined workers x domains goroutine
-// budget never oversubscribes the machine. The cap only reshuffles
-// which goroutine runs which cell; results are identical (see runCells).
+// workers resolves the configured cell-pool width: Workers, or GOMAXPROCS
+// when it is 0.
 func (o Options) workers() int {
-	procs := runtime.GOMAXPROCS(0)
-	w := o.Workers
-	if w <= 0 {
-		w = procs
+	if o.Workers > 0 {
+		return o.Workers
 	}
-	if d := o.domainWorkers(); d > 1 && w*d > procs {
-		limit := procs / d
-		if limit < 1 {
-			limit = 1
-		}
-		requested := w
-		oversubWarn.Do(func() {
-			log.Printf("harness: %d cell workers x %d domains oversubscribes GOMAXPROCS=%d; capping cell workers at %d",
-				requested, d, procs, limit)
-		})
-		w = limit
-	}
-	return w
-}
-
-// domainWorkers resolves the per-cell domain worker count (1 = serial
-// epoch schedule; the partitioned build is still used when Domains >= 1).
-func (o Options) domainWorkers() int {
-	if o.Domains > 0 {
-		return o.Domains
-	}
-	return 1
+	return runtime.GOMAXPROCS(0)
 }

@@ -42,9 +42,6 @@ func Figure4TraceCell(opt Options, scenario, demandCase, spanCap int) (Fig4Resul
 // incident's onset window fuses to the spans of the transactions that
 // crossed the congested resource while it tripped. Attach detectors to
 // reg (anomaly.Attach, or Figure4MonitoredCell's config) before calling.
-//
-// Like every traced cell this one runs on the classic single engine
-// regardless of opt.Domains.
 func Figure4FusedCell(opt Options, scenario, demandCase, spanCap int, reg *metrics.Registry) (Fig4Result, *trace.Tracer, error) {
 	scs := Figure4Scenarios()
 	if scenario < 0 || scenario >= len(scs) {

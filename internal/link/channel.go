@@ -69,14 +69,6 @@ type Channel struct {
 	tr  *trace.Tracer
 	hop trace.HopID
 
-	// post, when set, reroutes every delivery callback (never the depart
-	// bookkeeping, which stays on the owning engine): a channel whose
-	// receiving endpoint lives in another partition domain posts deliveries
-	// through the cluster mailbox instead of scheduling them locally. The
-	// channel latency must then be at least the cluster lookahead, so the
-	// delivery time is provably outside the current epoch.
-	post func(units.Time, func())
-
 	// departFn is the serialization-complete callback, bound once so the
 	// per-message hot path schedules it without allocating a closure.
 	departFn func()
@@ -159,12 +151,6 @@ func (c *Channel) SetTracer(tr *trace.Tracer) {
 // when no tracer is attached).
 func (c *Channel) Hop() trace.HopID { return c.hop }
 
-// SetPost reroutes all delivery callbacks through fn — the cross-domain
-// scheduling hook of a partitioned simulation. Serialization bookkeeping
-// (queue slots, the depart event) stays on the owning engine; only the
-// receiver-side deliver callbacks cross. nil restores local scheduling.
-func (c *Channel) SetPost(fn func(units.Time, func())) { c.post = fn }
-
 // Name reports the channel's telemetry name.
 func (c *Channel) Name() string { return c.name }
 
@@ -217,25 +203,11 @@ func (c *Channel) SendAfter(size units.ByteSize, extra units.Time, deliver func(
 	c.enqueue(size, extra, deliver)
 }
 
-// SendPost is SendAfter with a per-message delivery-scheduling hook,
-// overriding any channel-wide SetPost. A hub-side channel whose responses
-// fan out to many domains (the NoC read return) picks the destination
-// domain's mailbox per message; delivery time done+latency+extra must be
-// outside the current epoch, which holds whenever extra alone is at least
-// the cluster lookahead.
-func (c *Channel) SendPost(size units.ByteSize, extra units.Time, deliver func(), post func(units.Time, func())) {
-	c.enqueuePost(size, extra, deliver, post)
-}
-
 // enqueue accepts a message unconditionally: the queue-bound check, if
 // any, belongs to the caller. Sharing this path between TrySendAfter and
 // SendAfter means the bound is never bypassed by mutating c.depth, so a
 // panic or re-entrant send mid-enqueue cannot leave the bound corrupted.
 func (c *Channel) enqueue(size units.ByteSize, extra units.Time, deliver func()) {
-	c.enqueuePost(size, extra, deliver, c.post)
-}
-
-func (c *Channel) enqueuePost(size units.ByteSize, extra units.Time, deliver func(), post func(units.Time, func())) {
 	now := c.eng.Now()
 	start := now
 	if c.nextFree > start {
@@ -262,11 +234,7 @@ func (c *Channel) enqueuePost(size units.ByteSize, extra units.Time, deliver fun
 		return
 	}
 	c.pushDeparture(done)
-	if post != nil {
-		post(done+c.latency+extra, deliver)
-	} else {
-		c.eng.At(done+c.latency+extra, deliver)
-	}
+	c.eng.At(done+c.latency+extra, deliver)
 }
 
 // TryExpress attempts to apply one send's complete serialization
@@ -313,30 +281,6 @@ func (c *Channel) TryExpress(size units.ByteSize, extra units.Time, v, fence uni
 	c.pushDeparture(done)
 	return done + c.latency + extra, true
 }
-
-// Posted reports whether deliveries reroute through a cross-domain post
-// hook — the signal that an express walker must stop extending its fused
-// segment and let the continuation ride the epoch mailbox.
-func (c *Channel) Posted() bool { return c.post != nil }
-
-// Deliver schedules fn at t along the channel's delivery route: the
-// cross-domain post hook when one is set, the owning engine's calendar
-// otherwise. Express senders use it to schedule the arrival of a message
-// whose serialization TryExpress applied in closed form.
-func (c *Channel) Deliver(t units.Time, fn func()) {
-	if c.post != nil {
-		c.post(t, fn)
-		return
-	}
-	c.eng.At(t, fn)
-}
-
-// NextFree reports the absolute time the serializer finishes its current
-// backlog: no message accepted from now on can start service — let alone
-// deliver — before it. The partitioned engine samples it at epoch
-// barriers as a conservative floor on this channel's next cross-domain
-// delivery (it is monotone non-decreasing, which that use relies on).
-func (c *Channel) NextFree() units.Time { return c.nextFree }
 
 // QueueDelay reports how long a message accepted now would wait before
 // starting service: the current backlog of the serializer.

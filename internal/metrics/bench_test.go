@@ -1,6 +1,7 @@
 package metrics_test
 
 import (
+	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -117,10 +118,25 @@ func BenchmarkChannelChurnMetricsHarvesting(b *testing.B) { benchChurn(b, "harve
 // registry amortizes one probe sweep over the tens of thousands of
 // events a window contains, so the event hot path must stay within ~5%
 // of the uninstrumented run (plus a small absolute epsilon for timer
-// noise). ci.sh runs this explicitly. The unstarted case is not measured
-// separately: without Start there is no harvest event and no hook site,
-// so its cost is structurally identical to none.
+// noise). The unstarted case is not measured separately: without Start
+// there is no harvest event and no hook site, so its cost is structurally
+// identical to none. Wall-clock ratios are too noisy for a plain go test
+// on a shared host, so the ratio is asserted only with
+// CHIPLET_OVERHEAD_GATE=1, which ci.sh sets on its overhead leg. Without
+// it the test checks the deterministic half of the contract: harvesting
+// only reads, so the channel's counters match the uninstrumented run.
 func TestEnabledMetricsOverhead(t *testing.T) {
+	if os.Getenv("CHIPLET_OVERHEAD_GATE") == "" {
+		run := func(mode string) link.Stats {
+			eng, ch, reg := churnChannel(mode)
+			churn(eng, ch, reg, 5000)
+			return ch.Stats()
+		}
+		if plain, harvested := run("none"), run("harvesting"); plain != harvested {
+			t.Fatalf("harvesting registry perturbed the run: %+v vs %+v", harvested, plain)
+		}
+		return
+	}
 	if testing.Short() {
 		t.Skip("benchmark comparison skipped in -short mode")
 	}

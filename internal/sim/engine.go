@@ -21,6 +21,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/units"
@@ -99,6 +100,10 @@ func New(seed uint64) *Engine {
 	}
 }
 
+// noEvent is the unbounded horizon: Run's drive limit, and the fence
+// when neither the horizon nor the calendar constrains it.
+const noEvent = units.Time(math.MaxInt64)
+
 // idleSeq is curSeq between drives: the host observes state only after
 // every event at the current timestamp has run, so a departure stamped at
 // now always counts as departed.
@@ -168,8 +173,7 @@ func (e *Engine) ExpressFence() units.Time {
 // between drives. Express hops applied at the current engine time use it
 // instead of the full fence — their channel bookkeeping is exactly what a
 // classic enqueue at the same instant would write, so pending calendar
-// events see no difference and only the drive horizon (and, in a
-// partitioned zone, the epoch barrier's view of the calendar) must stay
+// events see no difference and only the drive horizon must stay
 // protected.
 func (e *Engine) LimitFence() units.Time {
 	f := noEvent
@@ -208,36 +212,6 @@ func (e *Engine) At(t units.Time, fn func()) {
 	} else {
 		e.overflow = heapPush(e.overflow, ev)
 	}
-}
-
-// atBatch schedules a drained mailbox run onto the calendar in slice
-// order — the bulk-insert path of the cluster's epoch barrier. Sequence
-// numbers are assigned in slice order, so the (time, seq) tie-break
-// reproduces exactly what per-entry At calls would, and it reports the
-// earliest timestamp inserted so the caller can refresh its cached
-// next-event minimum with one comparison per mailbox instead of one per
-// message.
-func (e *Engine) atBatch(evs []crossEvent) units.Time {
-	earliest := noEvent
-	horizon := e.baseTick + wheelSlots
-	for i := range evs {
-		ev := &evs[i]
-		if ev.at < e.now {
-			panic(fmt.Sprintf("sim: scheduling at %v which is before now (%v)", ev.at, e.now))
-		}
-		if ev.at < earliest {
-			earliest = ev.at
-		}
-		e.seq++
-		e.pending++
-		rec := event{at: ev.at, seq: e.seq, fn: ev.fn}
-		if tick := int64(ev.at) >> tickShift; tick < horizon {
-			e.slotPush(tick, rec)
-		} else {
-			e.overflow = heapPush(e.overflow, rec)
-		}
-	}
-	return earliest
 }
 
 // After schedules fn to run d after the current time. A negative d is

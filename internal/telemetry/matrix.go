@@ -62,20 +62,6 @@ func (tm *TrafficMatrix) Record(src, dst string, size units.ByteSize) {
 	tm.RecordID(tm.Intern(src), tm.Intern(dst), size)
 }
 
-// Merge folds another matrix's cells into this one, interning other's
-// names in their assigned-id order so repeated merges of identically-built
-// shards produce identical id assignments. Partitioned networks use it to
-// fold per-domain matrix shards into one report.
-func (tm *TrafficMatrix) Merge(other *TrafficMatrix) {
-	xlat := make([]EndpointID, len(other.names))
-	for id, name := range other.names {
-		xlat[id] = tm.Intern(name)
-	}
-	for k, v := range other.cells {
-		tm.RecordID(xlat[k.src], xlat[k.dst], v)
-	}
-}
-
 // lookup resolves a name without interning; ok is false for names the
 // matrix has never seen.
 func (tm *TrafficMatrix) lookup(name string) (EndpointID, bool) {

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"os"
 	"testing"
 
 	"repro/internal/link"
@@ -58,8 +59,26 @@ func BenchmarkChannelChurnEnabledTracer(b *testing.B)  { benchChurn(b, "enabled"
 // TestDisabledTracerOverhead is the off-by-default overhead contract:
 // attaching a tracer without enabling it must not slow the channel/engine
 // hot path by more than ~5% (plus a small absolute epsilon for timer
-// noise on loaded machines). ci.sh runs this explicitly.
+// noise on loaded machines). Wall-clock ratios are too noisy for a plain
+// go test on a shared host, so the ratio is asserted only with
+// CHIPLET_OVERHEAD_GATE=1, which ci.sh sets on its overhead leg. Without
+// it the test checks the deterministic half of the contract: a disabled
+// tracer leaves the churn run's clock and channel counters untouched.
 func TestDisabledTracerOverhead(t *testing.T) {
+	if os.Getenv("CHIPLET_OVERHEAD_GATE") == "" {
+		run := func(mode string) (units.Time, link.Stats) {
+			eng, ch, _ := churnChannel(mode)
+			churn(eng, ch, 5000)
+			return eng.Now(), ch.Stats()
+		}
+		nilNow, nilStats := run("nil")
+		disNow, disStats := run("disabled")
+		if nilNow != disNow || nilStats != disStats {
+			t.Fatalf("disabled tracer perturbed the run: %v/%+v vs %v/%+v",
+				disNow, disStats, nilNow, nilStats)
+		}
+		return
+	}
 	if testing.Short() {
 		t.Skip("benchmark comparison skipped in -short mode")
 	}

@@ -78,10 +78,8 @@ type Flow struct {
 	net *core.Network
 	cfg FlowConfig
 
-	// eng is the engine of the partition domain owning every source core
-	// (the network's single engine in classic mode). All of the flow's
-	// pacing events, RNG draws and controller epochs run on it, keeping
-	// the flow domain-local in a partitioned simulation.
+	// eng is the network's engine: the flow's pacing events, RNG draws and
+	// controller epochs run on it.
 	eng *sim.Engine
 
 	window *link.TokenPool // nil when cfg.Window == 0
@@ -147,13 +145,7 @@ func NewFlow(net *core.Network, cfg FlowConfig) (*Flow, error) {
 			cfg.MaxPending = 512
 		}
 	}
-	eng := net.EngineFor(cfg.Cores[0].CCD)
-	for _, c := range cfg.Cores[1:] {
-		if net.EngineFor(c.CCD) != eng {
-			return nil, fmt.Errorf("traffic: flow %q spans partition domains (ccd%d and ccd%d); a flow's cores must share one domain",
-				cfg.Name, cfg.Cores[0].CCD, c.CCD)
-		}
-	}
+	eng := net.Engine()
 	f := &Flow{net: net, cfg: cfg, eng: eng, demand: cfg.Demand}
 	if cfg.Window > 0 {
 		f.window = link.NewTokenPool(eng, cfg.Name+"/window", cfg.Window)
@@ -212,9 +204,6 @@ func (f *Flow) SetRateLimit(bw units.Bandwidth) { f.rateLimit = bw }
 
 // RateLimit reports the imposed ceiling, zero when none.
 func (f *Flow) RateLimit() units.Bandwidth { return f.rateLimit }
-
-// Engine reports the engine of the flow's partition domain.
-func (f *Flow) Engine() *sim.Engine { return f.eng }
 
 // Achieved reports the average bandwidth since the meter was last reset.
 func (f *Flow) Achieved() units.Bandwidth { return f.meter.Rate(f.eng.Now()) }
