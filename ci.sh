@@ -96,15 +96,30 @@ if echo "$bench" | grep 'BenchmarkNetworkIssue' | grep -qv ' 0 allocs/op'; then
 fi
 
 # The express-path fusion layer must be allocation-free too: fused
-# segments ride recycled walker frames, in-place departure-stamp rings
-# and memoized serialization times — no closure or ring growth in steady
-# state.
+# segments ride recycled walker frames and memoized serialization times.
 bench=$(go test ./internal/core/ -run '^$' -bench 'BenchmarkExpressPath' -benchtime 5000x)
 echo "$bench"
 if echo "$bench" | grep 'BenchmarkExpressPath' | grep -qv ' 0 allocs/op'; then
     echo "express-path fusion allocates on the steady-state path" >&2
     exit 1
 fi
+
+# The message path must not grow: a saturated channel's departure ring is
+# bounded by its peak occupancy, and the router mesh routes on pooled
+# frames. Amortized append growth rounds to 0 allocs/op, so these gates
+# also demand 0 B/op, and TestDepartureRingBounded checks TotalAlloc
+# directly over 1M messages.
+bench=$(go test ./internal/link/ ./internal/router/ -run '^$' -bench 'BenchmarkChannelSaturated|BenchmarkMeshRoute' -benchtime 200000x)
+echo "$bench"
+if echo "$bench" | grep -E 'BenchmarkChannelSaturated|BenchmarkMeshRoute' | grep -qv ' 0 B/op[[:space:]]*0 allocs/op'; then
+    echo "channel or mesh message path allocates in steady state" >&2
+    exit 1
+fi
+go test ./internal/link/ -run 'TestDepartureRingBounded' -count=1 -v
+
+# Fuzz the departure ring against the classic depart-event model; the
+# seed corpus in internal/link/testdata/fuzz runs with every go test.
+go test ./internal/link/ -run '^$' -fuzz FuzzDepartureRing -fuzztime 10s
 
 # Fusion-effectiveness gate: the full-length 7302 inter-CC IF cell must
 # elide >= 40% of its classic-equivalent event load (>= 1.5x

@@ -89,6 +89,7 @@ func driveRouter(cfg router.Config, offered units.Bandwidth, window units.Time, 
 	rng := sim.NewRNG(seed + 1)
 	gap := units.Interval(units.CacheLine, offered)
 	inFlight := 0
+	done := func() { inFlight-- }
 	var inject func()
 	inject = func() {
 		if inFlight >= 512 {
@@ -101,7 +102,7 @@ func driveRouter(cfg router.Config, offered units.Bandwidth, window units.Time, 
 			dst = topology.Coord{X: rng.Intn(cfg.Width), Y: rng.Intn(cfg.Height)}
 		}
 		inFlight++
-		m.Route(src, dst, units.CacheLine, func() { inFlight-- })
+		m.Route(src, dst, units.CacheLine, done)
 		d := units.Time(math.Round(float64(gap) * rng.ExpFloat64()))
 		if d < units.Picosecond {
 			d = units.Picosecond

@@ -48,8 +48,15 @@ type Channel struct {
 	// nextFree. Only nil-delivery sends still schedule a real depart
 	// event: it may be the calendar's last event, and the engine's final
 	// clock after an unbounded Run must not shift.
+	//
+	// The ring is a power-of-two circular buffer holding depLen live
+	// stamps from depHead on. It doubles only when full, so its size
+	// follows the channel's peak occupancy, not its message count, and a
+	// channel that never drains stops allocating once it has seen its
+	// busiest moment.
 	dep     []departure
 	depHead int
+	depLen  int
 
 	// memoSize/memoTx are a one-entry serialization-time memo: a channel
 	// carries a handful of fixed message sizes (requests, cache lines,
@@ -114,16 +121,14 @@ type departure struct {
 func (c *Channel) purgeDepartures() {
 	now := c.eng.Now()
 	cur := c.eng.CurSeq()
-	for c.depHead < len(c.dep) {
+	mask := len(c.dep) - 1
+	for c.depLen > 0 {
 		d := c.dep[c.depHead]
 		if d.done > now || (d.done == now && d.seq > cur) {
 			break
 		}
-		c.depHead++
-	}
-	if c.depHead == len(c.dep) {
-		c.dep = c.dep[:0]
-		c.depHead = 0
+		c.depHead = (c.depHead + 1) & mask
+		c.depLen--
 	}
 }
 
@@ -133,8 +138,31 @@ func (c *Channel) purgeDepartures() {
 // the engine's fused counter.
 func (c *Channel) pushDeparture(done units.Time) {
 	c.purgeDepartures()
-	c.dep = append(c.dep, departure{done: done, seq: c.eng.ReserveSeq()})
+	if c.depLen == len(c.dep) {
+		c.growDepartures()
+	}
+	c.dep[(c.depHead+c.depLen)&(len(c.dep)-1)] = departure{done: done, seq: c.eng.ReserveSeq()}
+	c.depLen++
 	c.eng.NoteFused(1)
+}
+
+// minDepartures is the ring's first allocation, made by the first send
+// rather than at construction: most channels in a platform never carry
+// a message, and building a platform is on every cell's setup path.
+const minDepartures = 8
+
+// growDepartures doubles the full ring, unwrapping its live stamps to the
+// front of the new buffer.
+func (c *Channel) growDepartures() {
+	n := 2 * len(c.dep)
+	if n == 0 {
+		n = minDepartures
+	}
+	buf := make([]departure, n)
+	k := copy(buf, c.dep[c.depHead:])
+	copy(buf[k:], c.dep[:c.depHead])
+	c.dep = buf
+	c.depHead = 0
 }
 
 // SetTracer attaches the flight recorder, registering this channel as a
@@ -165,7 +193,7 @@ func (c *Channel) Depth() int { return c.depth }
 // messages still tracked by real depart events.
 func (c *Channel) occupancy() int {
 	c.purgeDepartures()
-	return len(c.dep) - c.depHead + c.queued
+	return c.depLen + c.queued
 }
 
 // Queued reports the messages currently accepted but not fully serialized.

@@ -64,9 +64,11 @@ type Config struct {
 type Mesh struct {
 	eng *sim.Engine
 	cfg Config
-	// edges[from][to] for adjacent nodes.
-	edges map[topology.Coord]map[topology.Coord]*link.Channel
+	// ports[node(c)] lists c's outgoing edges in fixed direction order
+	// (+X, -X, +Y, -Y), so deflections replay exactly for a seed.
+	ports [][]port
 	rng   *sim.RNG
+	free  []*frame // recycled message frames
 
 	delivered   uint64
 	hops        uint64
@@ -77,21 +79,33 @@ type Mesh struct {
 	msgID uint64 // per-mesh trace message ids (disjoint engines only)
 }
 
+// port is one directed edge out of a router.
+type port struct {
+	to topology.Coord
+	ch *link.Channel
+}
+
+// directions is the fixed port order: +X, -X, +Y, -Y.
+var directions = [4]topology.Coord{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}
+
+// node is c's index in ports: column-major, the order edges are built and
+// traced in.
+func (m *Mesh) node(c topology.Coord) int { return c.X*m.cfg.Height + c.Y }
+
+// onMesh reports whether c is one of the mesh's routers.
+func (m *Mesh) onMesh(c topology.Coord) bool {
+	return c.X >= 0 && c.X < m.cfg.Width && c.Y >= 0 && c.Y < m.cfg.Height
+}
+
 // AttachTracer attaches the flight recorder to every directed edge, in
 // deterministic coordinate order so hop ids are stable across runs. Each
 // routed message then records per-edge spans under its own id and an
 // end-to-end record at delivery.
 func (m *Mesh) AttachTracer(tr *trace.Tracer) {
 	m.tr = tr
-	for x := 0; x < m.cfg.Width; x++ {
-		for y := 0; y < m.cfg.Height; y++ {
-			at := topology.Coord{X: x, Y: y}
-			for _, d := range [][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-				nb := topology.Coord{X: x + d[0], Y: y + d[1]}
-				if ch := m.edges[at][nb]; ch != nil {
-					ch.SetTracer(tr)
-				}
-			}
+	for _, ps := range m.ports {
+		for _, p := range ps {
+			p.ch.SetTracer(tr)
 		}
 	}
 }
@@ -112,36 +126,32 @@ func New(eng *sim.Engine, cfg Config) *Mesh {
 	if depth <= 0 {
 		depth = 8
 	}
-	m := &Mesh{eng: eng, cfg: cfg, rng: eng.Rand(),
-		edges: make(map[topology.Coord]map[topology.Coord]*link.Channel)}
-	add := func(a, b topology.Coord) {
-		if m.edges[a] == nil {
-			m.edges[a] = make(map[topology.Coord]*link.Channel)
-		}
-		name := fmt.Sprintf("edge%v->%v", a, b)
-		m.edges[a][b] = link.NewChannel(eng, name, cfg.LinkCapacity, cfg.HopLatency, depth)
-	}
+	m := &Mesh{eng: eng, cfg: cfg, rng: eng.Rand(), ports: make([][]port, cfg.Width*cfg.Height)}
 	for x := 0; x < cfg.Width; x++ {
 		for y := 0; y < cfg.Height; y++ {
 			at := topology.Coord{X: x, Y: y}
-			for _, d := range [][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-				nb := topology.Coord{X: x + d[0], Y: y + d[1]}
-				if nb.X >= 0 && nb.X < cfg.Width && nb.Y >= 0 && nb.Y < cfg.Height {
-					add(at, nb)
+			for _, d := range directions {
+				nb := topology.Coord{X: x + d.X, Y: y + d.Y}
+				if !m.onMesh(nb) {
+					continue
 				}
+				name := fmt.Sprintf("edge%v->%v", at, nb)
+				ch := link.NewChannel(eng, name, cfg.LinkCapacity, cfg.HopLatency, depth)
+				m.ports[m.node(at)] = append(m.ports[m.node(at)], port{to: nb, ch: ch})
 			}
 		}
 	}
 	return m
 }
 
-// neighbors reports the adjacent coordinates of at.
-func (m *Mesh) neighbors(at topology.Coord) []topology.Coord {
-	out := make([]topology.Coord, 0, 4)
-	for nb := range m.edges[at] {
-		out = append(out, nb)
+// edge reports the channel from at to its neighbour nb.
+func (m *Mesh) edge(at, nb topology.Coord) *link.Channel {
+	for _, p := range m.ports[m.node(at)] {
+		if p.to == nb {
+			return p.ch
+		}
 	}
-	return out
+	panic(fmt.Sprintf("router: no edge %v->%v", at, nb))
 }
 
 // xyNext reports the dimension-ordered next hop from at toward dst.
@@ -158,84 +168,141 @@ func xyNext(at, dst topology.Coord) topology.Coord {
 	}
 }
 
+// frame is the reusable state of one in-flight message. Its two callbacks
+// are bound once when the frame is built: the next hop is stored in the
+// frame before each send, so one arrival callback serves every hop, and
+// one retry callback serves every backoff and deflection spin. Frames are
+// recycled through the mesh's free list, so routing allocates nothing in
+// steady state.
+type frame struct {
+	m         *Mesh
+	at        topology.Coord // the router the message is at
+	next      topology.Coord // the router the message is being sent to
+	dst       topology.Coord
+	size      units.ByteSize
+	deliver   func()
+	start     units.Time
+	id        uint64
+	blockedAt units.Time // first refusal of the current wait, or -1
+
+	arriveFn func() // bound f.arrive
+	retryFn  func() // bound f.walk
+}
+
+// getFrame pops a recycled frame or builds a fresh one.
+func (m *Mesh) getFrame() *frame {
+	if n := len(m.free); n > 0 {
+		f := m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+		return f
+	}
+	f := &frame{m: m}
+	f.arriveFn = f.arrive
+	f.retryFn = f.walk
+	return f
+}
+
 // Route injects a message at src and delivers it at dst, walking the mesh
 // hop by hop under the configured protocol. deliver runs on arrival (may
 // be nil).
 func (m *Mesh) Route(src, dst topology.Coord, size units.ByteSize, deliver func()) {
-	if m.edges[src] == nil || m.edges[dst] == nil {
+	if !m.onMesh(src) || !m.onMesh(dst) {
 		panic(fmt.Sprintf("router: route %v->%v off the mesh", src, dst))
 	}
-	start := m.eng.Now()
-	var id uint64
+	f := m.getFrame()
+	f.at, f.dst, f.size, f.deliver = src, dst, size, deliver
+	f.start = m.eng.Now()
+	f.id = 0
 	if m.tr != nil {
 		m.msgID++
-		id = m.msgID
+		f.id = m.msgID
 	}
-	blockedAt := units.Time(-1) // first refusal of the current wait, if any
-	var walk func(at topology.Coord)
-	walk = func(at topology.Coord) {
+	f.blockedAt = -1
+	f.walk()
+}
+
+// arrive moves the message onto the router its last send was bound for.
+func (f *frame) arrive() {
+	f.at = f.next
+	f.walk()
+}
+
+// walk delivers the message if it is at its destination, and otherwise
+// offers it to the next port: the XY hop, then under bufferless routing
+// any other free port, else it waits and retries from where it is.
+func (f *frame) walk() {
+	m := f.m
+	if m.tr != nil {
+		m.tr.SetActive(f.id)
+	}
+	if f.at == f.dst {
+		m.delivered++
+		m.latency.Record(m.eng.Now() - f.start)
 		if m.tr != nil {
-			m.tr.SetActive(id)
+			m.tr.EndTxn(f.id, f.start, m.eng.Now())
 		}
-		if at == dst {
-			m.delivered++
-			m.latency.Record(m.eng.Now() - start)
-			if m.tr != nil {
-				m.tr.EndTxn(id, start, m.eng.Now())
-			}
-			if deliver != nil {
-				deliver()
-			}
-			return
+		// Release first, so a deliver callback that routes again
+		// synchronously reuses this frame.
+		deliver := f.deliver
+		f.deliver = nil
+		m.free = append(m.free, f)
+		if deliver != nil {
+			deliver()
 		}
-		sent := func(ch *link.Channel) {
-			if m.tr != nil && blockedAt >= 0 {
-				m.tr.Range(ch.Hop(), trace.CauseBackpressured, blockedAt, m.eng.Now())
-				blockedAt = -1
-			}
-		}
-		want := xyNext(at, dst)
-		ch := m.edges[at][want]
-		if ch.TrySend(size, func() { walk(want) }) {
-			m.hops++
-			sent(ch)
-			return
-		}
-		if blockedAt < 0 {
-			blockedAt = m.eng.Now()
-		}
-		if m.cfg.Mode == Bufferless {
-			// Deflect: take any free port, re-route from there. If every
-			// port is busy, spin one serialization quantum in place (a
-			// real deflection router would have won some port; the spin
-			// models losing arbitration).
-			nbs := m.neighbors(at)
-			off := m.rng.Intn(len(nbs))
-			for i := 0; i < len(nbs); i++ {
-				nb := nbs[(off+i)%len(nbs)]
-				if nb == want {
-					continue
-				}
-				if m.edges[at][nb].TrySend(size, func() { walk(nb) }) {
-					m.hops++
-					m.deflections++
-					sent(m.edges[at][nb])
-					return
-				}
-			}
-			m.eng.After(m.cfg.LinkCapacity.TimeToSend(size), func() { walk(at) })
-			return
-		}
-		// Buffered: wait for the wanted port, jittered around one
-		// serialization quantum.
-		q := m.cfg.LinkCapacity.TimeToSend(size)
-		if q <= 0 {
-			q = units.Nanosecond
-		}
-		backoff := q/2 + units.Time(m.rng.Int63n(int64(q)+1))
-		m.eng.After(backoff, func() { walk(at) })
+		return
 	}
-	walk(src)
+	want := xyNext(f.at, f.dst)
+	if f.send(m.edge(f.at, want), want) {
+		return
+	}
+	if f.blockedAt < 0 {
+		f.blockedAt = m.eng.Now()
+	}
+	if m.cfg.Mode == Bufferless {
+		// Deflect: take any free port, re-route from there. If every
+		// port is busy, spin one serialization quantum in place (a
+		// real deflection router would have won some port; the spin
+		// models losing arbitration).
+		ports := m.ports[m.node(f.at)]
+		off := m.rng.Intn(len(ports))
+		for i := range ports {
+			p := ports[(off+i)%len(ports)]
+			if p.to == want {
+				continue
+			}
+			if f.send(p.ch, p.to) {
+				m.deflections++
+				return
+			}
+		}
+		m.eng.After(m.cfg.LinkCapacity.TimeToSend(f.size), f.retryFn)
+		return
+	}
+	// Buffered: wait for the wanted port, jittered around one
+	// serialization quantum.
+	q := m.cfg.LinkCapacity.TimeToSend(f.size)
+	if q <= 0 {
+		q = units.Nanosecond
+	}
+	backoff := q/2 + units.Time(m.rng.Int63n(int64(q)+1))
+	m.eng.After(backoff, f.retryFn)
+}
+
+// send offers the message to ch toward next, counting the hop and closing
+// any backpressure wait on acceptance.
+func (f *frame) send(ch *link.Channel, next topology.Coord) bool {
+	f.next = next
+	if !ch.TrySend(f.size, f.arriveFn) {
+		return false
+	}
+	m := f.m
+	m.hops++
+	if m.tr != nil && f.blockedAt >= 0 {
+		m.tr.Range(ch.Hop(), trace.CauseBackpressured, f.blockedAt, m.eng.Now())
+		f.blockedAt = -1
+	}
+	return true
 }
 
 // Delivered reports completed messages.

@@ -2,6 +2,7 @@ package router
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -144,6 +145,20 @@ func TestBufferlessDeflects(t *testing.T) {
 	bufHops := float64(buf.Hops()) / float64(buf.Delivered())
 	if meanHops <= bufHops {
 		t.Errorf("deflection should add hops: bufferless %.2f vs buffered %.2f", meanHops, bufHops)
+	}
+}
+
+func TestBufferlessDeterministic(t *testing.T) {
+	// Deflection port choice comes from the seeded RNG over a fixed port
+	// order, so the same seed must replay the same walk.
+	_, _, a := drive(t, Bufferless, units.GBps(200), 30*units.Microsecond)
+	_, _, b := drive(t, Bufferless, units.GBps(200), 30*units.Microsecond)
+	if a.Hops() != b.Hops() || a.Deflections() != b.Deflections() || a.Delivered() != b.Delivered() {
+		t.Errorf("same seed diverged: hops %d/%d, deflections %d/%d, delivered %d/%d",
+			a.Hops(), b.Hops(), a.Deflections(), b.Deflections(), a.Delivered(), b.Delivered())
+	}
+	if !reflect.DeepEqual(a.Latency(), b.Latency()) {
+		t.Errorf("same seed, different latency histograms: %v vs %v", a.Latency(), b.Latency())
 	}
 }
 
