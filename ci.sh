@@ -49,14 +49,34 @@ CHIPLET_OVERHEAD_GATE=1 go test ./internal/trace/ -run 'TestDisabledTracerOverhe
 CHIPLET_OVERHEAD_GATE=1 go test ./internal/metrics/ -run 'TestEnabledMetricsOverhead|TestUnstartedRegistryInvisible|TestHarvestAllocs' -v
 
 # The harvest tick over the full-network instrument table must not
-# allocate: rings are sized at Start, rescheduling reuses the pre-bound
-# callback.
+# allocate: the series ring grows from 128 windows to Cap (the benchmark
+# warms it until it wraps), then is reused; rescheduling reuses the
+# pre-bound callback. Amortized growth would round to 0 allocs/op, so the
+# gate also demands 0 B/op, and TestHarvestRingBounded checks TotalAlloc
+# directly over Cap windows of a full ring.
 bench=$(go test ./internal/metrics/ -run '^$' -bench 'BenchmarkMetricsHarvest' -benchtime 1000x)
 echo "$bench"
-if echo "$bench" | grep 'BenchmarkMetricsHarvest' | grep -qv ' 0 allocs/op'; then
+if echo "$bench" | grep 'BenchmarkMetricsHarvest' | grep -qv ' 0 B/op[[:space:]]*0 allocs/op'; then
     echo "metrics harvest allocates on the steady-state path" >&2
     exit 1
 fi
+go test ./internal/metrics/ -run 'TestHarvestRingBounded' -count=1 -v
+
+# The trace export must not allocate per span: every complete event is
+# appended into one reused buffer, so a 64k-span export costs a handful
+# of allocations (bufio, the scratch slice, hop metadata), not ~4 a span.
+bench=$(go test ./internal/trace/ -run '^$' -bench 'BenchmarkWriteTraceEvents' -benchtime 20x)
+echo "$bench"
+allocs=$(echo "$bench" | awk '/BenchmarkWriteTraceEvents/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
+if [ -z "$allocs" ] || [ "$allocs" -gt 64 ]; then
+    echo "trace export allocates per span (${allocs:-no} allocs/op for 64k spans)" >&2
+    exit 1
+fi
+
+# Fuzz the append encoder against the fmt reference exporter, and the
+# trace reader on raw bytes; the seed corpus in
+# internal/trace/testdata/fuzz runs with every go test.
+go test ./internal/trace/ -run '^$' -fuzz FuzzTraceEvents -fuzztime 10s
 
 # The online anomaly detector sweep over the same table must not allocate
 # either: detector state is sized at the first sweep, and the steady-state

@@ -30,8 +30,12 @@ func monitoredNet() (*sim.Engine, *metrics.Registry, *anomaly.Monitor) {
 // allocate.
 func BenchmarkDetectorSweep(b *testing.B) {
 	eng, reg, mon := monitoredNet()
-	// Warm: first sweep sizes the state table, and the calendar settles.
-	eng.RunFor(4 * metrics.DefaultWindow)
+	// Warm: first sweep sizes the state table, the calendar settles, and
+	// the registry's ring grows to Cap (one-off growth, not steady state).
+	for reg.DroppedWindows() == 0 {
+		eng.RunFor(metrics.DefaultWindow)
+	}
+	first := reg.Total()
 	if mon.NumWatched() == 0 {
 		b.Fatal("no instruments watched")
 	}
@@ -40,8 +44,8 @@ func BenchmarkDetectorSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng.RunFor(metrics.DefaultWindow)
 	}
-	if reg.Total() < b.N {
-		b.Fatalf("harvested %d windows, want >= %d", reg.Total(), b.N)
+	if reg.Total()-first < b.N {
+		b.Fatalf("harvested %d windows, want >= %d", reg.Total()-first, b.N)
 	}
 	if mon.NumIncidents() != 0 {
 		b.Fatalf("idle network raised %d incidents", mon.NumIncidents())

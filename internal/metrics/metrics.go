@@ -13,8 +13,7 @@
 // time that read counters the simulation already maintains (channel busy
 // time, queue depth, token occupancy, cumulative queue-wait totals) — and
 // a single harvest event on the internal/sim wheel samples every probe
-// once per window into preallocated ring-buffered series. The costs are
-// therefore:
+// once per window into ring-buffered series. The costs are therefore:
 //
 //   - zero when no registry is attached or Start was never called: there
 //     is no hook site, no nil check, nothing on any event path;
@@ -22,9 +21,11 @@
 //     amortized over the tens of thousands of simulation events a window
 //     contains (ci.sh gates the enabled overhead at <5% and the harvest
 //     tick at 0 allocs/op);
-//   - no steady-state allocations: series rings, the window-start ring and
-//     the probe table are sized at Start and reused; when the ring wraps,
-//     the oldest windows are overwritten and DroppedWindows counts them.
+//   - no steady-state allocations: the series ring starts at 128 windows
+//     (or Cap, if smaller) and doubles while it fills, up to Cap; from
+//     then on it is reused, the oldest windows are overwritten and
+//     DroppedWindows counts them. A cell that harvests 15 windows holds
+//     128, not Cap.
 //
 // Harvest events ride the engine calendar but never touch the RNG and
 // never mutate component state, so enabling metrics cannot change a
@@ -135,8 +136,9 @@ type Config struct {
 	// harvest window under the 1:1000 time substitution.
 	Window units.Time
 	// Cap bounds the retained windows per instrument (default 4096).
-	// When the ring fills, the oldest windows are overwritten and
-	// DroppedWindows counts them; series exports cover the live windows.
+	// The ring grows to Cap as windows arrive; once it holds Cap windows
+	// the oldest are overwritten and DroppedWindows counts them. Series
+	// exports cover the live windows.
 	Cap int
 }
 
@@ -156,11 +158,13 @@ type Registry struct {
 	probes []func() float64
 	prev   []float64 // last cumulative sample per instrument (counters)
 
-	// series[i] is instrument i's ring of cap per-window samples; window
-	// w lives at slot w%cap. starts/ends mirror the ring with the actual
-	// window bounds (a restart can produce one short window, so the end
-	// is recorded rather than assumed).
-	series  [][]float64
+	// series is the window-major sample ring: window w's sample of
+	// instrument i lives at series[(w%slots)*len(probes)+i], where slots
+	// = len(starts) grows from firstSlots to cap before the ring first
+	// wraps, so no window ever moves slot. starts/ends mirror the ring
+	// with the actual window bounds (a restart can produce one short
+	// window, so the end is recorded rather than assumed).
+	series  []float64
 	starts  []units.Time
 	ends    []units.Time
 	total   int // windows harvested ever
@@ -175,6 +179,11 @@ type Registry struct {
 	harvestFn func()     // pre-bound so rescheduling never allocates
 	onHarvest []func()
 }
+
+// firstSlots is the ring's initial window count: enough for a typical
+// experiment cell, which harvests tens of windows, without paying for
+// Cap windows of every instrument up front.
+const firstSlots = 128
 
 // New builds a registry with the given window and capacity.
 func New(cfg Config) *Registry {
@@ -217,8 +226,9 @@ func (r *Registry) register(d Desc, probe func() float64) ID {
 	return ID(len(r.descs) - 1)
 }
 
-// Start allocates the series storage, primes the counter baselines and
-// schedules the first harvest one window from now on eng's calendar.
+// Start allocates the series ring (min(Cap, 128) windows; harvest grows
+// it to Cap), primes the counter baselines and schedules the first
+// harvest one window from now on eng's calendar.
 // Windows are counted from the Start time: window w covers
 // [start + w*Window, start + (w+1)*Window).
 func (r *Registry) Start(eng *sim.Engine) {
@@ -232,12 +242,7 @@ func (r *Registry) Start(eng *sim.Engine) {
 	if !r.started {
 		r.started = true
 		r.prev = make([]float64, len(r.probes))
-		r.series = make([][]float64, len(r.probes))
-		for i := range r.series {
-			r.series[i] = make([]float64, r.cap)
-		}
-		r.starts = make([]units.Time, r.cap)
-		r.ends = make([]units.Time, r.cap)
+		r.resize(min(r.cap, firstSlots))
 	}
 	for i, p := range r.probes {
 		r.prev[i] = p()
@@ -266,26 +271,47 @@ func (r *Registry) Stop() { r.running = false }
 // Running reports whether harvest ticks are active.
 func (r *Registry) Running() bool { return r.running }
 
-// harvest is the per-window tick: sample every probe into the rings and
-// reschedule. It must not allocate — ci.sh gates BenchmarkMetricsHarvest
-// at 0 allocs/op — and must not touch the engine RNG or any component
-// state, so metrics cannot perturb simulation results.
+// resize reallocates the ring at the given window count, keeping every
+// recorded window in its slot. Only valid before the ring first wraps.
+func (r *Registry) resize(slots int) {
+	series := make([]float64, slots*len(r.probes))
+	copy(series, r.series)
+	starts := make([]units.Time, slots)
+	copy(starts, r.starts)
+	ends := make([]units.Time, slots)
+	copy(ends, r.ends)
+	r.series, r.starts, r.ends = series, starts, ends
+}
+
+// harvest is the per-window tick: sample every probe into the ring and
+// reschedule. Once the ring has grown to Cap it must not allocate —
+// ci.sh gates BenchmarkMetricsHarvest at 0 B/op — and it must never
+// touch the engine RNG or any component state, so metrics cannot
+// perturb simulation results.
 func (r *Registry) harvest() {
 	r.pending--
 	if !r.running {
 		return
 	}
-	slot := r.total % r.cap
+	slots := len(r.starts)
+	if r.total == slots && slots < r.cap {
+		// Full but not yet wrapped: window w is still at slot w, so the
+		// doubled ring keeps every window where w%slots puts it.
+		slots = min(2*slots, r.cap)
+		r.resize(slots)
+	}
+	slot := r.total % slots
 	r.starts[slot] = r.lastTick
 	r.ends[slot] = r.eng.Now()
 	r.lastTick = r.eng.Now()
+	row := r.series[slot*len(r.probes) : (slot+1)*len(r.probes)]
 	for i, p := range r.probes {
 		v := p()
 		if r.descs[i].Kind == KindCounter {
-			r.series[i][slot] = v - r.prev[i]
+			row[i] = v - r.prev[i]
 			r.prev[i] = v
 		} else {
-			r.series[i][slot] = v
+			row[i] = v
 		}
 	}
 	r.total++
@@ -336,13 +362,15 @@ func (r *Registry) DroppedWindows() int { return r.dropped }
 
 // WindowStart reports the start time of window w, which must be in
 // [FirstWindow, Total).
-func (r *Registry) WindowStart(w int) units.Time { return r.starts[w%r.cap] }
+func (r *Registry) WindowStart(w int) units.Time { return r.starts[w%len(r.starts)] }
 
 // WindowEnd reports the end time of window w. All windows span exactly
 // Window except, possibly, the first one after a Stop/Start restart.
-func (r *Registry) WindowEnd(w int) units.Time { return r.ends[w%r.cap] }
+func (r *Registry) WindowEnd(w int) units.Time { return r.ends[w%len(r.ends)] }
 
 // Value reports instrument id's sample for window w: the per-window
 // delta for counters, the end-of-window sample for gauges. w must be in
 // [FirstWindow, Total).
-func (r *Registry) Value(id ID, w int) float64 { return r.series[id][w%r.cap] }
+func (r *Registry) Value(id ID, w int) float64 {
+	return r.series[(w%len(r.starts))*len(r.probes)+int(id)]
+}

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"io"
 	"os"
 	"testing"
 
@@ -139,5 +140,58 @@ func TestEnabledTracerRecordsChurn(t *testing.T) {
 	}
 	if c.ByCause[trace.CauseQueued] != 0 {
 		t.Fatalf("unexpected queueing in churn fixture: %v", c.ByCause)
+	}
+}
+
+// spanTracer records n spans spread over three hops and every cause.
+func spanTracer(n int) *trace.Tracer {
+	tr := trace.New(trace.Config{SpanCap: n, TxnCap: 8})
+	hops := []trace.HopID{
+		tr.RegisterHop("ccd0/gmi/out", trace.KindChannel),
+		tr.RegisterHop("umc0/rd", trace.KindChannel),
+		tr.RegisterHop("umc0/dram", trace.KindDevice),
+	}
+	tr.Enable()
+	for i := 0; i < n; i++ {
+		tr.SetActive(uint64(i/4 + 1))
+		at := units.Time(i) * 1337
+		tr.Range(hops[i%len(hops)], trace.Cause(i%trace.NumCauses), at, at+units.Time(i%9+1)*250)
+	}
+	return tr
+}
+
+// TestExportAllocsFlat: the export's allocations must not scale with the
+// span count — the encoder appends every span into one reused buffer.
+func TestExportAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under the race detector: sync.Pool drops entries at random")
+	}
+	allocs := func(n int) float64 {
+		tr := spanTracer(n)
+		if tr.SpanCount() != n {
+			t.Fatalf("fixture recorded %d spans, want %d", tr.SpanCount(), n)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if err := tr.WriteTraceEvents(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(100000)
+	if small != large {
+		t.Fatalf("export allocates %v times for 1k spans but %v for 100k: allocations grow with spans", small, large)
+	}
+}
+
+// BenchmarkWriteTraceEvents exports a 64k-span tracer; ns/op over the
+// span count is the encoder's per-span cost.
+func BenchmarkWriteTraceEvents(b *testing.B) {
+	tr := spanTracer(1 << 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tr.WriteTraceEvents(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -34,9 +34,70 @@ const psPerMicro = 1e6
 // readers can tell incident intervals from hop spans.
 const incidentTrackKind = "incidents"
 
-// micros renders a picosecond time as exact float microseconds.
-func micros(t units.Time) string {
-	return strconv.FormatFloat(float64(t)/psPerMicro, 'f', -1, 64)
+// exactMicros bounds appendMicros' integer path: below 10^15 ps the
+// exact decimal t/10^6 has at most 15 significant digits, so it is the
+// shortest decimal that round-trips float64(t)/psPerMicro — the bytes
+// strconv.AppendFloat would write.
+const exactMicros = 1e15
+
+// appendMicros appends a picosecond time as exact float microseconds,
+// byte-identical to strconv.AppendFloat(b, float64(t)/psPerMicro, 'f',
+// -1, 64) (FuzzTraceEvents checks it against that reference).
+func appendMicros(b []byte, t units.Time) []byte {
+	if t <= -exactMicros || t >= exactMicros {
+		return strconv.AppendFloat(b, float64(t)/psPerMicro, 'f', -1, 64)
+	}
+	u := uint64(t)
+	if t < 0 {
+		b = append(b, '-')
+		u = uint64(-t)
+	}
+	b = strconv.AppendUint(b, u/psPerMicro, 10)
+	frac := u % psPerMicro
+	if frac == 0 {
+		return b
+	}
+	// Six fraction digits, trailing zeros trimmed.
+	var d [7]byte
+	d[0] = '.'
+	for i := 6; i > 0; i-- {
+		d[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	n := 7
+	for d[n-1] == '0' {
+		n--
+	}
+	return append(b, d[:n]...)
+}
+
+// quotedCauses holds each cause name as the JSON string a span event
+// carries, so the span encoder copies it instead of quoting per span.
+var quotedCauses = func() (q [NumCauses]string) {
+	for i := range q {
+		q[i] = strconv.Quote(causeNames[i])
+	}
+	return q
+}()
+
+// appendSpan appends one span's complete ("X") event, preceded by the
+// ",\n" separator.
+func appendSpan(b []byte, s Span) []byte {
+	b = append(b, ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":"...)
+	b = strconv.AppendInt(b, int64(s.Hop)+1, 10)
+	b = append(b, `,"ts":`...)
+	b = appendMicros(b, s.Start)
+	b = append(b, `,"dur":`...)
+	b = appendMicros(b, s.Duration())
+	b = append(b, `,"name":`...)
+	if int(s.Cause) < NumCauses {
+		b = append(b, quotedCauses[s.Cause]...)
+	} else {
+		b = strconv.AppendQuote(b, s.Cause.String())
+	}
+	b = append(b, `,"args":{"txn":`...)
+	b = strconv.AppendUint(b, s.Txn, 10)
+	return append(b, "}}"...)
 }
 
 // Annotation is one incident marker on the export's annotation track: an
@@ -72,20 +133,23 @@ func writeTraceEvents(w io.Writer, hops []Hop, each func(func(Span)), anns []Ann
 		fmt.Fprintf(bw, ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"incidents\",\"kind\":%q}}",
 			annTid, incidentTrackKind)
 	}
+	// Spans number in the hundreds of thousands: each is appended into
+	// one reused scratch slice, so the export allocates nothing per span.
+	var scratch []byte
 	each(func(s Span) {
-		fmt.Fprintf(bw, ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%q,\"args\":{\"txn\":%d}}",
-			int(s.Hop)+1, micros(s.Start), micros(s.Duration()), s.Cause.String(), s.Txn)
+		scratch = appendSpan(scratch[:0], s)
+		bw.Write(scratch)
 	})
 	for _, a := range anns {
 		fmt.Fprintf(bw, ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%s,"+
 			"\"args\":{\"resource\":%s,\"severity\":%g,\"baseline\":%g,\"detector\":%q,\"open\":%v}}",
-			annTid, micros(a.Start), micros(a.End-a.Start), strconv.Quote(a.Name),
+			annTid, appendMicros(nil, a.Start), appendMicros(nil, a.End-a.Start), strconv.Quote(a.Name),
 			strconv.Quote(a.Name), a.Severity, a.Baseline, a.Detector, a.Open)
 		fmt.Fprintf(bw, ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"name\":%s,\"args\":{\"resource\":%s,\"severity\":%g}}",
-			annTid, micros(a.Start), strconv.Quote("onset "+a.Name), strconv.Quote(a.Name), a.Severity)
+			annTid, appendMicros(nil, a.Start), strconv.Quote("onset "+a.Name), strconv.Quote(a.Name), a.Severity)
 		if !a.Open {
 			fmt.Fprintf(bw, ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"name\":%s,\"args\":{\"resource\":%s,\"severity\":%g}}",
-				annTid, micros(a.End), strconv.Quote("clear "+a.Name), strconv.Quote(a.Name), a.Severity)
+				annTid, appendMicros(nil, a.End), strconv.Quote("clear "+a.Name), strconv.Quote(a.Name), a.Severity)
 		}
 	}
 	bw.WriteString("\n]}\n")
@@ -130,7 +194,9 @@ func (l *Loaded) WriteTraceEvents(w io.Writer) error {
 
 // ReadTraceEvents parses trace_event JSON produced by WriteTraceEvents.
 // Unknown event phases are skipped so hand-edited traces still load;
-// span events with unknown cause names or tracks are an error. Events on
+// span events with unknown cause names or tracks, and track metadata with
+// a negative tid or one past the file's event count, are an error: a
+// malformed file never panics the reader. Events on
 // a track whose metadata kind is "incidents" are parsed as annotations,
 // not spans.
 func ReadTraceEvents(r io.Reader) (*Loaded, error) {
@@ -170,6 +236,12 @@ func ReadTraceEvents(r io.Reader) (*Loaded, error) {
 		case "M":
 			if ev.Name != "thread_name" || ev.Tid == 0 {
 				continue
+			}
+			// A well-formed file has one metadata event per track, so a
+			// tid beyond the event count names no track: it would only
+			// pad the hop table with empty hops.
+			if ev.Tid < 0 || ev.Tid > len(doc.TraceEvents) {
+				return nil, fmt.Errorf("trace: thread metadata for invalid track tid=%d", ev.Tid)
 			}
 			if ev.Args.Kind == incidentTrackKind {
 				annTids[ev.Tid] = true
