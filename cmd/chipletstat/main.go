@@ -10,21 +10,6 @@
 //	chipletstat -in stats.json -window 3             one window's top view
 //	chipletstat -in stats.json -all                  every window's top view
 //	chipletstat -in stats.json -format csv -o f.csv  re-export the series
-//	chipletstat -in stats.json -serve :8080          serve the dump over HTTP
-//	chipletstat -correlate incidents.jsonl           cross-cell saturation order
-//
-// -serve exposes the dump behind the same endpoint set cmd/chipletserve
-// uses for live fleets (/metrics, /bottlenecks, /incidents, /cells), so
-// a series recorded yesterday scrapes exactly like one recording now;
-// -incidents adds a saved incident feed (chipletserve's /incidents JSON)
-// to the served cell.
-//
-// -correlate loads an incident lifecycle archive (the JSONL file
-// chipletserve -archive appends, rotations included) and renders the
-// same cross-cell saturation-order report the live /correlate endpoint
-// serves: which resource saturated first, in which cell, how the onsets
-// order across configs. -format json emits the report as JSON; -top
-// bounds the ranked series. -correlate needs no -in.
 package main
 
 import (
@@ -32,14 +17,9 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
-	"path/filepath"
 
-	"repro/internal/anomaly"
-	"repro/internal/anomaly/correlate"
 	"repro/internal/metrics"
-	"repro/internal/serve"
 )
 
 func main() {
@@ -51,16 +31,7 @@ func main() {
 	top := flag.Int("top", 5, "rows per window in the top views and bottleneck report")
 	format := flag.String("format", "", "re-export the series as openmetrics, csv or json instead of reporting")
 	out := flag.String("o", "", "output file for -format (default stdout)")
-	serveAddr := flag.String("serve", "", "serve the dump over HTTP at this address instead of reporting")
-	incidentsIn := flag.String("incidents", "", "incident feed JSON to serve alongside the dump (with -serve)")
-	correlateIn := flag.String("correlate", "", "incident archive JSONL (from chipletserve -archive): render the cross-cell saturation order")
 	flag.Parse()
-	if *correlateIn != "" {
-		if err := runCorrelate(*correlateIn, *format, *out, *top); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -73,26 +44,6 @@ func main() {
 	f.Close()
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *serveAddr != "" {
-		var incs []anomaly.Incident
-		if *incidentsIn != "" {
-			g, err := os.Open(*incidentsIn)
-			if err != nil {
-				log.Fatal(err)
-			}
-			incs, err = anomaly.ReadJSON(g)
-			g.Close()
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		fleet := serve.NewFleet()
-		name := filepath.Base(*in)
-		fleet.AddStatic(name, d, incs)
-		log.Printf("serving %s (%d windows, %d incidents) on %s",
-			name, d.Total()-d.FirstWindow(), len(incs), *serveAddr)
-		log.Fatal(http.ListenAndServe(*serveAddr, fleet.Handler()))
 	}
 	if *format != "" {
 		if err := export(d, *format, *out); err != nil {
@@ -111,41 +62,22 @@ func main() {
 		}
 		fmt.Println(metrics.RenderWindow(d, *window, *top))
 	default:
-		fmt.Println(metrics.FamilySummary(d))
-		fmt.Println(metrics.BottleneckReport(d, *top))
-		fmt.Println(metrics.RenderWindow(d, d.Total()-1, *top))
+		summary(os.Stdout, d, *top)
 	}
 }
 
-// runCorrelate loads an incident lifecycle archive and renders the
-// cross-cell saturation-order report (text, or JSON with -format json).
-func runCorrelate(path, format, outPath string, top int) error {
-	recs, err := anomaly.LoadArchive(path)
-	if err != nil {
-		return err
+// summary writes the default report: per-family totals, the per-window
+// bottleneck attribution and the newest window's top view. A dump with
+// no windows (a run shorter than one harvest window) has no newest
+// window to render, and says so.
+func summary(w io.Writer, d *metrics.Dump, top int) {
+	fmt.Fprintln(w, metrics.FamilySummary(d))
+	fmt.Fprintln(w, metrics.BottleneckReport(d, top))
+	if d.Total() == d.FirstWindow() {
+		fmt.Fprintln(w, "no windows recorded")
+		return
 	}
-	series := correlate.Correlate(recs)
-	var w io.Writer = os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	switch format {
-	case "", "text":
-		_, err = io.WriteString(w, correlate.Render(series, top))
-		return err
-	case "json":
-		if top > 0 && top < len(series) {
-			series = series[:top]
-		}
-		return correlate.WriteJSON(w, series)
-	default:
-		return fmt.Errorf("unknown format %q for -correlate; choose text or json", format)
-	}
+	fmt.Fprintln(w, metrics.RenderWindow(d, d.Total()-1, top))
 }
 
 // export rewrites the dump in another exposition format.

@@ -17,12 +17,11 @@
 //
 // -from/-to (simulated microseconds) restrict every report to the spans
 // overlapping [from, to) — pass a metrics harvest window's bounds (an
-// incident's onset_start_ps/onset_end_ps from the /incidents feed,
-// divided by 1e6) to fuse a recorded trace with that window offline.
+// incident's onset_start_ps/onset_end_ps, divided by 1e6) to fuse a
+// recorded trace with that window offline.
 //
-// -incidents loads an incident feed (reproduce's incident JSON or a
-// chipletserve /incidents scrape — the extra "cell" key is ignored) and
-// fuses it with the trace: without -o it prints each incident over the
+// -incidents loads an incident feed (the JSON array anomaly.WriteJSON
+// writes; unknown keys are ignored) and fuses it with the trace: without -o it prints each incident over the
 // span population of its onset window; with -o it writes one Chrome-trace
 // file where the incidents become an annotation track (onset/clear
 // instant markers, resource + severity args) overlaid on the span

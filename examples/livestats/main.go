@@ -14,8 +14,7 @@
 // incident naming umc0/rd — already carrying the window's bottleneck
 // attribution — and the incident stays open while the channel is
 // saturated. No post-processing, no tracing: the detector's view is the
-// same OnHarvest hook a dashboard (or cmd/chipletserve's fleet mirror)
-// rides.
+// same OnHarvest hook a live dashboard would ride.
 //
 // The detectors only read the registry's windows, so the instrumented
 // run executes the exact same event sequence as an uninstrumented one.

@@ -148,15 +148,9 @@ type Incident struct {
 	// index and that window's end stamp. Severity updates arrive
 	// mid-incident as each window is harvested; without the stamp the
 	// timing of the worst window would be dropped by any round trip that
-	// keeps only the magnitude. Correlation reports use it as the
-	// severity-trajectory landmark.
+	// keeps only the magnitude.
 	PeakWindow int        `json:"peak_window"`
 	PeakPS     units.Time `json:"peak_ps"`
-	// SyntheticClear marks a clear stamped administratively — a serving
-	// mirror reset at the end of a -loop round — rather than by the
-	// detector observing calm windows. Archives never carry dangling-open
-	// records across rounds; they carry synthetic clears.
-	SyntheticClear bool `json:"synthetic_clear,omitempty"`
 	// Bottlenecks is the attributor's ranking for the onset window — the
 	// incident arrives naming where the congestion lives, not just which
 	// instrument tripped.
@@ -392,13 +386,8 @@ func sigma(variance float64) float64 {
 // (0 before the first harvested window sizes the watch list).
 func (m *Monitor) NumWatched() int { return len(m.states) }
 
-// NumIncidents reports recorded incidents; Incident returns the i-th (a
-// copy, in onset order). The pair lets mirrors poll incrementally
-// without re-copying the whole list each window.
+// NumIncidents reports how many incidents are recorded.
 func (m *Monitor) NumIncidents() int { return len(m.incidents) }
-
-// Incident reports the i-th recorded incident.
-func (m *Monitor) Incident(i int) Incident { return m.incidents[i] }
 
 // Incidents reports a copy of every recorded incident, onset order.
 func (m *Monitor) Incidents() []Incident {
@@ -420,6 +409,3 @@ func (m *Monitor) OpenIncidents() []Incident {
 
 // IncidentsDropped reports onsets discarded after MaxIncidents.
 func (m *Monitor) IncidentsDropped() int { return m.dropped }
-
-// Registry reports the monitored registry.
-func (m *Monitor) Registry() *metrics.Registry { return m.reg }

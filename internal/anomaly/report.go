@@ -1,7 +1,6 @@
 // Incident rendering and interchange: the one-line live form the
-// examples and servers print at onset/clear, the incident table, and the
-// JSON feed cmd/chipletserve exposes (round-trippable, so dashboards and
-// chipletstat can re-read it).
+// examples print at onset/clear, the incident table, and the JSON feed
+// (round-trippable, so cmd/chiplettrace -incidents can re-read it).
 package anomaly
 
 import (
@@ -35,7 +34,7 @@ func RenderIncident(in Incident) string {
 }
 
 // Report renders an incident table, onset order: the monitor's summary
-// view for reports and the /incidents text form.
+// view for reports.
 func Report(incidents []Incident) string {
 	if len(incidents) == 0 {
 		return "no incidents\n"

@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/anomaly"
-	"repro/internal/anomaly/correlate"
 	"repro/internal/metrics"
-	"repro/internal/serve"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -24,7 +22,8 @@ func TestFigure4MonitoredCellMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	got, mon, err := Figure4MonitoredCell(opt, 1, 2, reg, anomaly.Config{})
+	mon := anomaly.Attach(reg, anomaly.Config{})
+	got, err := Figure4StatsCell(opt, 1, 2, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +43,8 @@ func TestFigure4MonitoredCellMatchesPlain(t *testing.T) {
 // ranking must agree.
 func TestFigure4MonitoredCellNamesSharedUMC(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	_, mon, err := Figure4MonitoredCell(quick(), 1, 2, reg, anomaly.Config{})
+	mon := anomaly.Attach(reg, anomaly.Config{})
+	_, err := Figure4StatsCell(quick(), 1, 2, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,8 @@ func TestFigure5MonitoredRunMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.New(metrics.Config{})
-	got, mon, err := Figure5MonitoredRun(opt, 0, reg, anomaly.Config{})
+	mon := anomaly.Attach(reg, anomaly.Config{})
+	got, err := Figure5StatsRun(opt, 0, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +168,13 @@ func TestFigure4FusedCellWindowVerdict(t *testing.T) {
 
 // TestFig4IncidentJSONRoundTrip is the persistence golden test for the
 // shared-UMC incident: severity refreshes arrive mid-incident as each
-// window is harvested, and both interchange forms — the /incidents JSON
-// feed and the archive's hand-rolled JSONL encoder — must reproduce the
-// incident bit-exactly, peak-timing stamps included.
+// window is harvested, and the incident JSON feed (anomaly.WriteJSON /
+// ReadJSON) must reproduce the incident bit-exactly, peak-timing stamps
+// included.
 func TestFig4IncidentJSONRoundTrip(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	_, mon, err := Figure4MonitoredCell(quick(), 1, 2, reg, anomaly.Config{})
+	mon := anomaly.Attach(reg, anomaly.Config{})
+	_, err := Figure4StatsCell(quick(), 1, 2, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,6 @@ func TestFig4IncidentJSONRoundTrip(t *testing.T) {
 		t.Errorf("PeakPS = %v, want window %d's end %v", umc.PeakPS, umc.PeakWindow, reg.WindowEnd(umc.PeakWindow))
 	}
 
-	// Feed form (anomaly.WriteJSON / ReadJSON).
 	var buf bytes.Buffer
 	if err := anomaly.WriteJSON(&buf, want); err != nil {
 		t.Fatal(err)
@@ -207,74 +208,6 @@ func TestFig4IncidentJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("feed round trip diverged:\ngot  %+v\nwant %+v", got, want)
-	}
-
-	// Archive form (hand-rolled encoder, stdlib decoder).
-	var jl bytes.Buffer
-	arch := anomaly.NewArchive(&jl)
-	for _, in := range want {
-		arch.Record(anomaly.ArchiveRecord{Cell: "fig4/s1c2", Event: anomaly.EventUpdate, Incident: in})
-	}
-	recs, err := anomaly.ReadArchive(&jl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(want) {
-		t.Fatalf("archive holds %d records, want %d", len(recs), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(recs[i].Incident, want[i]) {
-			t.Errorf("archive round trip diverged at %d:\ngot  %+v\nwant %+v", i, recs[i].Incident, want[i])
-		}
-	}
-}
-
-// TestCorrelateAcrossConfigs runs two over-subscribing Figure 4 demand
-// configs through the serving fleet's lifecycle pipeline and checks the
-// correlation report names umc0/rd's saturation order across both — the
-// /correlate acceptance path, minus the HTTP layer.
-func TestCorrelateAcrossConfigs(t *testing.T) {
-	fleet := serve.NewFleet()
-	for _, run := range []struct {
-		name string
-		c    int
-	}{{"fig4/s1c2", 2}, {"fig4/s1c3", 3}} {
-		cell := fleet.Add(run.name, 0)
-		reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-		mon := anomaly.Attach(reg, anomaly.Config{})
-		cell.Observe(reg, mon)
-		if _, err := Figure4StatsCell(quick(), 1, run.c, reg); err != nil {
-			t.Fatal(err)
-		}
-		cell.Finish("done", nil)
-	}
-	series := correlate.Correlate(fleet.Records())
-	if len(series) == 0 {
-		t.Fatal("no correlated series from two over-subscribed configs")
-	}
-	var umc *correlate.Series
-	for i := range series {
-		if series[i].Resource == "umc0/rd" {
-			umc = &series[i]
-			break
-		}
-	}
-	if umc == nil {
-		t.Fatalf("no umc0/rd series: %+v", series)
-	}
-	if len(umc.Onsets) < 2 {
-		t.Fatalf("umc0/rd has %d onsets, want one per config", len(umc.Onsets))
-	}
-	cells := map[string]bool{}
-	for _, o := range umc.Onsets {
-		cells[o.Cell] = true
-	}
-	if !cells["fig4/s1c2"] || !cells["fig4/s1c3"] {
-		t.Errorf("saturation order missing a config: %+v", umc.Onsets)
-	}
-	out := correlate.Render(series, 0)
-	if !strings.Contains(out, "umc0/rd") || !strings.Contains(out, "fig4/s1c2") || !strings.Contains(out, "fig4/s1c3") {
-		t.Errorf("report does not name the saturation order:\n%s", out)
 	}
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/anomaly"
 	"repro/internal/metrics"
 )
 
@@ -34,48 +33,6 @@ func Figure4StatsCell(opt Options, scenario, demandCase int, reg *metrics.Regist
 		return Fig4Result{}, fmt.Errorf("harness: nil metrics registry")
 	}
 	return figure4CellObserved(scs[scenario], cases[demandCase], opt, nil, reg)
-}
-
-// Figure4MonitoredCell is Figure4StatsCell with the online anomaly
-// detectors attached: the monitor watches every harvested window as the
-// cell runs and records congestion incidents (onset/clear windows,
-// severity, linked bottleneck ranking). Because the registry harvests
-// only the steady-state measurement window — after convergence, with
-// congestion already established in the oversubscribed cases — the
-// zero-primed detectors flag the congested resource at the very first
-// harvested window: congestion present at measurement start is itself an
-// onset. Attach further OnHarvest observers (a serving mirror, a live
-// renderer) after this call so they see each window's incidents already
-// detected.
-//
-// The monitor only reads; the bandwidth result is identical with or
-// without it.
-func Figure4MonitoredCell(opt Options, scenario, demandCase int, reg *metrics.Registry, cfg anomaly.Config) (Fig4Result, *anomaly.Monitor, error) {
-	if reg == nil {
-		return Fig4Result{}, nil, fmt.Errorf("harness: nil metrics registry")
-	}
-	mon := anomaly.Attach(reg, cfg)
-	res, err := Figure4StatsCell(opt, scenario, demandCase, reg)
-	if err != nil {
-		return Fig4Result{}, nil, err
-	}
-	return res, mon, nil
-}
-
-// Figure5MonitoredRun is Figure5StatsRun with the online anomaly
-// detectors attached: over the six-virtual-second fluctuating-demand
-// schedule the monitor flags each congestion episode as the demand
-// pattern creates and releases it.
-func Figure5MonitoredRun(opt Options, scenario int, reg *metrics.Registry, cfg anomaly.Config) (*Fig5Result, *anomaly.Monitor, error) {
-	if reg == nil {
-		return nil, nil, fmt.Errorf("harness: nil metrics registry")
-	}
-	mon := anomaly.Attach(reg, cfg)
-	res, err := Figure5StatsRun(opt, scenario, reg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, mon, nil
 }
 
 // Figure5StatsRun traces one Figure 5 scenario with a windowed-metrics

@@ -41,7 +41,7 @@ func Figure4TraceCell(opt Options, scenario, demandCase, spanCap int) (Fig4Resul
 // directly into the tracer (trace.SpansInWindow, anomaly.Fuse): an
 // incident's onset window fuses to the spans of the transactions that
 // crossed the congested resource while it tripped. Attach detectors to
-// reg (anomaly.Attach, or Figure4MonitoredCell's config) before calling.
+// reg (anomaly.Attach) before calling.
 func Figure4FusedCell(opt Options, scenario, demandCase, spanCap int, reg *metrics.Registry) (Fig4Result, *trace.Tracer, error) {
 	scs := Figure4Scenarios()
 	if scenario < 0 || scenario >= len(scs) {

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"repro/internal/units"
@@ -127,14 +128,27 @@ func (d *Dump) WriteJSON(w io.Writer) error {
 	return enc.Encode(d)
 }
 
-// ReadJSON loads a dump written by WriteJSON.
+// ReadJSON loads a dump written by WriteJSON. It rejects any dump a
+// registry could not have written, so the reports and exporters can
+// index it without further checks.
 func ReadJSON(r io.Reader) (*Dump, error) {
 	var d Dump
 	if err := json.NewDecoder(r).Decode(&d); err != nil {
 		return nil, fmt.Errorf("metrics: decoding dump: %w", err)
 	}
+	if d.WindowPS <= 0 {
+		return nil, fmt.Errorf("metrics: dump has window %d ps, want > 0", d.WindowPS)
+	}
 	if len(d.EndsPS) != len(d.StartsPS) {
 		return nil, fmt.Errorf("metrics: dump has %d window starts but %d ends", len(d.StartsPS), len(d.EndsPS))
+	}
+	if d.First < 0 || d.First > math.MaxInt-len(d.StartsPS) {
+		return nil, fmt.Errorf("metrics: dump has first window %d", d.First)
+	}
+	for i, start := range d.StartsPS {
+		if start < 0 || d.EndsPS[i] < start {
+			return nil, fmt.Errorf("metrics: window %d has bounds [%d,%d) ps", d.First+i, start, d.EndsPS[i])
+		}
 	}
 	for _, in := range d.Instruments {
 		if len(in.Samples) != len(d.StartsPS) {
@@ -174,59 +188,31 @@ func omUnit(unit string) string {
 
 // WriteOpenMetrics writes the full series as OpenMetrics exposition text:
 // one metric family per canonical metric name, one timestamped sample per
-// (resource, window). Counters are exported cumulatively (the running sum
-// of window deltas since the first retained window) under a _total
-// suffix, gauges as-is; timestamps are window ends in simulated seconds.
+// (resource, window). Each family's TYPE/UNIT header appears exactly once
+// (OpenMetrics forbids repeats), with every resource's samples grouped
+// under it in registration order. Counters are exported cumulatively (the
+// running sum of window deltas since the first retained window) under a
+// _total suffix, gauges as-is; timestamps are window ends in simulated
+// seconds.
 func WriteOpenMetrics(w io.Writer, s Source) error {
-	return WriteOpenMetricsFleet(w, []string{""}, []Source{s})
-}
-
-// WriteOpenMetricsFleet writes several harvested series — a fleet of
-// parallel experiment cells — as one OpenMetrics exposition. Each metric
-// family's TYPE/UNIT header appears exactly once (OpenMetrics forbids
-// repeats), with every cell's samples under it carrying a cell="name"
-// label; an empty cell name omits the label, which is how the single-cell
-// WriteOpenMetrics rides this path. names and cells must be parallel
-// slices.
-func WriteOpenMetricsFleet(w io.Writer, names []string, cells []Source) error {
-	return WriteOpenMetricsFleetWith(w, names, cells, nil)
-}
-
-// WriteOpenMetricsFleetWith is WriteOpenMetricsFleet with extra
-// exposition lines appended between the cell samples and the # EOF
-// terminator — service-level families (webhook delivery counters,
-// archive totals) that belong in the same scrape as the fleet's
-// simulated metrics. extra must write complete OpenMetrics families
-// (TYPE header included) and may be nil.
-func WriteOpenMetricsFleetWith(w io.Writer, names []string, cells []Source, extra func(io.Writer) error) error {
-	if len(names) != len(cells) {
-		return fmt.Errorf("metrics: %d cell names for %d sources", len(names), len(cells))
-	}
-	// Group instruments by metric family across every cell, preserving
-	// first-seen order; each member remembers its owning cell.
-	type member struct {
-		cell int
-		id   ID
-	}
+	// Group instruments by metric family, preserving first-seen order.
 	type group struct {
-		metric  string
-		kind    Kind
-		unit    string
-		members []member
+		metric string
+		kind   Kind
+		unit   string
+		ids    []ID
 	}
 	var groups []*group
 	byMetric := map[string]*group{}
-	for c, s := range cells {
-		for i := 0; i < s.NumInstruments(); i++ {
-			d := s.Desc(i)
-			g := byMetric[d.Metric]
-			if g == nil {
-				g = &group{metric: d.Metric, kind: d.Kind, unit: d.Unit}
-				byMetric[d.Metric] = g
-				groups = append(groups, g)
-			}
-			g.members = append(g.members, member{cell: c, id: ID(i)})
+	for i := 0; i < s.NumInstruments(); i++ {
+		d := s.Desc(i)
+		g := byMetric[d.Metric]
+		if g == nil {
+			g = &group{metric: d.Metric, kind: d.Kind, unit: d.Unit}
+			byMetric[d.Metric] = g
+			groups = append(groups, g)
 		}
+		g.ids = append(g.ids, ID(i))
 	}
 	for _, g := range groups {
 		name := "chiplet_" + sanitizeOM(g.metric)
@@ -240,32 +226,21 @@ func WriteOpenMetricsFleetWith(w io.Writer, names []string, cells []Source, extr
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n# UNIT %s %s\n", name, kind, name, unit); err != nil {
 			return err
 		}
-		for _, m := range g.members {
-			s := cells[m.cell]
-			d := s.Desc(int(m.id))
-			cellLabel := ""
-			if names[m.cell] != "" {
-				cellLabel = fmt.Sprintf(",cell=%q", names[m.cell])
-			}
-			first, total := s.FirstWindow(), s.Total()
+		for _, id := range g.ids {
+			d := s.Desc(int(id))
 			cum := 0.0
-			for win := first; win < total; win++ {
-				v := s.Value(m.id, win)
+			for win := s.FirstWindow(); win < s.Total(); win++ {
+				v := s.Value(id, win)
 				if g.kind == KindCounter {
 					cum += v
 					v = cum
 				}
-				_, err := fmt.Fprintf(w, "%s%s{resource=%q,family=%q%s} %g %.9f\n",
-					name, suffix, d.Resource, d.Family, cellLabel, v, s.WindowEnd(win).Seconds())
+				_, err := fmt.Fprintf(w, "%s%s{resource=%q,family=%q} %g %.9f\n",
+					name, suffix, d.Resource, d.Family, v, s.WindowEnd(win).Seconds())
 				if err != nil {
 					return err
 				}
 			}
-		}
-	}
-	if extra != nil {
-		if err := extra(w); err != nil {
-			return err
 		}
 	}
 	_, err := fmt.Fprintln(w, "# EOF")

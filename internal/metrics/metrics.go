@@ -327,9 +327,9 @@ func (r *Registry) harvest() {
 }
 
 // OnHarvest appends an observer invoked after each window is recorded —
-// the hook anomaly detectors, serving mirrors and live renderers attach.
-// Observers run in attach order (so a detector attached before a mirror
-// has its incidents visible when the mirror snapshots the window) and may
+// the hook anomaly detectors and live renderers attach. Observers run in
+// attach order (so a detector attached before a renderer has its
+// incidents visible when the renderer reads the window) and may
 // allocate; with no observers the harvest tick pays only an empty range
 // loop.
 func (r *Registry) OnHarvest(fn func()) { r.onHarvest = append(r.onHarvest, fn) }

@@ -251,9 +251,15 @@ func TestReadJSONRejectsCorruptDumps(t *testing.T) {
 }
 
 func TestWriteOpenMetrics(t *testing.T) {
-	_, reg := harvested(t)
+	f, _, _ := newFixture(t, metrics.Config{Window: win})
+	// A second bytes counter registered after the depth gauge: its
+	// samples must join the chiplet_bytes family, not reopen it.
+	f.reg.Counter("res1", metrics.MetricBytes, "fam", "bytes", func() float64 { return 2 * f.cum })
+	f.reg.Start(f.eng)
+	f.eng.RunUntil(3 * win)
+	f.reg.Stop()
 	var buf bytes.Buffer
-	if err := metrics.WriteOpenMetrics(&buf, reg); err != nil {
+	if err := metrics.WriteOpenMetrics(&buf, f.reg); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -262,11 +268,19 @@ func TestWriteOpenMetrics(t *testing.T) {
 		"# UNIT chiplet_bytes bytes",
 		"# TYPE chiplet_depth gauge",
 		`chiplet_bytes_total{resource="res0",family="fam"}`,
+		`chiplet_bytes_total{resource="res1",family="fam"}`,
 		`chiplet_depth{resource="res0",family="fam"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("OpenMetrics output missing %q", want)
 		}
+	}
+	// One TYPE header per metric family, with every member under it.
+	if got := strings.Count(out, "# TYPE chiplet_bytes counter"); got != 1 {
+		t.Errorf("chiplet_bytes TYPE header appears %d times, want 1", got)
+	}
+	if strings.Index(out, `chiplet_bytes_total{resource="res1"`) > strings.Index(out, "# TYPE chiplet_depth gauge") {
+		t.Error("res1's bytes samples fall outside the chiplet_bytes family")
 	}
 	if !strings.HasSuffix(out, "# EOF\n") {
 		t.Error("OpenMetrics output does not end with # EOF")
@@ -278,44 +292,15 @@ func TestWriteOpenMetrics(t *testing.T) {
 	}
 }
 
-func TestWriteOpenMetricsFleet(t *testing.T) {
-	_, regA := harvested(t)
-	_, regB := harvested(t)
-	var buf bytes.Buffer
-	if err := metrics.WriteOpenMetricsFleet(&buf, []string{"cellA", "cellB"}, []metrics.Source{regA, regB}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	// One TYPE header per metric family even with two cells under it.
-	if got := strings.Count(out, "# TYPE chiplet_bytes counter"); got != 1 {
-		t.Errorf("chiplet_bytes TYPE header appears %d times, want 1", got)
-	}
-	for _, want := range []string{
-		`chiplet_bytes_total{resource="res0",family="fam",cell="cellA"}`,
-		`chiplet_bytes_total{resource="res0",family="fam",cell="cellB"}`,
-		`chiplet_depth{resource="res0",family="fam",cell="cellA"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fleet exposition missing %q", want)
-		}
-	}
-	if !strings.HasSuffix(out, "# EOF\n") {
-		t.Error("fleet exposition does not end with # EOF")
-	}
-	if err := metrics.WriteOpenMetricsFleet(&buf, []string{"one"}, []metrics.Source{regA, regB}); err == nil {
-		t.Error("mismatched names/sources accepted")
-	}
-}
-
 func TestOnHarvestObserverChain(t *testing.T) {
 	f, _, _ := newFixture(t, metrics.Config{Window: win})
 	var order []string
 	f.reg.OnHarvest(func() { order = append(order, "detector") })
-	f.reg.OnHarvest(func() { order = append(order, "mirror") })
+	f.reg.OnHarvest(func() { order = append(order, "renderer") })
 	f.reg.Start(f.eng)
 	f.eng.RunUntil(win)
 	f.reg.Stop()
-	if !reflect.DeepEqual(order, []string{"detector", "mirror"}) {
+	if !reflect.DeepEqual(order, []string{"detector", "renderer"}) {
 		t.Fatalf("observers ran in order %v, want attach order", order)
 	}
 }

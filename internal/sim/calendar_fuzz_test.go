@@ -1,0 +1,315 @@
+package sim
+
+import (
+	"container/heap"
+	"testing"
+
+	"repro/internal/units"
+)
+
+// FuzzCalendar decodes the fuzz bytes into a schedule of At/After calls
+// and RunUntil/Step/Run drives, runs it on an Engine and on a reference
+// calendar (a container/heap keyed on (time, seq)), and checks that both
+// dispatch the same events in the same order at the same times, with
+// equal Executed, Now, Pending and NextAt after every drive. Scheduled
+// events may schedule further events from their callbacks. Stamps are
+// drawn to collide exactly (same stamp, FIFO by scheduling order), to
+// straddle the wheel horizon and to land far beyond it (the overflow
+// heap and jump). The seed corpus in testdata/fuzz/FuzzCalendar covers
+// same-stamp FIFO across the horizon, a wheel rollover and a rewind of
+// the occupancy-scan hint.
+//
+// Encoding: 8 bytes of four big-endian uint16 anchors (x 320 ps), then
+// ops. An op byte selects, mod 8: 0-2 schedule a node, 3 Step, 4
+// RunUntil(now + u16 x 64 ps), 5 RunUntil(NextAt), 6 Run, 7
+// RunUntil(now). A node is 3 bytes — flags, a, b — followed by its
+// children: flags bit 0 picks After over At, (flags>>1)%6 the stamp class
+// (see calNode.stamp), (flags>>4)%4 the number of children it schedules
+// when it fires. Missing bytes read as zero.
+func FuzzCalendar(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) { runCalProgram(t, data) })
+}
+
+// runCalProgram runs one decoded fuzz program on an Engine and on the
+// reference calendar, failing t at the first divergence.
+func runCalProgram(t testing.TB, data []byte) {
+	p := decodeCalProgram(data)
+	e := New(1)
+	ref := &refCalendar{}
+	var got []calFired
+	var schedule func(n *calNode)
+	schedule = func(n *calNode) {
+		fn := func() {
+			got = append(got, calFired{n.id, e.Now()})
+			for _, c := range n.children {
+				schedule(c)
+			}
+		}
+		if n.after {
+			e.After(n.delay(e.Now(), p.anchors), fn)
+		} else {
+			e.At(n.stamp(e.Now(), p.anchors), fn)
+		}
+	}
+	checked := 0
+	for i, op := range p.ops {
+		switch {
+		case op.node != nil:
+			schedule(op.node)
+			ref.schedule(op.node, p.anchors)
+		case op.kind == calStep:
+			ran := e.Step()
+			if want := ref.step(p.anchors); ran != want {
+				t.Fatalf("op %d: Step ran %v, reference %v", i, ran, want)
+			}
+		case op.kind == calRunUntil:
+			limit := op.limit(e)
+			e.RunUntil(limit)
+			ref.runUntil(limit, p.anchors)
+		case op.kind == calRun:
+			e.Run()
+			ref.runUntil(noEvent, p.anchors)
+		}
+		checked = checkCalendar(t, i, e, ref, got, checked)
+	}
+	e.Run()
+	ref.runUntil(noEvent, p.anchors)
+	checkCalendar(t, len(p.ops), e, ref, got, checked)
+}
+
+// checkCalendar compares the engine with the reference after op i; the
+// first checked dispatches were compared after earlier ops. It returns
+// the number of dispatches compared so far.
+func checkCalendar(t testing.TB, i int, e *Engine, ref *refCalendar, got []calFired, checked int) int {
+	t.Helper()
+	if len(got) != len(ref.fired) {
+		t.Fatalf("op %d: engine dispatched %d events, reference %d", i, len(got), len(ref.fired))
+	}
+	for k := checked; k < len(got); k++ {
+		if got[k] != ref.fired[k] {
+			t.Fatalf("op %d: dispatch %d is node %d at %v, reference node %d at %v",
+				i, k, got[k].id, got[k].at, ref.fired[k].id, ref.fired[k].at)
+		}
+	}
+	if e.Executed() != ref.executed || e.Now() != ref.now || e.Pending() != ref.h.Len() {
+		t.Fatalf("op %d: executed/now/pending = %d/%v/%d, reference %d/%v/%d",
+			i, e.Executed(), e.Now(), e.Pending(), ref.executed, ref.now, ref.h.Len())
+	}
+	next, ok := e.NextAt()
+	var want units.Time
+	if ref.h.Len() > 0 {
+		want = ref.h[0].at
+	}
+	if ok != (ref.h.Len() > 0) || next != want {
+		t.Fatalf("op %d: NextAt = %v, %v; reference %v, %v", i, next, ok, want, ref.h.Len() > 0)
+	}
+	return len(got)
+}
+
+// calFired records one dispatch: which node ran, and at what time.
+type calFired struct {
+	id int
+	at units.Time
+}
+
+// calNode is one scheduled event of a fuzz program, with the events its
+// callback schedules when it fires.
+type calNode struct {
+	id       int
+	after    bool
+	class    int
+	a, b     byte
+	children []*calNode
+}
+
+// stamp is the absolute time the node is scheduled for, given the time
+// it is scheduled at.
+func (n *calNode) stamp(now units.Time, anchors [4]units.Time) units.Time {
+	ab := units.Time(n.a)<<8 | units.Time(n.b)
+	switch n.class {
+	case 0: // exactly now
+		return now
+	case 1: // within a tick or two
+		return now + units.Time(n.a)
+	case 2: // inside the wheel
+		return now + ab*16
+	case 3: // straddling the wheel horizon
+		return now + wheelSpan - 512 + ab%1024
+	case 4: // beyond the horizon: the overflow heap, then a jump
+		return now + units.Time(1+n.a%16)*wheelSpan + units.Time(n.b)*1000
+	default: // a shared anchor: exact collisions between schedulers
+		if at := anchors[n.a%4]; at > now {
+			return at
+		}
+		return now
+	}
+}
+
+// delay is the After argument: the stamp's distance from now, or a
+// negative delay (clamped to zero by After) for class 0.
+func (n *calNode) delay(now units.Time, anchors [4]units.Time) units.Time {
+	if n.class == 0 {
+		return -units.Time(n.a)
+	}
+	return n.stamp(now, anchors) - now
+}
+
+const (
+	calSchedule = iota
+	calStep
+	calRunUntil
+	calRun
+)
+
+// calOp is one program step: a top-level schedule, or a drive.
+type calOp struct {
+	kind int
+	node *calNode
+	// untilNext drives RunUntil to the earliest pending stamp; otherwise
+	// RunUntil goes to now + delta.
+	untilNext bool
+	delta     units.Time
+}
+
+// limit is a RunUntil op's horizon.
+func (op calOp) limit(e *Engine) units.Time {
+	if op.untilNext {
+		if next, ok := e.NextAt(); ok {
+			return next
+		}
+	}
+	return e.Now() + op.delta
+}
+
+type calProgram struct {
+	anchors [4]units.Time
+	ops     []calOp
+}
+
+// Bounds keeping one fuzz input cheap.
+const (
+	calMaxOps   = 512
+	calMaxNodes = 4096
+	calMaxDepth = 3
+)
+
+func decodeCalProgram(data []byte) calProgram {
+	pos := 0
+	next := func() byte {
+		if pos >= len(data) {
+			return 0
+		}
+		pos++
+		return data[pos-1]
+	}
+	var p calProgram
+	for i := range p.anchors {
+		hi := next()
+		p.anchors[i] = (units.Time(hi)<<8 | units.Time(next())) * 320
+	}
+	nodes := 0
+	var node func(depth int) *calNode
+	node = func(depth int) *calNode {
+		flags := next()
+		n := &calNode{id: nodes, after: flags&1 != 0, class: int(flags>>1) % 6}
+		nodes++
+		n.a, n.b = next(), next()
+		for k := int(flags>>4) % 4; k > 0 && depth < calMaxDepth && nodes < calMaxNodes; k-- {
+			n.children = append(n.children, node(depth+1))
+		}
+		return n
+	}
+	for pos < len(data) && len(p.ops) < calMaxOps && nodes < calMaxNodes {
+		switch op := next() % 8; op {
+		case 0, 1, 2:
+			p.ops = append(p.ops, calOp{kind: calSchedule, node: node(0)})
+		case 3:
+			p.ops = append(p.ops, calOp{kind: calStep})
+		case 4:
+			hi := next()
+			p.ops = append(p.ops, calOp{kind: calRunUntil, delta: (units.Time(hi)<<8 | units.Time(next())) * 64})
+		case 5:
+			p.ops = append(p.ops, calOp{kind: calRunUntil, untilNext: true})
+		case 6:
+			p.ops = append(p.ops, calOp{kind: calRun})
+		case 7:
+			p.ops = append(p.ops, calOp{kind: calRunUntil})
+		}
+	}
+	return p
+}
+
+// refCalendar is the reference model: a binary heap ordered by (time,
+// seq), with the Engine's drive semantics written out directly.
+type refCalendar struct {
+	h        refHeap
+	now      units.Time
+	seq      uint64
+	executed uint64
+	fired    []calFired
+}
+
+type refEvent struct {
+	at   units.Time
+	seq  uint64
+	node *calNode
+}
+
+type refHeap []refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(refEvent)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	ev := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return ev
+}
+
+func (r *refCalendar) schedule(n *calNode, anchors [4]units.Time) {
+	at := n.stamp(r.now, anchors)
+	if n.after {
+		d := n.delay(r.now, anchors)
+		if d < 0 {
+			d = 0
+		}
+		at = r.now + d
+	}
+	r.seq++
+	heap.Push(&r.h, refEvent{at: at, seq: r.seq, node: n})
+}
+
+// dispatch pops and runs the earliest event.
+func (r *refCalendar) dispatch(anchors [4]units.Time) {
+	ev := heap.Pop(&r.h).(refEvent)
+	r.now = ev.at
+	r.executed++
+	r.fired = append(r.fired, calFired{ev.node.id, ev.at})
+	for _, c := range ev.node.children {
+		r.schedule(c, anchors)
+	}
+}
+
+func (r *refCalendar) step(anchors [4]units.Time) bool {
+	if r.h.Len() == 0 {
+		return false
+	}
+	r.dispatch(anchors)
+	return true
+}
+
+func (r *refCalendar) runUntil(limit units.Time, anchors [4]units.Time) {
+	for r.h.Len() > 0 && r.h[0].at <= limit {
+		r.dispatch(anchors)
+	}
+	if limit != noEvent && limit > r.now {
+		r.now = limit
+	}
+}

@@ -3,6 +3,8 @@ package trace_test
 import (
 	"io"
 	"os"
+	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/link"
@@ -48,6 +50,10 @@ func churn(eng *sim.Engine, ch *link.Channel, n int) {
 
 func benchChurn(b *testing.B, mode string) {
 	eng, ch, _ := churnChannel(mode)
+	// Finish any GC cycle the fixture's allocations (a tracer's span ring)
+	// started, so its mark phase and write barriers do not overlap the
+	// timed loop of one mode only.
+	runtime.GC()
 	b.ReportAllocs()
 	b.ResetTimer()
 	churn(eng, ch, b.N)
@@ -60,7 +66,8 @@ func BenchmarkChannelChurnEnabledTracer(b *testing.B)  { benchChurn(b, "enabled"
 // TestDisabledTracerOverhead is the off-by-default overhead contract:
 // attaching a tracer without enabling it must not slow the channel/engine
 // hot path by more than ~5% (plus a small absolute epsilon for timer
-// noise on loaded machines). Wall-clock ratios are too noisy for a plain
+// noise on loaded machines), judged over interleaved nil/disabled pairs.
+// Wall-clock ratios are too noisy for a plain
 // go test on a shared host, so the ratio is asserted only with
 // CHIPLET_OVERHEAD_GATE=1, which ci.sh sets on its overhead leg. Without
 // it the test checks the deterministic half of the contract: a disabled
@@ -86,24 +93,31 @@ func TestDisabledTracerOverhead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("overhead thresholds are meaningless under race instrumentation; the dedicated ci.sh leg gates this")
 	}
-	run := func(mode string) float64 {
-		best := 0.0
-		for i := 0; i < 3; i++ {
-			r := testing.Benchmark(func(b *testing.B) { benchChurn(b, mode) })
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			if best == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best
+	nsPerOp := func(mode string) float64 {
+		r := testing.Benchmark(func(b *testing.B) { benchChurn(b, mode) })
+		return float64(r.T.Nanoseconds()) / float64(r.N)
 	}
-	nil_ := run("nil")
-	disabled := run("disabled")
-	limit := nil_*1.05 + 2.0 // 5% plus 2 ns absolute slack
-	t.Logf("nil=%.1f ns/op disabled=%.1f ns/op limit=%.1f ns/op", nil_, disabled, limit)
-	if disabled > limit {
-		t.Fatalf("attached-but-disabled tracer too slow: %.1f ns/op vs nil %.1f ns/op (limit %.1f)",
-			disabled, nil_, limit)
+	// Time nil and disabled back to back in pairs, alternating which runs
+	// first, so host drift lands on both sides of a pair instead of on one
+	// mode; the contract holds if the median pair meets the bound.
+	const pairs = 7
+	excess := make([]float64, pairs)
+	for i := range excess {
+		var nil_, disabled float64
+		if i%2 == 0 {
+			nil_ = nsPerOp("nil")
+			disabled = nsPerOp("disabled")
+		} else {
+			disabled = nsPerOp("disabled")
+			nil_ = nsPerOp("nil")
+		}
+		limit := nil_*1.05 + 2.0 // 5% plus 2 ns absolute slack
+		excess[i] = disabled - limit
+		t.Logf("pair %d: nil=%.1f ns/op disabled=%.1f ns/op limit=%.1f ns/op", i, nil_, disabled, limit)
+	}
+	sort.Float64s(excess)
+	if med := excess[pairs/2]; med > 0 {
+		t.Fatalf("attached-but-disabled tracer too slow: the median pair exceeds its limit (nil*1.05 + 2 ns) by %.1f ns/op", med)
 	}
 }
 

@@ -301,11 +301,16 @@ func (t *Tracer) span(hop HopID, cause Cause, from, to units.Time) {
 // at `accept`, starts serializing at `start`, finishes at `done`, and
 // arrives (after the channel's own propagation delay) at `arrive`. Any
 // per-message extra delay is attributed separately by the caller, which
-// knows what stage it models.
+// knows what stage it models. Enqueue is small enough to inline, so an
+// attached-but-disabled tracer costs the channel one flag test, not a
+// call.
 func (t *Tracer) Enqueue(hop HopID, size units.ByteSize, accept, start, done, arrive units.Time) {
-	if !t.on {
-		return
+	if t.on {
+		t.enqueue(hop, size, accept, start, done, arrive)
 	}
+}
+
+func (t *Tracer) enqueue(hop HopID, size units.ByteSize, accept, start, done, arrive units.Time) {
 	t.counters[hop].Meter.Record(size)
 	t.span(hop, CauseQueued, accept, start)
 	t.span(hop, CauseSerializing, start, done)

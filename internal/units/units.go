@@ -48,7 +48,7 @@ func Micros(us float64) Time { return Time(math.Round(us * float64(Microsecond))
 // e.g. "1.24ns", "34.3ns", "1.5us".
 func (t Time) String() string {
 	switch abs := t; {
-	case abs < 0:
+	case abs < 0 && t != math.MinInt64: // -MinInt64 overflows; it prints in ps
 		return "-" + (-t).String()
 	case abs == 0:
 		return "0s"
@@ -100,7 +100,7 @@ const CacheLine ByteSize = 64
 // (cache sizes) and a decimal suffix otherwise.
 func (b ByteSize) String() string {
 	switch {
-	case b < 0:
+	case b < 0 && b != math.MinInt64: // -MinInt64 overflows; it prints in B
 		return "-" + (-b).String()
 	case b >= GB && b%GB == 0:
 		return fmt.Sprintf("%dGB", b/GB)
@@ -134,7 +134,7 @@ func (bw Bandwidth) GBpsValue() float64 { return float64(bw) / 1e9 }
 // String renders the bandwidth in GB/s or MB/s.
 func (bw Bandwidth) String() string {
 	switch {
-	case bw < 0:
+	case bw < 0 && bw != math.MinInt64: // -MinInt64 overflows; it prints in B/s
 		return "-" + (-bw).String()
 	case bw >= Bandwidth(GB):
 		return trimFloat(bw.GBpsValue()) + "GB/s"

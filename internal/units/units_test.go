@@ -20,6 +20,7 @@ func TestTimeString(t *testing.T) {
 		{Millisecond, "1ms"},
 		{2 * Second, "2s"},
 		{-Nanosecond, "-1ns"},
+		{math.MinInt64, "-9223372036854775808ps"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
@@ -60,6 +61,7 @@ func TestByteSizeString(t *testing.T) {
 		{2 * GB, "2GB"},
 		{1500 * KB, "1.5MB"},
 		{-KiB, "-1KiB"},
+		{math.MinInt64, "-9223372036854775808B"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
@@ -80,6 +82,9 @@ func TestBandwidthString(t *testing.T) {
 	}
 	if got := Bandwidth(12).String(); got != "12B/s" {
 		t.Errorf("12B/s: got %q", got)
+	}
+	if got := Bandwidth(math.MinInt64).String(); got != "-9223372036854775808B/s" {
+		t.Errorf("MinInt64: got %q", got)
 	}
 }
 
