@@ -15,6 +15,30 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+
+# The benchmark module (its own go.mod) rebuilds the Figure 4 cells it
+# times; its replica check holds them to the harness wrappers it calls.
+(cd benchmark && go test -run TestReplicaCellsMatchHarness -count=1 .)
+
+# Smoke-run every reproduce observer mode on one cell and read each file
+# back: chiplettrace and chipletstat exit non-zero on malformed input.
+# Bad -cell names and non-positive -stats-window must be refused.
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
+go build -o "$smoke/" ./cmd/reproduce ./cmd/chiplettrace ./cmd/chipletstat
+run="$smoke/reproduce -scale 16 -stats-top 0 -stats-window 25us"
+$run -trace "$smoke/t.json" > /dev/null
+$run -stats "$smoke/s4.json" -cell fig4:1:2 > /dev/null
+$run -stats "$smoke/s5.json" -cell fig5:0 > /dev/null
+$run -trace "$smoke/ft.json" -stats "$smoke/fs.json" > /dev/null
+for f in t ft; do "$smoke/chiplettrace" -in "$smoke/$f.json" > /dev/null; done
+for f in s4 s5 fs; do "$smoke/chipletstat" -in "$smoke/$f.json" > /dev/null; done
+for bad in "-cell fig4:5:0" "-stats-window 0"; do
+    if $run -stats "$smoke/bad.json" $bad 2> /dev/null; then
+        echo "reproduce accepted $bad" >&2
+        exit 1
+    fi
+done
 # internal/core rides along for the use-after-recycle guard
 # (TestPinnedRetentionRaceFree).
 # internal/metrics rides along: its registry is engine-local and must

@@ -4,42 +4,39 @@
 // Usage:
 //
 //	reproduce [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6] [-scale N] [-seed N] [-workers N]
-//	reproduce -trace out.json [-trace-scenario N] [-trace-case N] [-trace-spans N] [-scale N] [-seed N]
-//	reproduce -stats out.json [-stats-experiment fig4|fig5] [-stats-scenario N] [-stats-case N]
-//	          [-stats-window D] [-stats-format json|openmetrics|csv] [-stats-top N]
-//	reproduce -trace fused.json -stats stats.json [-trace-scenario N] [-trace-case N]
-//	          [-stats-window D] [-stats-format ...]
+//	reproduce -trace out.json [-stats out.json] [-cell fig4:S:C|fig5:S] [-trace-spans N]
+//	          [-stats-window D] [-stats-format json|openmetrics|csv] [-stats-top N] [-scale N] [-seed N]
 //
 // -scale divides the steady-state measurement windows (1 = full length, as
 // recorded in EXPERIMENTS.md; larger is faster but noisier). -workers sets
 // how many experiment cells run concurrently (0 = GOMAXPROCS, 1 = serial);
 // results are identical for every worker count.
 //
-// -trace runs one Figure 4 cell with the hop-level flight recorder
-// enabled over the measurement window, writes the spans as Chrome
-// trace_event JSON (open at https://ui.perfetto.dev), and prints the
-// latency-breakdown and per-hop counter reports. Inspect the file later
-// with cmd/chiplettrace.
+// -trace and -stats each attach an observer to ONE cell, named by -cell
+// (default fig4:1:2, the 9634 UMC/GMI link under equal over-subscribing
+// demands; fig5:S is a Figure 5 panel), over its measurement window:
 //
-// -stats runs one cell with the windowed-metrics registry harvesting
-// over the measurement window, streams a top-like per-window bottleneck
-// view while the simulation runs, prints the ranked bottleneck report,
-// and writes the full per-window series to the file in the chosen
-// format. Inspect a JSON dump later with cmd/chipletstat.
+// -trace attaches the hop-level flight recorder, prints the
+// latency-breakdown and per-hop counter reports, and writes the spans as
+// Chrome trace_event JSON (open at https://ui.perfetto.dev; inspect later
+// with cmd/chiplettrace).
 //
-// -trace and -stats together run ONE fused cell: the flight recorder and
-// the windowed-metrics registry (with the online anomaly detectors
-// attached) observe the same engine over the same measurement window.
-// The stats file gets the per-window series as usual; the trace file
-// gets the fused export — the span timeline plus the detected incidents
-// as an annotation track, onset/clear markers landing inside the windows
-// whose spans show the congestion. The cell is selected by
-// -trace-scenario/-trace-case; -stats-window/-stats-format apply.
+// -stats attaches the windowed-metrics registry with the online anomaly
+// detectors, streams a top-like per-window bottleneck view while the
+// simulation runs, prints the family summary, the ranked bottleneck
+// report and the incident table, and writes the per-window series in the
+// -stats-format format (inspect a JSON dump later with cmd/chipletstat).
+//
+// With both, the two observers share one engine and one window, and the
+// trace file is the fused export: the span timeline plus the detected
+// incidents as an annotation track, onset/clear markers landing inside
+// the windows whose spans show the congestion.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -49,6 +46,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/profiling"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -59,14 +57,10 @@ func main() {
 	scale := flag.Int("scale", 1, "time-scale divisor for measurement windows")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	workers := flag.Int("workers", 0, "concurrent experiment cells (0 = GOMAXPROCS, 1 = serial)")
-	traceFile := flag.String("trace", "", "write a flight-recorder trace of one Figure 4 cell to this file (Chrome trace_event JSON)")
-	traceScenario := flag.Int("trace-scenario", 1, "Figure 4 scenario index to trace (see fig4 output order)")
-	traceCase := flag.Int("trace-case", 2, "Figure 4 demand case index to trace (default: equal over-subscribing demands)")
+	cellName := flag.String("cell", "fig4:1:2", "cell to observe with -trace/-stats: fig4:SCENARIO:CASE or fig5:SCENARIO (see fig4/fig5 output order)")
+	traceFile := flag.String("trace", "", "write a flight-recorder trace of the -cell cell to this file (Chrome trace_event JSON)")
 	traceSpans := flag.Int("trace-spans", 1<<20, "span ring capacity for -trace (oldest spans overwritten beyond this)")
-	statsFile := flag.String("stats", "", "write windowed metrics of one cell to this file (format per -stats-format)")
-	statsExp := flag.String("stats-experiment", "fig4", "cell to instrument with -stats: fig4 (steady state) or fig5 (fluctuating demand)")
-	statsScenario := flag.Int("stats-scenario", 1, "scenario index for -stats (fig4 default: 9634 UMC/GMI)")
-	statsCase := flag.Int("stats-case", 2, "Figure 4 demand case index for -stats (default: equal over-subscribing demands)")
+	statsFile := flag.String("stats", "", "write windowed metrics of the -cell cell to this file (format per -stats-format)")
 	statsWindow := flag.Duration("stats-window", 100*time.Microsecond, "harvest window in simulated time (100us = the paper's 100 ms at 1:1000)")
 	statsFormat := flag.String("stats-format", "json", "-stats export format: json, openmetrics or csv")
 	statsTop := flag.Int("stats-top", 5, "rows in the live per-window bottleneck view (0 disables live output)")
@@ -85,25 +79,18 @@ func main() {
 	}()
 
 	opt := harness.Options{Seed: *seed, TimeScale: *scale, Workers: *workers}
-	if *traceFile != "" && *statsFile != "" {
-		win := units.Nanos(float64(statsWindow.Nanoseconds()))
-		err := runFused(opt, *traceScenario, *traceCase, *traceSpans, win, *statsFormat, *statsTop, *traceFile, *statsFile)
+	if *traceFile != "" || *statsFile != "" {
+		cell, err := harness.ParseCell(*cellName)
 		if err != nil {
-			log.Fatalf("fused: %v", err)
+			log.Fatal(err)
 		}
-		return
-	}
-	if *traceFile != "" {
-		if err := runTrace(opt, *traceScenario, *traceCase, *traceSpans, *traceFile); err != nil {
-			log.Fatalf("trace: %v", err)
+		if *statsFile != "" && *statsWindow <= 0 {
+			log.Fatalf("-stats-window %v must be positive", *statsWindow)
 		}
-		return
-	}
-	if *statsFile != "" {
 		win := units.Nanos(float64(statsWindow.Nanoseconds()))
-		err := runStats(opt, *statsExp, *statsScenario, *statsCase, win, *statsFormat, *statsTop, *statsFile)
+		err = runCell(opt, cell, *traceFile, *traceSpans, *statsFile, win, *statsFormat, *statsTop)
 		if err != nil {
-			log.Fatalf("stats: %v", err)
+			log.Fatalf("%v: %v", cell, err)
 		}
 		return
 	}
@@ -136,152 +123,83 @@ func main() {
 	}
 }
 
-// runTrace runs one Figure 4 cell with the flight recorder on, writes
-// the Perfetto-loadable trace and prints the analysis reports.
-func runTrace(opt harness.Options, scenario, demandCase, spanCap int, path string) error {
-	res, tr, err := harness.Figure4TraceCell(opt, scenario, demandCase, spanCap)
+// runCell runs one cell with the observers -trace and -stats ask for,
+// prints each observer's reports and writes its file.
+func runCell(opt harness.Options, cell harness.Cell, tracePath string, spanCap int, statsPath string, window units.Time, format string, top int) error {
+	var obs harness.Observers
+	var mon *anomaly.Monitor
+	var writeStats func(io.Writer) error
+	if statsPath != "" {
+		reg := metrics.New(metrics.Config{Window: window})
+		switch format {
+		case "json":
+			writeStats = func(w io.Writer) error { return reg.Dump().WriteJSON(w) }
+		case "openmetrics":
+			writeStats = func(w io.Writer) error { return metrics.WriteOpenMetrics(w, reg) }
+		case "csv":
+			writeStats = func(w io.Writer) error { return metrics.WriteCSV(w, reg) }
+		default:
+			return fmt.Errorf("unknown format %q; choose json, openmetrics or csv", format)
+		}
+		mon = anomaly.Attach(reg, anomaly.Config{})
+		if top > 0 {
+			reg.OnHarvest(func() {
+				fmt.Println(metrics.RenderWindow(reg, reg.Total()-1, top))
+			})
+		}
+		obs.Registry = reg
+	}
+	if tracePath != "" {
+		obs.Tracer = trace.New(trace.Config{SpanCap: spanCap})
+	}
+	res, _, err := harness.RunCell(opt, cell, obs)
 	if err != nil {
 		return err
 	}
-	fmt.Println(harness.RenderFigure4([]harness.Fig4Result{res}))
+	fmt.Println(res.Render())
+
+	if reg := obs.Registry; reg != nil {
+		fmt.Println(metrics.FamilySummary(reg))
+		fmt.Println(metrics.BottleneckReport(reg, 3))
+		fmt.Println("incidents:")
+		fmt.Println(anomaly.Report(mon.Incidents()))
+		if err := writeFile(statsPath, writeStats); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %d windows x %d instruments to %s (%s)\n",
+			reg.Total(), reg.NumInstruments(), statsPath, format)
+	}
+	if tr := obs.Tracer; tr != nil {
+		fmt.Println(tr.BreakdownReport(10))
+		fmt.Println("per-hop counter registry:")
+		fmt.Println(tr.CounterReport())
+		writeTrace := tr.WriteTraceEvents
+		msg := fmt.Sprintf("wrote %d spans to %s — open at https://ui.perfetto.dev or inspect with chiplettrace",
+			tr.SpanCount(), tracePath)
+		if mon != nil {
+			writeTrace = func(w io.Writer) error { return anomaly.WriteFusedTraceEvents(w, tr, mon.Incidents()) }
+			msg = fmt.Sprintf("wrote fused trace: %d spans + %d incident annotations to %s — open at https://ui.perfetto.dev",
+				tr.SpanCount(), mon.NumIncidents(), tracePath)
+		}
+		if err := writeFile(tracePath, writeTrace); err != nil {
+			return err
+		}
+		fmt.Println(msg)
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteTraceEvents(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Println(tr.BreakdownReport(10))
-	fmt.Println("per-hop counter registry:")
-	fmt.Println(tr.CounterReport())
-	fmt.Printf("wrote %d spans to %s — open at https://ui.perfetto.dev or inspect with chiplettrace\n",
-		tr.SpanCount(), path)
-	return nil
-}
-
-// runFused runs one Figure 4 cell with both observers on one engine —
-// flight recorder plus windowed metrics with anomaly detectors — then
-// writes the stats series and the fused annotated trace, and prints the
-// incident table over the span timeline they both describe.
-func runFused(opt harness.Options, scenario, demandCase, spanCap int, window units.Time, format string, top int, tracePath, statsPath string) error {
-	switch format {
-	case "json", "openmetrics", "csv":
-	default:
-		return fmt.Errorf("unknown format %q; choose json, openmetrics or csv", format)
-	}
-	reg := metrics.New(metrics.Config{Window: window})
-	mon := anomaly.Attach(reg, anomaly.Config{})
-	if top > 0 {
-		reg.OnHarvest(func() {
-			fmt.Println(metrics.RenderWindow(reg, reg.Total()-1, top))
-		})
-	}
-	res, tr, err := harness.Figure4FusedCell(opt, scenario, demandCase, spanCap, reg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(harness.RenderFigure4([]harness.Fig4Result{res}))
-	fmt.Println(metrics.BottleneckReport(reg, 3))
-	fmt.Println("incidents:")
-	fmt.Println(anomaly.Report(mon.Incidents()))
-
-	f, err := os.Create(statsPath)
-	if err != nil {
-		return err
-	}
-	switch format {
-	case "json":
-		err = reg.Dump().WriteJSON(f)
-	case "openmetrics":
-		err = metrics.WriteOpenMetrics(f, reg)
-	case "csv":
-		err = metrics.WriteCSV(f, reg)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d windows x %d instruments to %s (%s)\n",
-		reg.Total(), reg.NumInstruments(), statsPath, format)
-
-	g, err := os.Create(tracePath)
-	if err != nil {
-		return err
-	}
-	if err := anomaly.WriteFusedTraceEvents(g, tr, mon.Incidents()); err != nil {
-		g.Close()
-		return err
-	}
-	if err := g.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote fused trace: %d spans + %d incident annotations to %s — open at https://ui.perfetto.dev\n",
-		tr.SpanCount(), mon.NumIncidents(), tracePath)
-	return nil
-}
-
-// runStats runs one instrumented cell, streaming a top-like view per
-// harvest window, then prints the ranked bottleneck report and writes
-// the per-window series in the requested format.
-func runStats(opt harness.Options, experiment string, scenario, demandCase int, window units.Time, format string, top int, path string) error {
-	switch format {
-	case "json", "openmetrics", "csv":
-	default:
-		return fmt.Errorf("unknown format %q; choose json, openmetrics or csv", format)
-	}
-	reg := metrics.New(metrics.Config{Window: window})
-	if top > 0 {
-		reg.OnHarvest(func() {
-			fmt.Println(metrics.RenderWindow(reg, reg.Total()-1, top))
-		})
-	}
-	switch experiment {
-	case "fig4":
-		res, err := harness.Figure4StatsCell(opt, scenario, demandCase, reg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderFigure4([]harness.Fig4Result{res}))
-	case "fig5":
-		res, err := harness.Figure5StatsRun(opt, scenario, reg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderFigure5([]*harness.Fig5Result{res}))
-	default:
-		return fmt.Errorf("unknown experiment %q; choose fig4 or fig5", experiment)
-	}
-	fmt.Println(metrics.FamilySummary(reg))
-	fmt.Println(metrics.BottleneckReport(reg, 3))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	switch format {
-	case "json":
-		err = reg.Dump().WriteJSON(f)
-	case "openmetrics":
-		err = metrics.WriteOpenMetrics(f, reg)
-	case "csv":
-		err = metrics.WriteCSV(f, reg)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d windows x %d instruments to %s (%s)\n",
-		reg.Total(), reg.NumInstruments(), path, format)
-	return nil
+	return f.Close()
 }
 
 func runTable1(harness.Options) error {

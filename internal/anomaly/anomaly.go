@@ -121,40 +121,39 @@ const (
 // (trace.SpansInWindow).
 type Incident struct {
 	// ID numbers incidents in onset order, from 0, per monitor.
-	ID int `json:"id"`
+	ID int
 	// Resource, Metric and Family identify the instrument (e.g.
 	// "umc0/rd" + "wait_ps", family "memsys").
-	Resource string `json:"resource"`
-	Metric   string `json:"metric"`
-	Family   string `json:"family"`
+	Resource string
+	Metric   string
+	Family   string
 	// Detector is which test fired at onset: "ewma", "ph" or "ewma+ph".
-	Detector string `json:"detector"`
+	Detector string
 	// OnsetWindow is the window index where the anomaly was detected;
 	// OnsetStart/OnsetEnd are that window's bounds.
-	OnsetWindow int        `json:"onset_window"`
-	OnsetStart  units.Time `json:"onset_start_ps"`
-	OnsetEnd    units.Time `json:"onset_end_ps"`
+	OnsetWindow int
+	OnsetStart  units.Time
+	OnsetEnd    units.Time
 	// ClearWindow is the window index where the incident cleared (the
 	// last of Clear consecutive calm windows), -1 while open. ClearEnd
 	// is that window's end stamp.
-	ClearWindow int        `json:"clear_window"`
-	ClearEnd    units.Time `json:"clear_end_ps,omitempty"`
+	ClearWindow int
+	ClearEnd    units.Time
 	// Baseline is the frozen EWMA mean at onset; Severity the peak
 	// normalized rate observed while open. Both are in normalized-rate
 	// units (average concurrent waiters, for MetricWait).
-	Baseline float64 `json:"baseline"`
-	Severity float64 `json:"severity"`
+	Baseline float64
+	Severity float64
 	// PeakWindow and PeakPS stamp *when* Severity last peaked: the window
 	// index and that window's end stamp. Severity updates arrive
-	// mid-incident as each window is harvested; without the stamp the
-	// timing of the worst window would be dropped by any round trip that
-	// keeps only the magnitude.
-	PeakWindow int        `json:"peak_window"`
-	PeakPS     units.Time `json:"peak_ps"`
+	// mid-incident as each window is harvested; the stamp keeps the
+	// timing of the worst window, not just its magnitude.
+	PeakWindow int
+	PeakPS     units.Time
 	// Bottlenecks is the attributor's ranking for the onset window — the
 	// incident arrives naming where the congestion lives, not just which
 	// instrument tripped.
-	Bottlenecks []metrics.Bottleneck `json:"bottlenecks,omitempty"`
+	Bottlenecks []metrics.Bottleneck
 }
 
 // Open reports whether the incident has not yet cleared.

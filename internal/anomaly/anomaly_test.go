@@ -1,7 +1,6 @@
 package anomaly_test
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -233,35 +232,6 @@ func TestSteadyCongestionFiresAtFirstWindow(t *testing.T) {
 	incs := mon.Incidents()
 	if len(incs) != 1 || incs[0].OnsetWindow != 0 {
 		t.Fatalf("incidents = %+v, want one with onset window 0", incs)
-	}
-}
-
-func TestIncidentJSONRoundTrip(t *testing.T) {
-	f, mon := monitored(anomaly.Config{})
-	f.play(0.01, 5.0, 5.5, 0.01, 0.02)
-	f.reg.Stop()
-	incs := mon.Incidents()
-	if len(incs) != 1 {
-		t.Fatalf("want 1 incident, got %d", len(incs))
-	}
-	var buf bytes.Buffer
-	if err := anomaly.WriteJSON(&buf, incs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := anomaly.ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(incs, back) {
-		t.Fatalf("incidents did not round trip:\n%+v\nvs\n%+v", incs, back)
-	}
-	// Empty list writes a valid array, not null.
-	buf.Reset()
-	if err := anomaly.WriteJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Fatalf("empty incident feed = %q, want []", buf.String())
 	}
 }
 

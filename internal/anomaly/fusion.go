@@ -61,7 +61,7 @@ func Annotations(incs []Incident, timelineEnd units.Time) []trace.Annotation {
 // args). Open at https://ui.perfetto.dev — the incident intervals sit
 // over the spans of the transactions that crossed the congested
 // resource. The tracer and the incidents' registry must share one engine
-// clock (harness.Figure4FusedCell wires exactly that).
+// clock (harness.RunCell with both Observers wires exactly that).
 func WriteFusedTraceEvents(w io.Writer, tr *trace.Tracer, incs []Incident) error {
 	var end units.Time
 	if _, last, ok := tr.TimeRange(); ok {

@@ -1,12 +1,9 @@
-// Incident rendering and interchange: the one-line live form the
-// examples print at onset/clear, the incident table, and the JSON feed
-// (round-trippable, so cmd/chiplettrace -incidents can re-read it).
+// Incident rendering: the one-line live form the examples print at
+// onset/clear, and the incident table.
 package anomaly
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"text/tabwriter"
 )
@@ -57,24 +54,4 @@ func Report(incidents []Incident) string {
 	}
 	tw.Flush()
 	return b.String()
-}
-
-// WriteJSON writes incidents as an indented JSON array — the incidents
-// feed's wire form.
-func WriteJSON(w io.Writer, incidents []Incident) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if incidents == nil {
-		incidents = []Incident{}
-	}
-	return enc.Encode(incidents)
-}
-
-// ReadJSON loads an incident list written by WriteJSON.
-func ReadJSON(r io.Reader) ([]Incident, error) {
-	var out []Incident
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("anomaly: decoding incidents: %w", err)
-	}
-	return out, nil
 }

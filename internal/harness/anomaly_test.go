@@ -12,29 +12,6 @@ import (
 	"repro/internal/units"
 )
 
-// TestFigure4MonitoredCellMatchesPlain is the detector determinism
-// guard: the monitor only reads the registry's windows, so a monitored
-// cell must produce byte-identical bandwidth results to the plain one.
-func TestFigure4MonitoredCellMatchesPlain(t *testing.T) {
-	opt := quick()
-	want, err := figure4Cell(Figure4Scenarios()[1], Fig4Cases()[2], opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	mon := anomaly.Attach(reg, anomaly.Config{})
-	got, err := Figure4StatsCell(opt, 1, 2, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("detectors changed the result:\nplain     %+v\nmonitored %+v", want, got)
-	}
-	if mon.NumWatched() == 0 {
-		t.Fatal("monitor watched no instruments")
-	}
-}
-
 // TestFigure4MonitoredCellNamesSharedUMC: in the UMC/GMI scenario with
 // equal over-subscribing demands, congestion on the shared memory
 // channel is steady by the time the registry starts (after convergence),
@@ -44,10 +21,7 @@ func TestFigure4MonitoredCellMatchesPlain(t *testing.T) {
 func TestFigure4MonitoredCellNamesSharedUMC(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
 	mon := anomaly.Attach(reg, anomaly.Config{})
-	_, err := Figure4StatsCell(quick(), 1, 2, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustRunCell(t, quick(), "fig4:1:2", Observers{Registry: reg})
 	incs := mon.Incidents()
 	if len(incs) == 0 {
 		t.Fatal("over-subscribed shared-UMC cell raised no incidents")
@@ -72,27 +46,14 @@ func TestFigure4MonitoredCellNamesSharedUMC(t *testing.T) {
 	if len(umc.Bottlenecks) == 0 || !strings.HasPrefix(umc.Bottlenecks[0].Resource, "umc0") {
 		t.Errorf("incident's linked ranking = %+v, want umc0/* first", umc.Bottlenecks)
 	}
-}
-
-// TestFigure5MonitoredRunMatchesPlain: same invisibility contract for
-// the Figure 5 schedule.
-func TestFigure5MonitoredRunMatchesPlain(t *testing.T) {
-	opt := quick()
-	want, err := figure5Run(Figure5Scenarios()[0], opt, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Severity refreshes arrive mid-incident as each window is harvested:
+	// the peak stamps must point inside the run, at the end of the window
+	// whose sample set Severity.
+	if umc.PeakPS == 0 || umc.PeakWindow < umc.OnsetWindow {
+		t.Fatalf("peak stamps missing: window %d at %v", umc.PeakWindow, umc.PeakPS)
 	}
-	reg := metrics.New(metrics.Config{})
-	mon := anomaly.Attach(reg, anomaly.Config{})
-	got, err := Figure5StatsRun(opt, 0, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("detectors changed the Figure 5 result")
-	}
-	if mon.NumWatched() == 0 {
-		t.Fatal("monitor watched no instruments")
+	if umc.PeakPS != reg.WindowEnd(umc.PeakWindow) {
+		t.Errorf("PeakPS = %v, want window %d's end %v", umc.PeakPS, umc.PeakWindow, reg.WindowEnd(umc.PeakWindow))
 	}
 }
 
@@ -105,10 +66,8 @@ func TestFigure5MonitoredRunMatchesPlain(t *testing.T) {
 func TestFigure4FusedCellWindowVerdict(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
 	mon := anomaly.Attach(reg, anomaly.Config{})
-	_, tr, err := Figure4FusedCell(quick(), 1, 2, 0, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := trace.New(trace.Config{})
+	mustRunCell(t, quick(), "fig4:1:2", Observers{Tracer: tr, Registry: reg})
 	incs := mon.Incidents()
 	var umc *anomaly.Incident
 	for i := range incs {
@@ -166,51 +125,6 @@ func TestFigure4FusedCellWindowVerdict(t *testing.T) {
 	}
 }
 
-// TestFig4IncidentJSONRoundTrip is the persistence golden test for the
-// shared-UMC incident: severity refreshes arrive mid-incident as each
-// window is harvested, and the incident JSON feed (anomaly.WriteJSON /
-// ReadJSON) must reproduce the incident bit-exactly, peak-timing stamps
-// included.
-func TestFig4IncidentJSONRoundTrip(t *testing.T) {
-	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	mon := anomaly.Attach(reg, anomaly.Config{})
-	_, err := Figure4StatsCell(quick(), 1, 2, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mon.Incidents()
-	var umc *anomaly.Incident
-	for i := range want {
-		if want[i].Resource == "umc0/rd" {
-			umc = &want[i]
-			break
-		}
-	}
-	if umc == nil {
-		t.Fatalf("no umc0/rd incident: %v", anomaly.Report(want))
-	}
-	// The incident carries mid-window severity state: the peak stamps must
-	// point inside the run, at the window whose sample equals Severity.
-	if umc.PeakPS == 0 || umc.PeakWindow < umc.OnsetWindow {
-		t.Fatalf("peak stamps missing: window %d at %v", umc.PeakWindow, umc.PeakPS)
-	}
-	if umc.PeakPS != reg.WindowEnd(umc.PeakWindow) {
-		t.Errorf("PeakPS = %v, want window %d's end %v", umc.PeakPS, umc.PeakWindow, reg.WindowEnd(umc.PeakWindow))
-	}
-
-	var buf bytes.Buffer
-	if err := anomaly.WriteJSON(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := anomaly.ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("feed round trip diverged:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
 // TestFusedTraceFileAcceptance is the tentpole's end-to-end check: one
 // Chrome-trace file holding both the span timeline and the incident
 // annotation track, where the umc0/rd onset marker lands inside the
@@ -218,10 +132,8 @@ func TestFig4IncidentJSONRoundTrip(t *testing.T) {
 func TestFusedTraceFileAcceptance(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
 	mon := anomaly.Attach(reg, anomaly.Config{})
-	_, tr, err := Figure4FusedCell(quick(), 1, 2, 0, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := trace.New(trace.Config{})
+	mustRunCell(t, quick(), "fig4:1:2", Observers{Tracer: tr, Registry: reg})
 	var umc *anomaly.Incident
 	for _, in := range mon.Incidents() {
 		if in.Resource == "umc0/rd" {

@@ -3,9 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/txn"
 	"repro/internal/units"
@@ -127,40 +125,12 @@ func Figure4Scenarios() []Fig4Scenario {
 	}
 }
 
-// figure4Cell runs one (scenario, demand case) cell on a private engine.
-func figure4Cell(sc Fig4Scenario, c Fig4Case, opt Options) (Fig4Result, error) {
-	return figure4CellObserved(sc, c, opt, nil, nil)
-}
-
-// figure4CellObserved is figure4Cell with optional observers: a flight
-// recorder and/or a windowed-metrics registry, attached before any
-// traffic runs and active for exactly the steady-state measurement
-// window, so spans and harvest windows describe the same interval the
-// bandwidth numbers are measured over. The results are identical with
-// any combination attached — observability observes, never steers.
-func figure4CellObserved(sc Fig4Scenario, c Fig4Case, opt Options, tr *trace.Tracer, reg *metrics.Registry) (Fig4Result, error) {
-	res, _, err := figure4CellCounted(sc, c, opt, tr, reg)
-	return res, err
-}
-
-// CellPerf is a cell's execution-cost readout: how many simulation
-// events it ran and how many express-path fusion elided.
-type CellPerf struct {
-	Events uint64 // calendar events dispatched
-	Fused  uint64 // events elided by express-path fusion
-}
-
-// figure4CellCounted additionally reports the cell's execution-cost
-// readout (warmup included).
-func figure4CellCounted(sc Fig4Scenario, c Fig4Case, opt Options, tr *trace.Tracer, reg *metrics.Registry) (Fig4Result, CellPerf, error) {
+// figure4Cell runs one (scenario, demand case) cell on a private engine,
+// with obs recording the steady-state measurement window.
+func figure4Cell(sc Fig4Scenario, c Fig4Case, opt Options, obs Observers) (Fig4Result, CellPerf, error) {
 	p := sc.Profile()
 	net := opt.newNet(p)
-	if tr != nil {
-		net.AttachTracer(tr)
-	}
-	if reg != nil {
-		net.AttachMetrics(reg)
-	}
+	obs.attach(net)
 	cfgA, cfgB := sc.FlowA(p), sc.FlowB(p)
 	cfgA.Demand = units.Bandwidth(float64(sc.Capacity) * c.FracA)
 	cfgB.Demand = units.Bandwidth(float64(sc.Capacity) * c.FracB)
@@ -180,19 +150,7 @@ func figure4CellCounted(sc Fig4Scenario, c Fig4Case, opt Options, tr *trace.Trac
 	eng.RunFor(sc.Converge)
 	fa.ResetStats()
 	fb.ResetStats()
-	if tr != nil {
-		tr.Enable()
-	}
-	if reg != nil {
-		reg.Start(eng)
-	}
-	eng.RunFor(opt.scale(600 * units.Microsecond))
-	if reg != nil {
-		reg.Stop()
-	}
-	if tr != nil {
-		tr.Disable()
-	}
+	obs.measure(eng, func() { eng.RunFor(opt.scale(600 * units.Microsecond)) })
 	perf := CellPerf{Events: net.EventsExecuted(), Fused: net.EventsFused()}
 	return Fig4Result{
 		Profile: p.Name, Link: sc.Link, Case: c.Name,
@@ -202,18 +160,12 @@ func figure4CellCounted(sc Fig4Scenario, c Fig4Case, opt Options, tr *trace.Trac
 	}, perf, nil
 }
 
-// Figure4CellThroughput runs one (scenario, case) cell at full length and
-// reports its result plus the execution-cost readout — the cell-level
-// throughput probe.
-func Figure4CellThroughput(sc Fig4Scenario, c Fig4Case, opt Options) (Fig4Result, CellPerf, error) {
-	return figure4CellCounted(sc, c, opt, nil, nil)
-}
-
 // Figure4Run evaluates one scenario across the four demand cases.
 func Figure4Run(sc Fig4Scenario, opt Options) ([]Fig4Result, error) {
 	cases := Fig4Cases()
 	return runCells(opt, len(cases), func(i int) (Fig4Result, error) {
-		return figure4Cell(sc, cases[i], opt)
+		res, _, err := figure4Cell(sc, cases[i], opt, Observers{})
+		return res, err
 	})
 }
 
@@ -223,7 +175,8 @@ func Figure4(opt Options) ([]Fig4Result, error) {
 	scs := Figure4Scenarios()
 	cases := Fig4Cases()
 	return runCells(opt, len(scs)*len(cases), func(i int) (Fig4Result, error) {
-		return figure4Cell(scs[i/len(cases)], cases[i%len(cases)], opt)
+		res, _, err := figure4Cell(scs[i/len(cases)], cases[i%len(cases)], opt, Observers{})
+		return res, err
 	})
 }
 

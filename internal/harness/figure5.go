@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
 	"repro/internal/units"
@@ -66,20 +65,18 @@ func Figure5Scenarios() []Fig5Scenario {
 // by 2.0 GB/s". The controllers are warmed to their equal-share
 // equilibrium before the trace starts.
 func Figure5Run(sc Fig5Scenario, opt Options) (*Fig5Result, error) {
-	return figure5Run(sc, opt, nil)
+	res, _, err := figure5Cell(sc, opt, Observers{})
+	return res, err
 }
 
-// figure5Run is Figure5Run with an optional windowed-metrics registry:
-// when reg is non-nil it is attached before any traffic runs and
-// harvests over exactly the six-virtual-second trace (warmup excluded),
-// so the harvest windows line up with the Figure 5 bandwidth series.
-func figure5Run(sc Fig5Scenario, opt Options, reg *metrics.Registry) (*Fig5Result, error) {
+// figure5Cell is Figure5Run with obs recording the six-virtual-second
+// trace (warmup excluded), so harvest windows line up with the Figure 5
+// bandwidth series, plus the cell's execution-cost readout.
+func figure5Cell(sc Fig5Scenario, opt Options, obs Observers) (*Fig5Result, CellPerf, error) {
 	p := sc.Fig4.Profile()
 	net := opt.newNet(p)
 	eng := net.Engine()
-	if reg != nil {
-		net.AttachMetrics(reg)
-	}
+	obs.attach(net)
 	demand := units.Bandwidth(float64(sc.Fig4.Capacity) * sc.Demand)
 	throttled := sc.Fig4.Capacity/2 - sc.Throttle
 
@@ -87,44 +84,39 @@ func figure5Run(sc Fig5Scenario, opt Options, reg *metrics.Registry) (*Fig5Resul
 	cfg0.Demand, cfg1.Demand = demand, demand
 	f0, err := traffic.NewFlow(net, cfg0)
 	if err != nil {
-		return nil, err
+		return nil, CellPerf{}, err
 	}
 	f1, err := traffic.NewFlow(net, cfg1)
 	if err != nil {
-		return nil, err
+		return nil, CellPerf{}, err
 	}
 	f0.Start()
 	f1.Start()
 	eng.RunFor(sc.Fig4.Converge) // reach the equal-share equilibrium
 
 	t0 := eng.Now()
-	if reg != nil {
-		reg.Start(eng)
-	}
 	interval := 25 * units.Microsecond
 	s0 := telemetry.NewTimeSeries(interval)
 	s1 := telemetry.NewTimeSeries(interval)
-	f0.AttachSeries(s0)
-	f1.AttachSeries(s1)
-
-	// Demand schedule, in virtual seconds from t0.
-	schedule := []struct {
-		at units.Time
-		bw units.Bandwidth
-	}{
-		{2 * fig5VirtualSecond, throttled},
-		{3 * fig5VirtualSecond, demand},
-		{4 * fig5VirtualSecond, throttled},
-		{5 * fig5VirtualSecond, demand},
-	}
-	for _, s := range schedule {
-		s := s
-		eng.At(t0+s.at, func() { f0.SetDemand(s.bw) })
-	}
-	eng.RunUntil(t0 + 6*fig5VirtualSecond)
-	if reg != nil {
-		reg.Stop()
-	}
+	obs.measure(eng, func() {
+		f0.AttachSeries(s0)
+		f1.AttachSeries(s1)
+		// Demand schedule, in virtual seconds from t0.
+		schedule := []struct {
+			at units.Time
+			bw units.Bandwidth
+		}{
+			{2 * fig5VirtualSecond, throttled},
+			{3 * fig5VirtualSecond, demand},
+			{4 * fig5VirtualSecond, throttled},
+			{5 * fig5VirtualSecond, demand},
+		}
+		for _, s := range schedule {
+			s := s
+			eng.At(t0+s.at, func() { f0.SetDemand(s.bw) })
+		}
+		eng.RunUntil(t0 + 6*fig5VirtualSecond)
+	})
 
 	res := &Fig5Result{
 		Profile: p.Name, Link: sc.Fig4.Link, Interval: interval,
@@ -142,7 +134,7 @@ func figure5Run(sc Fig5Scenario, opt Options, reg *metrics.Registry) (*Fig5Resul
 			break
 		}
 	}
-	return res, nil
+	return res, CellPerf{Events: net.EventsExecuted(), Fused: net.EventsFused()}, nil
 }
 
 // shiftPoints rebases recorded points to the trace origin, dropping the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -18,7 +19,7 @@ func fusionCell(t *testing.T, noFusion bool, scIdx, caseIdx int, seed uint64) (s
 	opt := Options{Seed: seed, TimeScale: 4, NoFusion: noFusion}
 	reg := metrics.New(metrics.Config{Window: 100 * units.Microsecond})
 	sc := Figure4Scenarios()[scIdx]
-	res, perf, err := figure4CellCounted(sc, Fig4Cases()[caseIdx], opt, nil, reg)
+	res, perf, err := figure4Cell(sc, Fig4Cases()[caseIdx], opt, Observers{Registry: reg})
 	if err != nil {
 		t.Fatalf("noFusion=%v scenario=%d: %v", noFusion, scIdx, err)
 	}
@@ -100,7 +101,8 @@ func TestFusionInvisibleSpans(t *testing.T) {
 	}
 	traceBytes := func(noFusion bool, scIdx, caseIdx int) ([]byte, string) {
 		opt := Options{Seed: 42, TimeScale: 4, NoFusion: noFusion}
-		res, tr, err := Figure4TraceCell(opt, scIdx, caseIdx, 1<<16)
+		tr := trace.New(trace.Config{SpanCap: 1 << 16})
+		res, _, err := figure4Cell(Figure4Scenarios()[scIdx], Fig4Cases()[caseIdx], opt, Observers{Tracer: tr})
 		if err != nil {
 			t.Fatalf("noFusion=%v: %v", noFusion, err)
 		}
@@ -182,7 +184,7 @@ func TestFusionEffectivenessGate(t *testing.T) {
 	c := Fig4Cases()[2]
 	run := func(noFusion bool) CellPerf {
 		opt := Options{Seed: 42, TimeScale: 1, NoFusion: noFusion}
-		_, perf, err := Figure4CellThroughput(sc, c, opt)
+		_, perf, err := figure4Cell(sc, c, opt, Observers{})
 		if err != nil {
 			t.Fatalf("noFusion=%v: %v", noFusion, err)
 		}

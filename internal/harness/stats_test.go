@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -10,38 +9,13 @@ import (
 	"repro/internal/units"
 )
 
-// TestFigure4StatsCellMatchesPlain is the metrics determinism guard: the
-// harvest tick reads counters but never touches the RNG or any component
-// state, so an instrumented cell must produce byte-identical bandwidth
-// results to the plain one.
-func TestFigure4StatsCellMatchesPlain(t *testing.T) {
-	opt := quick()
-	want, err := figure4Cell(Figure4Scenarios()[1], Fig4Cases()[2], opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	got, err := Figure4StatsCell(opt, 1, 2, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("metrics changed the result:\nplain %+v\nstats %+v", want, got)
-	}
-	if reg.Total() == 0 {
-		t.Fatal("registry harvested no windows")
-	}
-}
-
 // TestFigure4StatsBottleneckNamesSharedUMC: in the UMC/GMI scenario with
 // equal over-subscribing demands, the shared memory channel is where the
 // paper says the congestion lives — the attributor must rank it first in
 // every harvested window.
 func TestFigure4StatsBottleneckNamesSharedUMC(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	if _, err := Figure4StatsCell(quick(), 1, 2, reg); err != nil {
-		t.Fatal(err)
-	}
+	mustRunCell(t, quick(), "fig4:1:2", Observers{Registry: reg})
 	if reg.Total() == 0 {
 		t.Fatal("no windows harvested")
 	}
@@ -62,9 +36,7 @@ func TestFigure4StatsBottleneckNamesSharedUMC(t *testing.T) {
 // the three export formats must carry them.
 func TestStatsFamiliesInAllFormats(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
-	if _, err := Figure4StatsCell(quick(), 1, 2, reg); err != nil {
-		t.Fatal(err)
-	}
+	mustRunCell(t, quick(), "fig4:1:2", Observers{Registry: reg})
 	families := map[string]bool{}
 	for i := 0; i < reg.NumInstruments(); i++ {
 		families[reg.Desc(i).Family] = true
@@ -95,49 +67,5 @@ func TestStatsFamiliesInAllFormats(t *testing.T) {
 		if !strings.Contains(csvBuf.String(), ","+fam+",") {
 			t.Errorf("CSV export missing family %q", fam)
 		}
-	}
-}
-
-// TestFigure5StatsRunMatchesPlain: the Figure 5 trace with a registry
-// attached must reproduce the plain trace exactly and harvest one window
-// per simulated 100 us over the six-virtual-second schedule.
-func TestFigure5StatsRunMatchesPlain(t *testing.T) {
-	opt := quick()
-	sc := 0 // 9634 IF panel
-	want, err := Figure5Run(Figure5Scenarios()[sc], opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.New(metrics.Config{})
-	got, err := Figure5StatsRun(opt, sc, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("metrics changed the Figure 5 trace")
-	}
-	// Six virtual seconds at one window per 100 us.
-	if reg.Total() != 60 {
-		t.Errorf("harvested %d windows, want 60", reg.Total())
-	}
-}
-
-// TestStatsCellValidation covers the index and nil-registry guards.
-func TestStatsCellValidation(t *testing.T) {
-	reg := metrics.New(metrics.Config{})
-	if _, err := Figure4StatsCell(quick(), 99, 0, reg); err == nil {
-		t.Error("scenario out of range accepted")
-	}
-	if _, err := Figure4StatsCell(quick(), 0, 99, reg); err == nil {
-		t.Error("case out of range accepted")
-	}
-	if _, err := Figure4StatsCell(quick(), 0, 0, nil); err == nil {
-		t.Error("nil registry accepted")
-	}
-	if _, err := Figure5StatsRun(quick(), 99, reg); err == nil {
-		t.Error("fig5 scenario out of range accepted")
-	}
-	if _, err := Figure5StatsRun(quick(), 0, nil); err == nil {
-		t.Error("fig5 nil registry accepted")
 	}
 }

@@ -32,6 +32,10 @@ func TestDepartureRingBounded(t *testing.T) {
 	for ch.Messages() < messages/2 {
 		eng.Step()
 	}
+	// TotalAlloc is process-wide. Hold one P for the measured stretch, as
+	// testing.AllocsPerRun does, so the scheduler cannot start (and
+	// heap-allocate) a new M while it runs.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for ch.Messages() < messages {

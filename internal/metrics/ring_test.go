@@ -69,6 +69,10 @@ func TestHarvestRingBounded(t *testing.T) {
 			capWindows, r.Total(), r.DroppedWindows(), len(r.starts))
 	}
 	check()
+	// TotalAlloc is process-wide. Hold one P for the measured stretch, as
+	// testing.AllocsPerRun does, so the scheduler cannot start (and
+	// heap-allocate) a new M while it runs.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	eng.RunFor(capWindows * window)

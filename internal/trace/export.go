@@ -182,8 +182,7 @@ type Loaded struct {
 }
 
 // WriteTraceEvents re-exports the loaded trace (with its annotations),
-// so offline tools can rewrite a trace file — chiplettrace -incidents
-// fuses a saved incident feed into a recorded trace this way.
+// so offline tools can rewrite a trace file.
 func (l *Loaded) WriteTraceEvents(w io.Writer) error {
 	return writeTraceEvents(w, l.Hops, func(fn func(Span)) {
 		for _, s := range l.Spans {
