@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"testing"
 
 	"repro/internal/units"
@@ -11,13 +12,18 @@ import (
 // and RunUntil/Step/Run drives, runs it on an Engine and on a reference
 // calendar (a container/heap keyed on (time, seq)), and checks that both
 // dispatch the same events in the same order at the same times, with
-// equal Executed, Now, Pending and NextAt after every drive. Scheduled
-// events may schedule further events from their callbacks. Stamps are
-// drawn to collide exactly (same stamp, FIFO by scheduling order), to
-// straddle the wheel horizon and to land far beyond it (the overflow
-// heap and jump). The seed corpus in testdata/fuzz/FuzzCalendar covers
-// same-stamp FIFO across the horizon, a wheel rollover and a rewind of
-// the occupancy-scan hint.
+// equal Executed, Now, Pending and NextAt after every drive, and that the
+// calendar's own invariants hold after every op (see checkWheel).
+// Scheduled events may schedule further events from their callbacks.
+// Stamps are drawn to collide exactly (same stamp, FIFO by scheduling
+// order), to arrive out of order within one 64 ps slot (the aside heap),
+// to straddle the sliding horizon measured from now's tick and to land
+// far beyond it (the aside heap again). The seed corpus in
+// testdata/fuzz/FuzzCalendar covers same-stamp FIFO across the horizon,
+// a stamp exactly one horizon ahead of now's tick, list and aside
+// entries interleaving at one stamp, a minimum-slot rescan that wraps
+// the bitmap, the aside heap holding the minimum while the wheel is
+// non-empty, and node reuse.
 //
 // Encoding: 8 bytes of four big-endian uint16 anchors (x 320 ps), then
 // ops. An op byte selects, mod 8: 0-2 schedule a node, 3 Step, 4
@@ -71,6 +77,7 @@ func runCalProgram(t testing.TB, data []byte) {
 			ref.runUntil(noEvent, p.anchors)
 		}
 		checked = checkCalendar(t, i, e, ref, got, checked)
+		checkWheel(t, i, e)
 	}
 	e.Run()
 	ref.runUntil(noEvent, p.anchors)
@@ -106,6 +113,60 @@ func checkCalendar(t testing.TB, i int, e *Engine, ref *refCalendar, got []calFi
 	return len(got)
 }
 
+// checkWheel verifies the calendar's structure after op i: every occupied
+// slot holds a list of events of its own tick inside the sliding horizon,
+// in (time, seq) order; the lists and the aside heap together hold
+// Pending() events; every pool node is either listed or free; the aside
+// heap is heap-ordered; and minTick is the earliest occupied tick.
+func checkWheel(t testing.TB, i int, e *Engine) {
+	t.Helper()
+	nowTick := int64(e.now) >> tickShift
+	wheel, minTick := 0, int64(math.MaxInt64)
+	for idx := int64(0); idx < wheelSlots; idx++ {
+		if e.occ[idx>>6]>>uint(idx&63)&1 == 0 {
+			continue
+		}
+		s := e.slots[idx]
+		var prev *event
+		for n := s.head; ; n = e.nodes[n].next {
+			ev := &e.nodes[n].event
+			tick := int64(ev.at) >> tickShift
+			if tick&slotMask != idx || tick < nowTick || tick >= nowTick+wheelSlots {
+				t.Fatalf("op %d: slot %d holds tick %d, now's tick %d", i, idx, tick, nowTick)
+			}
+			if prev != nil && !prev.before(*ev) {
+				t.Fatalf("op %d: slot %d lists %v/%d after %v/%d", i, idx, ev.at, ev.seq, prev.at, prev.seq)
+			}
+			if tick < minTick {
+				minTick = tick
+			}
+			if wheel++; wheel > len(e.nodes) {
+				t.Fatalf("op %d: slot %d's list does not end at its tail", i, idx)
+			}
+			prev = ev
+			if n == s.tail {
+				break
+			}
+		}
+	}
+	free := 0
+	for n := e.free; n >= 0 && free <= len(e.nodes); n = e.nodes[n].next {
+		free++
+	}
+	if wheel != e.wheelLen || e.Pending() != wheel+len(e.aside) || wheel+free != len(e.nodes) {
+		t.Fatalf("op %d: %d listed (wheelLen %d), %d aside, %d free of %d nodes, Pending %d",
+			i, wheel, e.wheelLen, len(e.aside), free, len(e.nodes), e.Pending())
+	}
+	for k := 1; k < len(e.aside); k++ {
+		if e.aside[k].before(e.aside[(k-1)/2]) {
+			t.Fatalf("op %d: aside heap out of order at %d", i, k)
+		}
+	}
+	if wheel > 0 && e.minTick != minTick {
+		t.Fatalf("op %d: minTick %d, earliest occupied tick %d", i, e.minTick, minTick)
+	}
+}
+
 // calFired records one dispatch: which node ran, and at what time.
 type calFired struct {
 	id int
@@ -132,10 +193,11 @@ func (n *calNode) stamp(now units.Time, anchors [4]units.Time) units.Time {
 	case 1: // within a tick or two
 		return now + units.Time(n.a)
 	case 2: // inside the wheel
-		return now + ab*16
-	case 3: // straddling the wheel horizon
-		return now + wheelSpan - 512 + ab%1024
-	case 4: // beyond the horizon: the overflow heap, then a jump
+		return now + ab*4
+	case 3: // straddling the horizon, which starts at now's tick
+		horizon := units.Time((int64(now)>>tickShift + wheelSlots) << tickShift)
+		return horizon - 512 + ab%1024
+	case 4: // far beyond the horizon: the aside heap
 		return now + units.Time(1+n.a%16)*wheelSpan + units.Time(n.b)*1000
 	default: // a shared anchor: exact collisions between schedulers
 		if at := anchors[n.a%4]; at > now {

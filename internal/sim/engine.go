@@ -10,13 +10,18 @@
 // Engine and run concurrently (see internal/harness), which preserves the
 // per-engine determinism contract.
 //
-// The calendar is a hierarchical timing wheel: a ring of wheelSlots
-// buckets, each covering 1<<tickShift picoseconds of the near future, backed
-// by an overflow heap for events beyond the wheel horizon. Channel
-// serialization schedules almost every event within nanoseconds of now, so
-// the common case is an O(1) bucket append and a pop from a bucket holding
-// a handful of entries. Buckets and the overflow heap reuse their backing
-// arrays across events, so steady-state scheduling does not allocate.
+// The calendar is a sliding timing wheel plus one aside heap. The wheel is
+// a ring of wheelSlots slots, each covering 1<<tickShift picoseconds,
+// whose horizon is measured from now's tick: every wheel event's tick lies
+// in [now>>tickShift, now>>tickShift+wheelSlots), so two live ticks never
+// share a slot and the window never has to be rebased. A slot is a FIFO
+// list of pooled nodes that only accepts in-order appends; the aside heap,
+// a (time, seq) binary heap, takes every other event — stamps beyond the
+// horizon and stamps earlier than their slot's tail. Channel serialization
+// schedules almost every event within nanoseconds of now, in order, so the
+// common case is an O(1) append and an O(1) pop, and the earliest tick is
+// cached rather than searched for. Nodes and the heap reuse their storage
+// across events, so steady-state scheduling does not allocate.
 package sim
 
 import (
@@ -29,14 +34,15 @@ import (
 
 const (
 	// tickShift sets the wheel granularity: one slot spans 1<<tickShift
-	// picoseconds (256 ps). Fine enough that a slot rarely holds more than
-	// a few events, coarse enough that the wheel horizon covers the
-	// serialization and propagation delays that dominate scheduling.
-	tickShift = 8
-	// wheelSlots is the number of wheel buckets; with tickShift=8 the
-	// horizon is wheelSlots<<tickShift ≈ 1.05 us of simulated time.
-	// Must be a power of two (slot index is tick&slotMask) and a multiple
-	// of 64 (occupancy bitmap words).
+	// picoseconds (64 ps). Fine enough that events scheduled from one
+	// callback mostly land in distinct or in-order slots, so a slot list
+	// rarely sees an out-of-order arrival.
+	tickShift = 6
+	// wheelSlots is the number of wheel slots; with tickShift=6 the
+	// horizon is wheelSlots<<tickShift ≈ 262 ns of simulated time, past
+	// almost every serialization, hop and pacing delay. Must be a power of
+	// two (slot index is tick&slotMask) and a multiple of 64 (occupancy
+	// bitmap words).
 	wheelSlots = 4096
 	slotMask   = wheelSlots - 1
 	wheelSpan  = units.Time(wheelSlots << tickShift)
@@ -48,7 +54,6 @@ type Engine struct {
 	now      units.Time
 	seq      uint64
 	rng      *RNG
-	pending  int
 	executed uint64
 	fused    uint64
 
@@ -67,25 +72,23 @@ type Engine struct {
 	// may have been applied early.
 	limit units.Time
 
-	// baseTick is the first slot tick covered by the current wheel window
-	// [baseTick, baseTick+wheelSlots). It only moves forward, and only
-	// when the wheel is empty (see jump), so a slot index never aliases
-	// two live ticks.
-	baseTick int64
-	// scanHint is a tick below which no wheel slot is occupied — a
-	// monotone lower bound that lets the occupancy scan resume where the
-	// previous one left off instead of re-walking the bitmap from now's
-	// tick. Pushes below it lower it; finds advance it.
-	scanHint   int64
-	wheelCount int       // events currently in wheel slots
-	slots      [][]event // wheelSlots rings of per-slot min-heaps
-	occ        []uint64  // occupancy bitmap, one bit per slot
-	overflow   []event   // min-heap of events at/after baseTick+wheelSlots
-	// spare is the free list of slot backing arrays. A draining slot
-	// donates its array here and the next slot the window enters reuses
-	// it, so a sliding burst of events does not grow a fresh array for
-	// every slot it touches.
-	spare [][]event
+	// minTick is the earliest occupied slot's tick, exact whenever
+	// wheelLen > 0. An append to an empty slot lowers it; it is rescanned
+	// only when its slot drains.
+	minTick  int64
+	wheelLen int // events in slot lists
+	// slots holds one FIFO list per tick of the sliding horizon; a slot's
+	// entry is meaningful only while its occ bit is set.
+	slots *[wheelSlots]slot
+	occ   [wheelSlots / 64]uint64 // occupancy bitmap, one bit per slot
+	// nodes is the pool the slot lists link through; free heads the list
+	// of recycled nodes (-1 when empty), so the pool only grows to the
+	// peak number of wheel events.
+	nodes []node
+	free  int32
+	// aside is a (time, seq) min-heap of the events no slot list takes:
+	// stamps beyond the horizon and stamps earlier than their slot's tail.
+	aside []event
 }
 
 // New returns an engine whose clock starts at zero and whose random source
@@ -94,9 +97,9 @@ type Engine struct {
 func New(seed uint64) *Engine {
 	return &Engine{
 		rng:    NewRNG(seed),
-		slots:  make([][]event, wheelSlots),
-		occ:    make([]uint64, wheelSlots/64),
+		slots:  new([wheelSlots]slot),
 		curSeq: idleSeq,
+		free:   -1,
 	}
 }
 
@@ -131,7 +134,7 @@ func (e *Engine) Now() units.Time { return e.now }
 func (e *Engine) Rand() *RNG { return e.rng }
 
 // Pending reports the number of scheduled, not-yet-run events.
-func (e *Engine) Pending() int { return e.pending }
+func (e *Engine) Pending() int { return e.wheelLen + len(e.aside) }
 
 // Executed reports the number of events run since construction — the
 // engine's work counter for throughput benchmarks (events/sec).
@@ -184,17 +187,30 @@ func (e *Engine) LimitFence() units.Time {
 }
 
 // NextAt reports the timestamp of the earliest pending event. ok is false
-// when the calendar is empty. The calendar is not restructured: peeking at
-// an overflow-only calendar does not migrate events into the wheel.
+// when the calendar is empty. It compares the head of minTick's slot with
+// the aside heap's top, without restructuring the calendar.
 func (e *Engine) NextAt() (units.Time, bool) {
-	if e.wheelCount > 0 {
-		tick := e.scanOccupied()
-		return e.slots[tick&slotMask][0].at, true
-	}
-	if len(e.overflow) > 0 {
-		return e.overflow[0].at, true
+	if ev, _ := e.peek(); ev != nil {
+		return ev.at, true
 	}
 	return 0, false
+}
+
+// peek returns the earliest pending event, or nil when the calendar is
+// empty, and whether it is the aside heap's top rather than the head of
+// minTick's slot.
+func (e *Engine) peek() (ev *event, aside bool) {
+	if e.wheelLen > 0 {
+		ev = &e.nodes[e.slots[e.minTick&slotMask].head].event
+		if len(e.aside) > 0 && e.aside[0].before(*ev) {
+			return &e.aside[0], true
+		}
+		return ev, false
+	}
+	if len(e.aside) > 0 {
+		return &e.aside[0], true
+	}
+	return nil, false
 }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
@@ -205,13 +221,31 @@ func (e *Engine) At(t units.Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling at %v which is before now (%v)", t, e.now))
 	}
 	e.seq++
-	e.pending++
 	ev := event{at: t, seq: e.seq, fn: fn}
-	if tick := int64(t) >> tickShift; tick < e.baseTick+wheelSlots {
-		e.slotPush(tick, ev)
-	} else {
-		e.overflow = heapPush(e.overflow, ev)
+	tick := int64(t) >> tickShift
+	if tick-int64(e.now)>>tickShift >= wheelSlots {
+		e.aside = heapPush(e.aside, ev)
+		return
 	}
+	idx := tick & slotMask
+	s, bit := &e.slots[idx], uint64(1)<<uint(idx&63)
+	switch {
+	case e.occ[idx>>6]&bit == 0:
+		n := e.newNode(ev)
+		s.head, s.tail = n, n
+		e.occ[idx>>6] |= bit
+		if e.wheelLen == 0 || tick < e.minTick {
+			e.minTick = tick
+		}
+	case t >= e.nodes[s.tail].at:
+		n := e.newNode(ev)
+		e.nodes[s.tail].next = n
+		s.tail = n
+	default:
+		e.aside = heapPush(e.aside, ev)
+		return
+	}
+	e.wheelLen++
 }
 
 // After schedules fn to run d after the current time. A negative d is
@@ -260,14 +294,18 @@ func (e *Engine) RunUntil(t units.Time) {
 // bounded), reporting whether one ran. The drive horizon e.limit is set
 // by the drivers, not here — it outlives any single event.
 func (e *Engine) stepOne(limit units.Time, bounded bool) bool {
-	tick, ok := e.nextTick(limit, bounded)
-	if !ok {
+	next, aside := e.peek()
+	if next == nil || bounded && next.at > limit {
 		return false
 	}
-	ev := e.slotPop(tick)
+	ev := *next
+	if aside {
+		e.aside = heapPop(e.aside)
+	} else {
+		e.popWheel()
+	}
 	e.now = ev.at
 	e.curSeq = ev.seq
-	e.pending--
 	e.executed++
 	ev.fn()
 	return true
@@ -276,107 +314,58 @@ func (e *Engine) stepOne(limit units.Time, bounded bool) bool {
 // RunFor processes events for a span d of simulated time starting now.
 func (e *Engine) RunFor(d units.Time) { e.RunUntil(e.now + d) }
 
-// nextTick locates the slot holding the earliest pending event, migrating
-// overflow events into the wheel as the window advances. With bounded set
-// it reports false — without restructuring the calendar — when every
-// pending event is after limit.
-func (e *Engine) nextTick(limit units.Time, bounded bool) (int64, bool) {
-	for {
-		if e.wheelCount > 0 {
-			tick := e.scanOccupied()
-			if bounded && e.slots[tick&slotMask][0].at > limit {
-				return 0, false
-			}
-			return tick, true
-		}
-		if len(e.overflow) == 0 {
-			return 0, false
-		}
-		if bounded && e.overflow[0].at > limit {
-			return 0, false
-		}
-		e.jump()
+// newNode stores ev in a recycled node, or grows the pool by one.
+func (e *Engine) newNode(ev event) int32 {
+	n := e.free
+	if n < 0 {
+		e.nodes = append(e.nodes, node{event: ev})
+		return int32(len(e.nodes) - 1)
 	}
+	e.free = e.nodes[n].next
+	e.nodes[n] = node{event: ev}
+	return n
 }
 
-// scanOccupied returns the tick of the first occupied slot at or after the
-// current time. Slots before now are necessarily empty (their events have
-// run), so the occupancy bitmap walk starts at now's tick.
-func (e *Engine) scanOccupied() int64 {
-	start := int64(e.now) >> tickShift
-	if start < e.baseTick {
-		start = e.baseTick
+// popWheel removes the head of minTick's slot, recycling its node. When
+// the slot drains, minTick moves to the next occupied slot: the bitmap is
+// walked circularly from the drained slot, which visits the live ticks
+// [minTick, now's tick + wheelSlots) in order.
+func (e *Engine) popWheel() {
+	idx := e.minTick & slotMask
+	s := &e.slots[idx]
+	n := s.head
+	s.head = e.nodes[n].next
+	e.nodes[n] = node{next: e.free}
+	e.free = n
+	e.wheelLen--
+	if n != s.tail {
+		return
 	}
-	if start < e.scanHint {
-		start = e.scanHint
+	e.occ[idx>>6] &^= 1 << uint(idx&63)
+	if e.wheelLen == 0 {
+		return
 	}
-	end := e.baseTick + wheelSlots
-	for t := start; t < end; {
-		pos := int(t & slotMask)
+	pos := int(idx)
+	for i := 0; i <= wheelSlots/64; i++ {
 		if w := e.occ[pos>>6] >> uint(pos&63); w != 0 {
-			tick := t + int64(bits.TrailingZeros64(w))
-			e.scanHint = tick
-			return tick
+			next := pos + bits.TrailingZeros64(w)
+			e.minTick += int64((next - int(idx)) & slotMask)
+			return
 		}
-		t += int64(64 - pos&63)
+		pos = ((pos | 63) + 1) & slotMask
 	}
-	panic("sim: wheel events outside the window")
+	panic("sim: wheel count disagrees with the occupancy bitmap")
 }
 
-// jump advances the wheel window to the overflow minimum and migrates every
-// overflow event that now falls inside the horizon. Only called with an
-// empty wheel, so rebasing cannot alias live slots; the caller runs the
-// migrated minimum immediately, which keeps baseTick <= now's tick.
-func (e *Engine) jump() {
-	minTick := int64(e.overflow[0].at) >> tickShift
-	e.baseTick = minTick
-	e.scanHint = minTick
-	horizon := minTick + wheelSlots
-	for len(e.overflow) > 0 {
-		tick := int64(e.overflow[0].at) >> tickShift
-		if tick >= horizon {
-			break
-		}
-		ev := e.overflow[0]
-		e.overflow = heapPop(e.overflow)
-		e.slotPush(tick, ev)
-	}
-}
+// slot is one wheel slot's list: the pool indices of its first and last
+// nodes.
+type slot struct{ head, tail int32 }
 
-func (e *Engine) slotPush(tick int64, ev event) {
-	if tick < e.scanHint {
-		e.scanHint = tick
-	}
-	idx := tick & slotMask
-	h := e.slots[idx]
-	if len(h) == 0 {
-		e.occ[idx>>6] |= 1 << uint(idx&63)
-		if h == nil {
-			if n := len(e.spare); n > 0 {
-				h = e.spare[n-1]
-				e.spare[n-1] = nil
-				e.spare = e.spare[:n-1]
-			}
-		}
-	}
-	e.slots[idx] = heapPush(h, ev)
-	e.wheelCount++
-}
-
-func (e *Engine) slotPop(tick int64) event {
-	idx := tick & slotMask
-	ev := e.slots[idx][0]
-	h := heapPop(e.slots[idx])
-	if len(h) == 0 {
-		e.occ[idx>>6] &^= 1 << uint(idx&63)
-		if cap(h) > 0 {
-			e.spare = append(e.spare, h)
-			h = nil
-		}
-	}
-	e.slots[idx] = h
-	e.wheelCount--
-	return ev
+// node is one slot-list entry: an event and the pool index of the next
+// entry in its slot (or in the free list).
+type node struct {
+	event
+	next int32
 }
 
 // event is one calendar entry. seq breaks timestamp ties in FIFO order so
@@ -388,8 +377,8 @@ type event struct {
 }
 
 // before orders events by (timestamp, scheduling sequence) — the strict
-// tie-break every heap in the calendar shares, so ordering is identical
-// whether an event lives in a wheel slot or the overflow heap.
+// tie-break the slot lists keep by appending in order and the aside heap
+// keeps by comparison, so ordering is identical wherever an event lives.
 func (a event) before(b event) bool {
 	if a.at != b.at {
 		return a.at < b.at

@@ -46,14 +46,14 @@ func TestNextAt(t *testing.T) {
 	if at, ok := e.NextAt(); !ok || at != 500 {
 		t.Fatalf("NextAt = %v, %v; want 500, true", at, ok)
 	}
-	// Far-future event lands in the overflow heap; NextAt must see it
+	// Far-future event lands in the aside heap; NextAt must see it
 	// without restructuring the calendar.
 	e2 := New(1)
 	e2.At(units.Time(wheelSpan)*3, func() {})
 	if at, ok := e2.NextAt(); !ok || at != units.Time(wheelSpan)*3 {
-		t.Fatalf("overflow NextAt = %v, %v; want %v, true", at, ok, units.Time(wheelSpan)*3)
+		t.Fatalf("aside NextAt = %v, %v; want %v, true", at, ok, units.Time(wheelSpan)*3)
 	}
-	// Earlier wheel event shadows the overflow minimum.
+	// Earlier wheel event shadows the aside minimum.
 	e2.At(100, func() {})
 	if at, ok := e2.NextAt(); !ok || at != 100 {
 		t.Fatalf("mixed NextAt = %v, %v; want 100, true", at, ok)
@@ -167,9 +167,9 @@ func TestRunUntilEventsExactlyAtLimit(t *testing.T) {
 }
 
 func TestSameTimeFIFOAcrossHorizon(t *testing.T) {
-	// Events at one timestamp land in the overflow heap first (beyond the
+	// Events at one timestamp land in the aside heap first (beyond the
 	// wheel horizon), then — once the clock advances — further events at
-	// the same timestamp go straight into the wheel. The (time, seq)
+	// the same timestamp go straight into a slot list. The (time, seq)
 	// tie-break must hold across both structures.
 	e := New(1)
 	target := 3 * wheelSpan
@@ -227,11 +227,31 @@ func TestWheelRollover(t *testing.T) {
 	}
 }
 
+// TestNodePoolBounded: slot-list nodes are recycled through the free
+// list, so the pool grows only to the peak number of wheel events, not
+// with the number of events ever scheduled.
+func TestNodePoolBounded(t *testing.T) {
+	e := New(1)
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n < 10000 {
+			e.After(units.Time(n%3)*units.Nanosecond, tick)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		e.After(units.Nanosecond, tick)
+	}
+	e.Run()
+	if len(e.nodes) > 3 {
+		t.Fatalf("node pool grew to %d for at most 3 pending events", len(e.nodes))
+	}
+}
+
 func TestRandomScheduleOrdering(t *testing.T) {
 	// Random timestamps spanning several horizons: execution must be
 	// globally sorted by time with FIFO tie-break, regardless of whether
-	// an event lived in the wheel, the overflow heap, or migrated between
-	// them.
+	// an event lived in a slot list or the aside heap.
 	e := New(1)
 	rng := NewRNG(3)
 	type rec struct {

@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -185,6 +186,12 @@ func TestExportAllocsFlat(t *testing.T) {
 		if tr.SpanCount() != n {
 			t.Fatalf("fixture recorded %d spans, want %d", tr.SpanCount(), n)
 		}
+		// A GC cycle inside the measured runs would empty sync.Pools,
+		// fmt's printer cache among them, and the export would reallocate
+		// what it normally reuses. Collect first, then hold GC off for the
+		// measured stretch.
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(3, func() {
 			if err := tr.WriteTraceEvents(io.Discard); err != nil {
 				t.Fatal(err)
