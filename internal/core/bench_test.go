@@ -61,33 +61,3 @@ func BenchmarkNetworkIssue(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkExpressPath pins the express-path fusion layer's own cost: an
-// unloaded closed loop keeps every hop uncontended, so the walker spends
-// the benchmark extending fused segments — TryExpress bookkeeping,
-// departure-stamp pushes, fence checks and closed-form resumptions.
-// ci.sh gates it at 0 allocs/op: the fusion layer must ride the same
-// recycled frames and in-place rings as the classic path. The fused
-// counter is reported per op to prove the express machinery actually
-// engaged (it stays well above 1 elided event per transaction).
-func BenchmarkExpressPath(b *testing.B) {
-	kinds := []struct {
-		name string
-		a    Access
-	}{
-		{"dram", Access{Kind: DestDRAM, Op: txn.Read}},
-		{"llc-inter", Access{Kind: DestLLCInter, DstCCD: 1, Op: txn.Read}},
-	}
-	for _, k := range kinds {
-		b.Run(k.name, func(b *testing.B) {
-			eng := sim.New(1)
-			net := New(eng, topology.EPYC9634())
-			net.DriveClosedLoop(k.a, 1, 2048)
-			start := net.EventsFused()
-			b.ReportAllocs()
-			b.ResetTimer()
-			net.DriveClosedLoop(k.a, 1, b.N)
-			b.ReportMetric(float64(net.EventsFused()-start)/float64(b.N), "fused/op")
-		})
-	}
-}

@@ -98,10 +98,6 @@ type Network struct {
 	// prove pooling is invisible to results.
 	recycle bool
 
-	// express is the event-fusion switch the differential determinism
-	// tests flip off to prove fused execution is invisible to results.
-	express bool
-
 	// Flight recorder (nil unless AttachTracer wired one in) and the
 	// path-stage hops the issuing layer attributes to directly.
 	tracer   *trace.Tracer
@@ -118,7 +114,7 @@ func New(eng *sim.Engine, p *topology.Profile) *Network {
 	if err := p.Validate(); err != nil {
 		panic(err.Error())
 	}
-	n := &Network{eng: eng, prof: p, recycle: true, express: true}
+	n := &Network{eng: eng, prof: p, recycle: true}
 	n.llcJitter = memsys.NewJitter(eng.Rand(), p.DRAMJitterMean,
 		p.TailSpikeProb, p.TailSpikeDelay)
 	n.matrix = telemetry.NewTrafficMatrix()
@@ -283,14 +279,10 @@ func (n *Network) SetRecycling(on bool) { n.recycle = on }
 // Recycling reports whether free-list reuse is enabled.
 func (n *Network) Recycling() bool { return n.recycle }
 
-// SetExpress toggles express-path event fusion. Fusion is on by default;
-// with it off every hop runs as a classic calendar event. Results are
-// byte-identical either way — completion times, metrics dumps and trace
-// exports — which the TestFusionInvisible differential suite proves.
-func (n *Network) SetExpress(on bool) { n.express = on }
-
-// Express reports whether express-path event fusion is enabled.
-func (n *Network) Express() bool { return n.express }
+// SetExpress does nothing: every hop runs as a calendar event. It stays
+// only because the frozen benchmark module calls it; the next benchmark
+// change drops that call and deletes this stub.
+func (n *Network) SetExpress(bool) {}
 
 // Engine reports the simulation engine driving the network.
 func (n *Network) Engine() *sim.Engine { return n.eng }
@@ -299,11 +291,10 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 // run — the work counter cell-throughput benchmarks divide by seconds.
 func (n *Network) EventsExecuted() uint64 { return n.eng.Executed() }
 
-// EventsFused reports the calendar events express-path fusion elided:
-// hops and timers whose bookkeeping was applied in closed form instead of
-// being dispatched. EventsExecuted + EventsFused equals the classic
-// (fusion-off) event count for the same run — the effective simulated
-// work — which is what throughput benchmarks should divide by seconds.
+// EventsFused reports the departure events elided by channel stamp rings:
+// one per delivered message, recorded as a stamp instead of being
+// dispatched. EventsExecuted + EventsFused is the classic event count of
+// the same run, one depart and one delivery per message.
 func (n *Network) EventsFused() uint64 { return n.eng.Fused() }
 
 // Profile reports the platform profile the network was built from.

@@ -134,3 +134,34 @@ func TestIntraAndInterCCLatency(t *testing.T) {
 	h = probe(t, newNet(p9), Access{Op: txn.Read, Kind: DestLLCIntra}, 1000)
 	checkNear(t, h, p9.IntraCCLatency, 6*units.Nanosecond, "9634 intra-CC")
 }
+
+// TestElidedDepartsEqualMessages pins what the departure-stamp ring
+// guarantees: every delivered message's depart event is elided, exactly
+// once, and nothing else is. A read-only closed loop sends no
+// nil-delivery writebacks, so on a fresh network (no ResetStats) the
+// engine's fused counter equals the messages summed over every channel.
+func TestElidedDepartsEqualMessages(t *testing.T) {
+	kinds := []struct {
+		name string
+		a    Access
+	}{
+		{"dram", Access{Kind: DestDRAM, Op: txn.Read}},
+		{"cxl", Access{Kind: DestCXL, Op: txn.Read}},
+		{"llc-intra", Access{Kind: DestLLCIntra, Op: txn.Read}},
+		{"llc-inter", Access{Kind: DestLLCInter, DstCCD: 1, Op: txn.Read}},
+	}
+	for _, k := range kinds {
+		net := newNet(topology.EPYC9634())
+		net.DriveClosedLoop(k.a, 2*net.WindowFor(k.a.Op, k.a.Kind), 2000)
+		var msgs uint64
+		for _, ch := range net.Channels() {
+			msgs += ch.Messages()
+		}
+		if msgs == 0 {
+			t.Fatalf("%s: closed loop sent no messages", k.name)
+		}
+		if got := net.EventsFused(); got != msgs {
+			t.Errorf("%s: %d departs elided, want one per message (%d)", k.name, got, msgs)
+		}
+	}
+}

@@ -102,48 +102,42 @@ func (n *Network) trRange(hop trace.HopID, cause trace.Cause, from, to units.Tim
 	}
 }
 
-// The stage helpers below anchor on the walker's virtual clock w.vnow
-// instead of the engine clock: a fused state runs at a virtual timestamp
-// ahead of the engine, and its spans must carry the stamps the classic
-// execution would have recorded. At a real resumption vnow equals the
-// engine clock.
-
-// trBefore attributes the d just elapsed before the walker's virtual
-// clock to a stage.
+// trBefore attributes the d just elapsed before now to a stage.
 func (w *walker) trBefore(hop trace.HopID, cause trace.Cause, d units.Time) {
 	if n := w.n; n.tracer != nil {
-		n.tracer.Range(hop, cause, w.vnow-d, w.vnow)
+		now := n.eng.Now()
+		n.tracer.Range(hop, cause, now-d, now)
 	}
 }
 
-// trAfter attributes the d about to elapse after the walker's virtual
-// clock to a stage.
+// trAfter attributes the d about to elapse after now to a stage.
 func (w *walker) trAfter(hop trace.HopID, cause trace.Cause, d units.Time) {
 	if n := w.n; n.tracer != nil {
-		n.tracer.Range(hop, cause, w.vnow, w.vnow+d)
+		now := n.eng.Now()
+		n.tracer.Range(hop, cause, now, now+d)
 	}
 }
 
 // trMeshHops retroactively attributes a memory-path NoC crossing that
-// just completed at the walker's virtual clock.
+// just completed now.
 func (w *walker) trMeshHops(shops, cs units.Time) {
 	n := w.n
 	if n.tracer == nil {
 		return
 	}
-	now := w.vnow
+	now := n.eng.Now()
 	n.tracer.Range(n.noc.ShopsHop(), trace.CausePropagating, now-cs-shops, now-cs)
 	n.tracer.Range(n.noc.CSHop(), trace.CauseProcessing, now-cs, now)
 }
 
 // trHubHops retroactively attributes a device-path NoC crossing that just
-// completed at the walker's virtual clock.
+// completed now.
 func (w *walker) trHubHops(shops, hub, rc units.Time) {
 	n := w.n
 	if n.tracer == nil {
 		return
 	}
-	now := w.vnow
+	now := n.eng.Now()
 	n.tracer.Range(n.noc.ShopsHop(), trace.CausePropagating, now-rc-hub-shops, now-rc-hub)
 	n.tracer.Range(n.noc.IOHubHop(), trace.CauseProcessing, now-rc-hub, now-rc)
 	n.tracer.Range(n.noc.RootHop(), trace.CauseProcessing, now-rc, now)

@@ -10,7 +10,7 @@ import (
 
 // walker is the reusable frame of one in-flight transaction: token
 // acquisition, the path state machine, and the retry loop all run through
-// a handful of continuations bound once when the walker is built.
+// two continuations bound once when the walker is built.
 // Walkers are recycled through the network's free list, so the steady-state
 // transaction path allocates nothing.
 //
@@ -18,28 +18,8 @@ import (
 // runDRAM/runCXL/runLLCIntra/runLLCInter walkers unrolled: each case is one
 // event callback, in the same order, with the same tracer attributions and
 // the same random draws. Changing the sequence changes seeded replay.
-//
-// # Express-path event fusion
-//
-// Uncontended hops have closed-form timing: a message that finds a channel
-// idle departs at v+txTime and arrives latency+extra later, with no event
-// needed to discover either stamp. The walker therefore runs each state at
-// a virtual clock vnow. At a calendar resumption (stepEvent) vnow equals
-// the engine clock and the engine's ExpressFence is captured; from there
-// every continuation first tries to extend the fused segment — TryExpress
-// applies the hop's serializer/telemetry/trace bookkeeping in closed form
-// and the next state executes inline at the arrival stamp — for as long as
-// all stamps stay strictly inside the fence. Engine state is only observed
-// by calendar events (all at or beyond the fence) and by the host at the
-// drive horizon (which caps the fence), so the early application is
-// provably invisible: completion times, RNG streams, span order, FIFO
-// order and every counter are byte-identical to classic execution. The
-// segment ends — and a real calendar event rematerializes at the exact
-// classic timestamp — the moment a hop is busy, a stamp would reach the
-// fence (which is how harvest windows and every other observer are
-// protected), or the next state is terminal (finish releases tokens and
-// runs done callbacks whose synchronous continuations must observe the
-// real engine clock).
+// Every hop is one channel send whose delivery is the next calendar event;
+// the channel elides only its own depart events (see link.Channel).
 type walker struct {
 	n    *Network
 	t    *txn.Transaction
@@ -70,30 +50,8 @@ type walker struct {
 	pExtra  units.Time
 	blocked units.Time
 
-	// Express-path state: vnow is the walker's virtual clock (equal to
-	// the engine clock at every real resumption, ahead of it while a
-	// fused segment extends), fence the exclusive bound under which
-	// closed-form stamps stay invisible, fence1 the relaxed bound for
-	// hops applied at the real clock (see chanFence), express whether
-	// the current continuation may keep fusing, pendOp the channel
-	// operation an aborted segment rematerializes at vnow. The strict
-	// fence needs a calendar scan (Engine.NextAt), so it is computed on
-	// first use (strictFence): most events resolve entirely through the
-	// relaxed first-hop bound and never pay for it. Laziness is sound
-	// because the calendar only gains events between the resumption and
-	// the first use — a late NextAt is never larger than an eager one,
-	// so the fence can only tighten.
-	vnow    units.Time
-	fence   units.Time
-	fence1  units.Time
-	fenceOK bool
-	express bool
-	pendOp  int
-
-	stepFn  func() // bound w.step: synchronous resumption, never fuses
-	eventFn func() // bound w.stepEvent: calendar resumption, may fuse
+	stepFn  func() // bound w.step: every resumption, event or token grant
 	retryFn func() // bound w.attempt, reused for every retry
-	flushFn func() // bound w.flush: rematerialized channel op at vnow
 }
 
 // Walker phases: acquire flow windows, acquire hardware tokens, then walk
@@ -102,14 +60,6 @@ const (
 	phaseExtra = iota
 	phaseHW
 	phasePath
-)
-
-// Channel operations a fused segment rematerializes when a hop cannot be
-// applied in closed form (see exitExpress/flush).
-const (
-	opPush    = iota // bounded admission with retry (pushTo)
-	opSend           // unconditional send (responses, device legs)
-	opSendNil        // writeback tail: send with no delivery, then recycle
 )
 
 // getWalker pops a recycled walker from the free list or builds a fresh
@@ -126,9 +76,7 @@ func (n *Network) getWalker() *walker {
 	}
 	w := &walker{n: n}
 	w.stepFn = w.step
-	w.eventFn = w.stepEvent
 	w.retryFn = w.attempt
-	w.flushFn = w.flush
 	return w
 }
 
@@ -146,34 +94,10 @@ func (n *Network) putWalker(w *walker) {
 	n.freeW = append(n.freeW, w)
 }
 
-// step is the synchronous continuation: token grants and in-event handoffs
-// fire here, inside another callback's chain. Code later in that same
-// chain may still mutate state at this timestamp, so no future effect may
-// be applied early — the virtual clock rebases to the engine clock and
-// express mode stays off until the next calendar resumption.
+// step is the walker's only continuation: channel deliveries, timers and
+// token grants all resume here, and it selects the next action from the
+// (phase, state) pair.
 func (w *walker) step() {
-	w.express = false
-	w.vnow = w.n.eng.Now()
-	w.dispatch()
-}
-
-// stepEvent is the calendar continuation: channel deliveries and timers
-// fire here, directly from the engine loop. Nothing else runs at this
-// timestamp after it returns except other calendar events, which all lie
-// at or beyond the express fence — so the walker may apply hops whose
-// stamps stay strictly inside the fence in closed form.
-func (w *walker) stepEvent() {
-	eng := w.n.eng
-	w.vnow = eng.Now()
-	if w.express = w.n.express; w.express {
-		w.fence1 = eng.LimitFence()
-		w.fenceOK = false
-	}
-	w.dispatch()
-}
-
-// dispatch selects the walker's next action from the (phase, state) pair.
-func (w *walker) dispatch() {
 	switch w.phase {
 	case phaseExtra:
 		if w.acq < len(w.extra) {
@@ -187,7 +111,7 @@ func (w *walker) dispatch() {
 		// curves include those stalls — that is what the Table 2 "Max
 		// CCX Q" rows are), but not time spent queued behind a software
 		// flow window.
-		w.t.Issued = w.vnow
+		w.t.Issued = w.n.eng.Now()
 		w.n.trSet(w.id)
 		w.phase = phaseHW
 		w.acq = 0
@@ -223,135 +147,15 @@ func (w *walker) pathStep() {
 	}
 }
 
-// noteFused adjusts the engine's fused-event counter.
-func (w *walker) noteFused(d int64) {
-	w.n.eng.NoteFused(d)
-}
-
-// chanFence is the proof bound for the hop the walker is about to apply
-// in closed form. A hop applied while the virtual clock still equals the
-// engine clock writes exactly what a classic enqueue at this instant
-// would write — the serializer bookkeeping is not early, only the depart
-// event is elided, and the channel's occupancy accounting keeps even that
-// invisible — so only the drive horizon needs protecting. A hop applied
-// ahead of the engine clock is genuinely early and must stay below the
-// next calendar event.
-func (w *walker) chanFence() units.Time {
-	if w.vnow == w.n.eng.Now() {
-		return w.fence1
-	}
-	return w.strictFence()
-}
-
-// strictFence returns the express fence for stamps ahead of the engine
-// clock, computing it on first use per calendar resumption.
-func (w *walker) strictFence() units.Time {
-	if !w.fenceOK {
-		w.fence = w.n.eng.ExpressFence()
-		w.fenceOK = true
-	}
-	return w.fence
-}
-
-// expressible reports whether the walker's next state may execute at a
-// virtual timestamp. Terminal states may not: finish releases tokens and
-// runs done callbacks whose synchronous continuations (pool wakeups,
-// closed-loop reissues) must observe the real engine clock. The
-// writeback tail is the exception — it touches no tokens and completes
-// nobody, and handles its own express case.
-func (w *walker) expressible() bool {
-	if w.wb {
-		return true
-	}
-	switch w.a.Kind {
-	case DestDRAM:
-		return w.state != 7
-	case DestCXL:
-		return w.state != 8
-	case DestLLCIntra:
-		return w.state != 2
-	case DestLLCInter:
-		return w.state != 8
-	}
-	return false
-}
-
-// resume continues the walker at absolute time at. In express mode, with
-// at strictly inside the fence and a non-terminal next state, the state
-// executes inline at virtual time at — the continuation event is elided.
-// Otherwise the walker leaves express mode and the continuation runs as a
-// real calendar event at exactly the classic timestamp.
-func (w *walker) resume(at units.Time) {
-	if w.express && at < w.strictFence() && w.expressible() {
-		w.noteFused(1)
-		w.vnow = at
-		w.pathStep()
-		return
-	}
-	w.express = false
-	w.n.eng.At(at, w.eventFn)
-}
-
-// after continues the walker d after its virtual clock (negative d clamps
-// to zero, matching Engine.After).
+// after resumes the walker d from now.
 func (w *walker) after(d units.Time) {
-	if d < 0 {
-		d = 0
-	}
-	if w.express {
-		w.resume(w.vnow + d)
-		return
-	}
-	w.n.eng.After(d, w.eventFn)
+	w.n.eng.After(d, w.stepFn)
 }
 
 // xsend sends unconditionally on ch with the walker's step as the
-// delivery. In express mode the hop is applied in closed form when the
-// channel admits it.
+// delivery.
 func (w *walker) xsend(ch *link.Channel, size units.ByteSize, extra units.Time) {
-	if w.express {
-		if arrive, ok := ch.TryExpress(size, extra, w.vnow, w.chanFence()); ok {
-			w.resume(arrive)
-			return
-		}
-		w.ch, w.size, w.pExtra = ch, size, extra
-		w.exitExpress(opSend)
-		return
-	}
-	ch.SendAfter(size, extra, w.eventFn)
-}
-
-// exitExpress aborts a fused segment at a hop that cannot be applied in
-// closed form. The pending channel operation must still execute at its
-// classic timestamp: immediately when the walker's virtual clock has not
-// left the engine clock, otherwise as a rematerialized calendar event at
-// vnow — un-counting the continuation that was elided to get here.
-func (w *walker) exitExpress(op int) {
-	w.pendOp = op
-	w.express = false
-	if eng := w.n.eng; w.vnow > eng.Now() {
-		w.noteFused(-1)
-		eng.At(w.vnow, w.flushFn)
-		return
-	}
-	w.flush()
-}
-
-// flush performs the channel operation an aborted fused segment carried,
-// at the walker's (now real) virtual timestamp — byte-identical to the
-// classic state having executed here.
-func (w *walker) flush() {
-	n := w.n
-	n.trSet(w.id)
-	switch w.pendOp {
-	case opPush:
-		w.attempt()
-	case opSend:
-		w.ch.SendAfter(w.size, w.pExtra, w.eventFn)
-	case opSendNil:
-		w.ch.SendAfter(w.size, w.pExtra, nil)
-		n.putWalker(w)
-	}
+	ch.SendAfter(size, extra, w.stepFn)
 }
 
 // enterPath runs once all tokens are held: it computes the walker's path
@@ -393,21 +197,10 @@ func (w *walker) enterPath() {
 
 // pushTo starts (re)trying to enter ch with the walker's step as the
 // delivery continuation. Callers advance w.state first, so the delivery
-// lands in the next case. An express walker admits the message in closed
-// form when the channel is idle — an empty bounded queue always accepts,
-// so the classic retry loop is provably not entered — and otherwise falls
-// back to the classic admission attempt at the exact classic timestamp.
+// lands in the next case.
 func (w *walker) pushTo(ch *link.Channel, size units.ByteSize, extra units.Time) {
 	w.ch, w.size, w.pExtra = ch, size, extra
 	w.blocked = -1
-	if w.express {
-		if arrive, ok := ch.TryExpress(size, extra, w.vnow, w.chanFence()); ok {
-			w.resume(arrive)
-			return
-		}
-		w.exitExpress(opPush)
-		return
-	}
 	w.attempt()
 }
 
@@ -417,7 +210,7 @@ func (w *walker) pushTo(ch *link.Channel, size units.ByteSize, extra units.Time)
 func (w *walker) attempt() {
 	n, eng := w.n, w.n.eng
 	n.trSet(w.id)
-	if w.ch.TrySendAfter(w.size, w.pExtra, w.eventFn) {
+	if w.ch.TrySendAfter(w.size, w.pExtra, w.stepFn) {
 		if w.blocked >= 0 {
 			n.trRange(w.ch.Hop(), trace.CauseBackpressured, w.blocked, eng.Now())
 		}
@@ -434,10 +227,7 @@ func (w *walker) attempt() {
 // the transaction to done and recycle both objects. The walker is recycled
 // before done runs so a done callback that issues the next transaction
 // (closed loops) reuses this frame; the transaction is recycled after done
-// returns, unless the callback pinned it. finish only ever runs at a real
-// calendar event — terminal states are never fused — so the released-token
-// wakeups and the done callback observe the engine clock, exactly as in
-// classic execution.
+// returns, unless the callback pinned it.
 func (w *walker) finish() {
 	n, t := w.n, w.t
 	t.Completed = n.eng.Now()
@@ -470,9 +260,7 @@ func (w *walker) finish() {
 // runs riding the NoC's per-message extra, device service) to their named
 // stage hops, retroactively where the delay has just elapsed. Together
 // with the channel and pool hooks, the spans tile [Issued, Completed]
-// exactly. Attribution anchors on the walker's virtual clock, so fused
-// states record spans with the same stamps — in the same ring order — as
-// their classic counterparts.
+// exactly.
 func (w *walker) stepDRAM() {
 	n, p, a := w.n, w.n.prof, w.a
 	ccd := a.Src.CCD
@@ -552,39 +340,18 @@ func (w *walker) stepWriteback() {
 	n := w.n
 	switch w.state {
 	case 1:
-		// Classic execution re-establishes the id-0 attribution inside
-		// attempt; the express path records the span directly, so the
-		// register must be set here.
-		n.trSet(0)
 		w.state = 2
 		w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra)
 	case 2:
-		// The tail holds no tokens and completes nobody, so unlike the
-		// transaction-terminal states it may run at a virtual timestamp:
-		// recycling the frame early is invisible (frames are
-		// interchangeable — the recycling-off determinism guard proves
-		// free-list order cannot affect results).
 		n.trSet(0)
-		dw := n.drams[w.a.UMC].Write
-		if w.express {
-			if _, ok := dw.TryExpress(units.CacheLine, 0, w.vnow, w.strictFence()); ok {
-				n.putWalker(w)
-				return
-			}
-			w.ch, w.size, w.pExtra = dw, units.CacheLine, 0
-			w.exitExpress(opSendNil)
-			return
-		}
-		dw.Send(units.CacheLine, nil)
+		n.drams[w.a.UMC].Write.Send(units.CacheLine, nil)
 		n.putWalker(w)
 	}
 }
 
 // startWriteback launches a writeback walker for the dirty line a temporal
 // write leaves behind, reusing the parent's NoC hop-extra (same CCD -> UMC
-// route). The launch is synchronous inside the parent's terminal event,
-// so the fresh walker starts classic (getWalker leaves express off until
-// its first calendar resumption).
+// route).
 func (n *Network) startWriteback(a Access, hopExtra units.Time) {
 	w := n.getWalker()
 	w.a = a
@@ -593,8 +360,6 @@ func (n *Network) startWriteback(a Access, hopExtra units.Time) {
 	w.hopExtra = hopExtra
 	w.phase = phasePath
 	w.state = 1
-	w.express = false
-	w.vnow = n.eng.Now()
 	w.pushTo(n.gmiOut[a.Src.CCD], units.CacheLine, 0)
 }
 

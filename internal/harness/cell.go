@@ -75,11 +75,11 @@ func (c Cell) check() error {
 }
 
 // CellPerf is a cell's execution-cost readout: how many simulation
-// events it ran and how many express-path fusion elided (warmup
-// included).
+// events it ran and how many departure events channel stamp rings
+// elided (warmup included).
 type CellPerf struct {
 	Events uint64 // calendar events dispatched
-	Fused  uint64 // events elided by express-path fusion
+	Fused  uint64 // departure events elided by channel stamp rings
 }
 
 // CellResult is one cell's outcome: Fig4 for a Figure 4 cell, Fig5 (then

@@ -34,13 +34,6 @@ type Options struct {
 	// network the harness builds. Results are byte-identical either way;
 	// the determinism guard test flips this to prove pooling is invisible.
 	DisableRecycle bool
-	// NoFusion turns off express-path event fusion in every network the
-	// harness builds. Results are byte-identical either way — fusion
-	// collapses uncontended hop chains into closed-form bookkeeping
-	// without changing any observable — so this switch exists for the
-	// differential determinism tests and for benchmarking the classic
-	// event-per-hop execution cost.
-	NoFusion bool
 }
 
 // DefaultOptions runs experiments at full length with a fixed seed.
@@ -65,9 +58,6 @@ func (o Options) newNet(p *topology.Profile) *core.Network {
 	n := core.New(sim.New(o.Seed), p)
 	if o.DisableRecycle {
 		n.SetRecycling(false)
-	}
-	if o.NoFusion {
-		n.SetExpress(false)
 	}
 	return n
 }

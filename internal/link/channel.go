@@ -134,8 +134,8 @@ func (c *Channel) purgeDepartures() {
 
 // pushDeparture records one message's departure stamp in place of its
 // depart event, reserving the sequence number the event would have used
-// (keeping every later tie-break classic) and crediting the elision to
-// the engine's fused counter.
+// (keeping every later tie-break classic) and counting the elided event
+// in the engine's fused counter.
 func (c *Channel) pushDeparture(done units.Time) {
 	c.purgeDepartures()
 	if c.depLen == len(c.dep) {
@@ -143,7 +143,7 @@ func (c *Channel) pushDeparture(done units.Time) {
 	}
 	c.dep[(c.depHead+c.depLen)&(len(c.dep)-1)] = departure{done: done, seq: c.eng.ReserveSeq()}
 	c.depLen++
-	c.eng.NoteFused(1)
+	c.eng.NoteFused()
 }
 
 // minDepartures is the ring's first allocation, made by the first send
@@ -265,51 +265,6 @@ func (c *Channel) enqueue(size units.ByteSize, extra units.Time, deliver func())
 	c.eng.At(done+c.latency+extra, deliver)
 }
 
-// TryExpress attempts to apply one send's complete serialization
-// bookkeeping in closed form — the bulk-advance half of the express-path
-// fusion layer. It succeeds only when the message would start service
-// immediately at virtual time v (no queued predecessors, serializer free)
-// and finish serializing strictly before fence, the caller's proof bound
-// that no calendar event can observe the channel in between. On success
-// the serializer clock, occupancy meter, queueing histogram and trace
-// span advance exactly as the classic enqueue at v would have — minus the
-// depart event, whose only effect (releasing the queue slot at done) is
-// already final because done < fence — and the delivery timestamp
-// done+latency+extra is returned for the caller to continue from. On
-// failure nothing changes and the caller must fall back to the classic
-// per-hop send at v.
-//
-// The departure stamp ring keeps occupancy classically exact even under
-// the relaxed fence callers use when v equals the engine clock — where
-// the bookkeeping is not early at all (a classic enqueue at v would
-// stamp identically) and only the depart event is elided, so fence need
-// only bound the drive horizon, not the next calendar event.
-func (c *Channel) TryExpress(size units.ByteSize, extra units.Time, v, fence units.Time) (units.Time, bool) {
-	// Idle-at-v check without touching the departure ring: nextFree is the
-	// max departure stamp, so nextFree <= v means every recorded stamp has
-	// departed by the time a classic enqueue at v would run (each stamp's
-	// reserved sequence number predates the event dispatching now), and
-	// the serializer is free. Only nil-delivery messages, invisible to the
-	// stamp ring, must be checked separately.
-	if c.queued != 0 || c.nextFree > v {
-		return 0, false
-	}
-	txTime := c.timeToSend(size)
-	done := v + txTime
-	if done >= fence {
-		return 0, false
-	}
-	c.nextFree = done
-	c.busy += txTime
-	c.queueLat.Record(0)
-	c.meter.Record(size)
-	if c.tr != nil {
-		c.tr.Enqueue(c.hop, size, v, v, done, done+c.latency)
-	}
-	c.pushDeparture(done)
-	return done + c.latency + extra, true
-}
-
 // QueueDelay reports how long a message accepted now would wait before
 // starting service: the current backlog of the serializer.
 func (c *Channel) QueueDelay() units.Time {
@@ -375,14 +330,14 @@ func (c *Channel) Stats() Stats {
 	}
 }
 
-// Utilization reports the fraction of the window [0, now] the serializer
-// spent busy.
+// Utilization reports the fraction of the window since the last stats
+// reset (or since time zero) the serializer spent busy.
 func (c *Channel) Utilization() float64 {
-	now := c.eng.Now()
-	if now <= 0 {
+	span := c.eng.Now() - c.meter.Start()
+	if span <= 0 {
 		return 0
 	}
-	return float64(c.busy) / float64(now)
+	return float64(c.busy) / float64(span)
 }
 
 // ResetStats clears counters without disturbing in-flight messages.

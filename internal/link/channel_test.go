@@ -134,6 +134,34 @@ func TestChannelAchievedBandwidthMatchesCapacity(t *testing.T) {
 	}
 }
 
+// TestChannelUtilizationAfterReset saturates a channel for T, resets its
+// stats, and saturates it for T again: utilization covers only the window
+// since the reset, so it reads ~1, not the ~0.5 that dividing the
+// post-reset busy time by [0, now] would give.
+func TestChannelUtilizationAfterReset(t *testing.T) {
+	eng := sim.New(1)
+	ch := NewChannel(eng, "gmi", units.GBps(32), 0, 16)
+	const span = 20 * units.Microsecond
+	var pump func()
+	pump = func() {
+		for ch.TrySend(units.CacheLine, nil) {
+		}
+		if eng.Now() < 2*span {
+			eng.After(2*units.Nanosecond, pump)
+		}
+	}
+	eng.After(0, pump)
+	eng.RunUntil(span)
+	ch.ResetStats()
+	if u := ch.Utilization(); u != 0 {
+		t.Errorf("utilization at the reset instant = %v, want 0", u)
+	}
+	eng.RunUntil(2 * span)
+	if u := ch.Utilization(); u < 0.97 || u > 1.001 {
+		t.Errorf("utilization after reset = %v, want ~1", u)
+	}
+}
+
 func TestChannelInfiniteCapacity(t *testing.T) {
 	eng := sim.New(1)
 	ch := NewChannel(eng, "inf", 0, units.Nanosecond, 0)

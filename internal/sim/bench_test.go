@@ -39,17 +39,15 @@ func BenchmarkEngineHeapFanout(b *testing.B) {
 // BenchmarkEngineFlagshipMix drives the calendar with the Figure 4
 // flagship cell's measured event profile: about 80 events pending, delays
 // ≈45% under 4 ns, ≈50% 4–64 ns, a few percent 64–262 ns and a thin tail
-// beyond the wheel horizon, and an ExpressFence-style NextAt peek for two
-// of every three events. ns/op is the cost of one dispatched event.
+// beyond the wheel horizon. Each event schedules one successor and
+// nothing peeks the calendar, as on the walker's hop path. ns/op is the
+// cost of one dispatched event.
 func BenchmarkEngineFlagshipMix(b *testing.B) {
 	e := New(1)
 	r := e.Rand()
 	n := 0
 	var fire func()
 	fire = func() {
-		if r.Intn(3) != 0 {
-			_, _ = e.NextAt()
-		}
 		if n++; n < b.N {
 			e.After(flagshipDelay(r), fire)
 		}

@@ -8,6 +8,9 @@ import (
 	"repro/internal/units"
 )
 
+// noEvent is the unbounded horizon the reference calendar drains to on Run.
+const noEvent = units.Time(math.MaxInt64)
+
 // FuzzCalendar decodes the fuzz bytes into a schedule of At/After calls
 // and RunUntil/Step/Run drives, runs it on an Engine and on a reference
 // calendar (a container/heap keyed on (time, seq)), and checks that both

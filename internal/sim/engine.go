@@ -26,7 +26,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/units"
@@ -65,13 +64,6 @@ type Engine struct {
 	// tie-break would have.
 	curSeq uint64
 
-	// limit is the current drive's horizon: RunUntil(t) sets it to t, Run
-	// to noEvent, Step to the dispatched event's own timestamp. It bounds
-	// ExpressFence — when the drive returns, the host resumes inspecting
-	// state as of the horizon, so no closed-form effect stamped beyond it
-	// may have been applied early.
-	limit units.Time
-
 	// minTick is the earliest occupied slot's tick, exact whenever
 	// wheelLen > 0. An append to an empty slot lowers it; it is rescanned
 	// only when its slot drains.
@@ -103,20 +95,16 @@ func New(seed uint64) *Engine {
 	}
 }
 
-// noEvent is the unbounded horizon: Run's drive limit, and the fence
-// when neither the horizon nor the calendar constrains it.
-const noEvent = units.Time(math.MaxInt64)
-
 // idleSeq is curSeq between drives: the host observes state only after
 // every event at the current timestamp has run, so a departure stamped at
 // now always counts as departed.
 const idleSeq = ^uint64(0)
 
 // ReserveSeq consumes and returns the sequence number the next scheduled
-// event would have received, without scheduling anything. The express
-// path reserves the slot of each event it elides, so the (time, seq)
-// tie-break order of every event that does get scheduled is bit-for-bit
-// the order classic execution would have produced.
+// event would have received, without scheduling anything. A channel's
+// departure-stamp ring reserves the number of each depart event it
+// elides, so the (time, seq) tie-break order of every event that does get
+// scheduled is bit-for-bit the order a real depart event would have left.
 func (e *Engine) ReserveSeq() uint64 {
 	e.seq++
 	return e.seq
@@ -140,51 +128,13 @@ func (e *Engine) Pending() int { return e.wheelLen + len(e.aside) }
 // engine's work counter for throughput benchmarks (events/sec).
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Fused reports the number of would-be events whose effects were applied
-// in closed form by the express path instead of being scheduled and run.
-// Executed+Fused is the classic-equivalent event count of a run.
+// Fused reports the number of departure events elided by channel stamp
+// rings instead of being scheduled and run. Executed+Fused is the
+// classic-equivalent event count of a run.
 func (e *Engine) Fused() uint64 { return e.fused }
 
-// NoteFused adjusts the fused-event counter: +1 when a calendar event's
-// effect was applied in closed form, -1 when a previously-elided
-// continuation had to rematerialize as a real event after all.
-func (e *Engine) NoteFused(d int64) { e.fused = uint64(int64(e.fused) + d) }
-
-// ExpressFence reports the exclusive bound under which state mutations
-// may be applied eagerly without any observer noticing: the earliest
-// pending event's timestamp, capped by the drive horizon (events do not
-// execute past it, and the host inspects state there). Engine state is
-// only ever observed by event callbacks and by the host between drives,
-// so effects whose classic execution timestamps all lie strictly below
-// this fence are indistinguishable from having been executed by events —
-// including RNG draw order, (time, seq) tie-breaks and FIFO order, since
-// nothing else runs in between. The fence is valid until the current
-// callback schedules or the engine dispatches another event.
-func (e *Engine) ExpressFence() units.Time {
-	f := noEvent
-	if e.limit < f {
-		f = e.limit + 1
-	}
-	if next, ok := e.NextAt(); ok && next < f {
-		f = next
-	}
-	return f
-}
-
-// LimitFence is the drive-horizon half of ExpressFence alone: the
-// exclusive bound below which a stamp cannot be observed by the host
-// between drives. Express hops applied at the current engine time use it
-// instead of the full fence — their channel bookkeeping is exactly what a
-// classic enqueue at the same instant would write, so pending calendar
-// events see no difference and only the drive horizon must stay
-// protected.
-func (e *Engine) LimitFence() units.Time {
-	f := noEvent
-	if e.limit < f {
-		f = e.limit + 1
-	}
-	return f
-}
+// NoteFused counts one departure event elided by a channel stamp ring.
+func (e *Engine) NoteFused() { e.fused++ }
 
 // NextAt reports the timestamp of the earliest pending event. ok is false
 // when the calendar is empty. It compares the head of minTick's slot with
@@ -258,13 +208,8 @@ func (e *Engine) After(d units.Time, fn func()) {
 }
 
 // Step runs the single earliest pending event, advancing the clock to its
-// timestamp. It reports whether an event ran. The drive horizon closes to
-// the event's own timestamp: the caller may inspect any state between
-// single steps, so no future effect may be applied early.
+// timestamp. It reports whether an event ran.
 func (e *Engine) Step() bool {
-	if next, ok := e.NextAt(); ok {
-		e.limit = next
-	}
 	ran := e.stepOne(0, false)
 	e.curSeq = idleSeq
 	return ran
@@ -272,7 +217,6 @@ func (e *Engine) Step() bool {
 
 // Run processes events until the calendar is empty.
 func (e *Engine) Run() {
-	e.limit = noEvent
 	for e.stepOne(0, false) {
 	}
 	e.curSeq = idleSeq
@@ -281,7 +225,6 @@ func (e *Engine) Run() {
 // RunUntil processes every event scheduled at or before t, then advances
 // the clock to exactly t. Events scheduled later remain pending.
 func (e *Engine) RunUntil(t units.Time) {
-	e.limit = t
 	for e.stepOne(t, true) {
 	}
 	e.curSeq = idleSeq
@@ -291,8 +234,7 @@ func (e *Engine) RunUntil(t units.Time) {
 }
 
 // stepOne pops and runs the earliest pending event (only up to limit when
-// bounded), reporting whether one ran. The drive horizon e.limit is set
-// by the drivers, not here — it outlives any single event.
+// bounded), reporting whether one ran.
 func (e *Engine) stepOne(limit units.Time, bounded bool) bool {
 	next, aside := e.peek()
 	if next == nil || bounded && next.at > limit {

@@ -34,6 +34,10 @@ func (m *Meter) Bytes() units.ByteSize { return m.bytes }
 // Ops reports the number of recorded operations.
 func (m *Meter) Ops() uint64 { return m.ops }
 
+// Start reports when the meter's window opened (zero if Open was never
+// called).
+func (m *Meter) Start() units.Time { return m.start }
+
 // Rate reports the achieved bandwidth between the window start (or time
 // zero if Open was never called) and now.
 func (m *Meter) Rate(now units.Time) units.Bandwidth {
