@@ -33,6 +33,11 @@ $run -stats "$smoke/s5.json" -cell fig5:0 > /dev/null
 $run -trace "$smoke/ft.json" -stats "$smoke/fs.json" > /dev/null
 for f in t ft; do "$smoke/chiplettrace" -in "$smoke/$f.json" > /dev/null; done
 for f in s4 s5 fs; do "$smoke/chipletstat" -in "$smoke/$f.json" > /dev/null; done
+# chipletstat is the only OpenMetrics/CSV exporter: convert one dump each way.
+for fmt in openmetrics csv; do
+    "$smoke/chipletstat" -in "$smoke/s4.json" -format $fmt -o "$smoke/s4.$fmt"
+    test -s "$smoke/s4.$fmt"
+done
 for bad in "-cell fig4:5:0" "-stats-window 0"; do
     if $run -stats "$smoke/bad.json" $bad 2> /dev/null; then
         echo "reproduce accepted $bad" >&2

@@ -16,7 +16,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -107,24 +109,11 @@ func main() {
 			cfg.Modules = append(cfg.Modules, m)
 		}
 	}
-	var prf *profile.Profiler
-	if *showProfile {
-		prf = profile.New(64)
-		cfg.Observer = prf.Observe
-	}
-	f, err := traffic.NewFlow(net, cfg)
+	window := units.Time(*duration) * units.Microsecond
+	f, prf, err := measure(net, cfg, window, *showProfile)
 	if err != nil {
 		log.Fatal(err)
 	}
-	f.Start()
-	window := units.Time(*duration) * units.Microsecond
-	eng.RunFor(window / 2) // warmup
-	f.ResetStats()
-	if prf != nil {
-		prf = profile.New(64)
-		cfg.Observer = prf.Observe
-	}
-	eng.RunFor(window)
 
 	h := f.Latency()
 	fmt.Printf("platform   %s\n", prof.Name)
@@ -137,6 +126,36 @@ func main() {
 		fmt.Println()
 		fmt.Println(prf.Report(10))
 	}
+}
+
+// measure starts a flow, warms it up for half the window, resets its
+// statistics and runs the measurement window. When profiled, it also
+// returns a profiler that saw exactly the measurement window's
+// completions.
+func measure(net *core.Network, cfg traffic.FlowConfig, window units.Time, profiled bool) (*traffic.Flow, *profile.Profiler, error) {
+	var prf *profile.Profiler
+	if profiled {
+		// The flow keeps its own copy of cfg, so the observer must read
+		// prf when each transaction completes, not when the flow is built.
+		cfg.Observer = func(t *txn.Transaction) {
+			if prf != nil {
+				prf.Observe(t)
+			}
+		}
+	}
+	f, err := traffic.NewFlow(net, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	f.Start()
+	eng := net.Engine()
+	eng.RunFor(window / 2) // warmup
+	f.ResetStats()
+	if profiled {
+		prf = profile.New(64)
+	}
+	eng.RunFor(window)
+	return f, prf, nil
 }
 
 func runChase(net *core.Network, prof *topology.Profile, ws units.ByteSize, nps topology.NPS, kind core.DestKind) {
@@ -188,21 +207,22 @@ func parseDest(s string) (core.DestKind, error) {
 	return 0, fmt.Errorf("unknown dest %q", s)
 }
 
-// parseSize understands 64B, 32KiB, 8MiB, 1GiB and bare byte counts.
+// parseSize understands 64B, 32KiB, 8MiB, 1GiB and bare byte counts: a
+// positive whole number and at most one unit suffix, nothing else.
 func parseSize(s string) (units.ByteSize, error) {
-	mult := units.ByteSize(1)
+	num, mult := s, units.ByteSize(1)
 	switch {
 	case strings.HasSuffix(s, "GiB"):
-		mult, s = units.GiB, strings.TrimSuffix(s, "GiB")
+		num, mult = strings.TrimSuffix(s, "GiB"), units.GiB
 	case strings.HasSuffix(s, "MiB"):
-		mult, s = units.MiB, strings.TrimSuffix(s, "MiB")
+		num, mult = strings.TrimSuffix(s, "MiB"), units.MiB
 	case strings.HasSuffix(s, "KiB"):
-		mult, s = units.KiB, strings.TrimSuffix(s, "KiB")
+		num, mult = strings.TrimSuffix(s, "KiB"), units.KiB
 	case strings.HasSuffix(s, "B"):
-		s = strings.TrimSuffix(s, "B")
+		num = strings.TrimSuffix(s, "B")
 	}
-	var n int64
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n <= 0 {
+	n, err := strconv.ParseInt(num, 10, 64)
+	if err != nil || n <= 0 || n > math.MaxInt64/int64(mult) {
 		return 0, fmt.Errorf("invalid size %q", s)
 	}
 	return units.ByteSize(n) * mult, nil

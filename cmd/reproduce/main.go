@@ -5,7 +5,7 @@
 //
 //	reproduce [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6] [-scale N] [-seed N] [-workers N]
 //	reproduce -trace out.json [-stats out.json] [-cell fig4:S:C|fig5:S] [-trace-spans N]
-//	          [-stats-window D] [-stats-format json|openmetrics|csv] [-stats-top N] [-scale N] [-seed N]
+//	          [-stats-window D] [-stats-top N] [-scale N] [-seed N]
 //
 // -scale divides the steady-state measurement windows (1 = full length, as
 // recorded in EXPERIMENTS.md; larger is faster but noisier). -workers sets
@@ -24,8 +24,9 @@
 // -stats attaches the windowed-metrics registry with the online anomaly
 // detectors, streams a top-like per-window bottleneck view while the
 // simulation runs, prints the family summary, the ranked bottleneck
-// report and the incident table, and writes the per-window series in the
-// -stats-format format (inspect a JSON dump later with cmd/chipletstat).
+// report and the incident table, and writes the per-window series as a
+// JSON dump (inspect it later, or convert it to OpenMetrics or CSV, with
+// cmd/chipletstat).
 //
 // With both, the two observers share one engine and one window, and the
 // trace file is the fused export: the span timeline plus the detected
@@ -60,9 +61,8 @@ func main() {
 	cellName := flag.String("cell", "fig4:1:2", "cell to observe with -trace/-stats: fig4:SCENARIO:CASE or fig5:SCENARIO (see fig4/fig5 output order)")
 	traceFile := flag.String("trace", "", "write a flight-recorder trace of the -cell cell to this file (Chrome trace_event JSON)")
 	traceSpans := flag.Int("trace-spans", 1<<20, "span ring capacity for -trace (oldest spans overwritten beyond this)")
-	statsFile := flag.String("stats", "", "write windowed metrics of the -cell cell to this file (format per -stats-format)")
+	statsFile := flag.String("stats", "", "write windowed metrics of the -cell cell to this file (JSON dump; convert with chipletstat -format)")
 	statsWindow := flag.Duration("stats-window", 100*time.Microsecond, "harvest window in simulated time (100us = the paper's 100 ms at 1:1000)")
-	statsFormat := flag.String("stats-format", "json", "-stats export format: json, openmetrics or csv")
 	statsTop := flag.Int("stats-top", 5, "rows in the live per-window bottleneck view (0 disables live output)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile (post-GC heap) to this file")
@@ -88,7 +88,7 @@ func main() {
 			log.Fatalf("-stats-window %v must be positive", *statsWindow)
 		}
 		win := units.Nanos(float64(statsWindow.Nanoseconds()))
-		err = runCell(opt, cell, *traceFile, *traceSpans, *statsFile, win, *statsFormat, *statsTop)
+		err = runCell(opt, cell, *traceFile, *traceSpans, *statsFile, win, *statsTop)
 		if err != nil {
 			log.Fatalf("%v: %v", cell, err)
 		}
@@ -125,22 +125,11 @@ func main() {
 
 // runCell runs one cell with the observers -trace and -stats ask for,
 // prints each observer's reports and writes its file.
-func runCell(opt harness.Options, cell harness.Cell, tracePath string, spanCap int, statsPath string, window units.Time, format string, top int) error {
+func runCell(opt harness.Options, cell harness.Cell, tracePath string, spanCap int, statsPath string, window units.Time, top int) error {
 	var obs harness.Observers
 	var mon *anomaly.Monitor
-	var writeStats func(io.Writer) error
 	if statsPath != "" {
 		reg := metrics.New(metrics.Config{Window: window})
-		switch format {
-		case "json":
-			writeStats = func(w io.Writer) error { return reg.Dump().WriteJSON(w) }
-		case "openmetrics":
-			writeStats = func(w io.Writer) error { return metrics.WriteOpenMetrics(w, reg) }
-		case "csv":
-			writeStats = func(w io.Writer) error { return metrics.WriteCSV(w, reg) }
-		default:
-			return fmt.Errorf("unknown format %q; choose json, openmetrics or csv", format)
-		}
 		mon = anomaly.Attach(reg, anomaly.Config{})
 		if top > 0 {
 			reg.OnHarvest(func() {
@@ -163,11 +152,11 @@ func runCell(opt harness.Options, cell harness.Cell, tracePath string, spanCap i
 		fmt.Println(metrics.BottleneckReport(reg, 3))
 		fmt.Println("incidents:")
 		fmt.Println(anomaly.Report(mon.Incidents()))
-		if err := writeFile(statsPath, writeStats); err != nil {
+		if err := writeFile(statsPath, reg.Dump().WriteJSON); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d windows x %d instruments to %s (%s)\n",
-			reg.Total(), reg.NumInstruments(), statsPath, format)
+		fmt.Printf("wrote %d windows x %d instruments to %s (json)\n",
+			reg.Total(), reg.NumInstruments(), statsPath)
 	}
 	if tr := obs.Tracer; tr != nil {
 		fmt.Println(tr.BreakdownReport(10))

@@ -104,7 +104,7 @@ func (n *Network) Issue(a Access, extraTokens []*link.TokenPool, done func(*txn.
 	w.dstKey = n.dstKeyFor(a)
 	w.id = t.ID
 	w.wb = false
-	w.phase = phaseExtra
+	w.state = sExtra
 	w.acq = 0
 	w.step()
 }
@@ -175,38 +175,44 @@ func retryBackoff(eng *sim.Engine, quantum units.Time) units.Time {
 	return quantum/2 + units.Time(eng.Rand().Int63n(int64(quantum)+1))
 }
 
+// admission is one message (re)trying to enter a bounded channel.
+type admission struct {
+	ch      *link.Channel
+	size    units.ByteSize
+	extra   units.Time
+	blocked units.Time // time of the first refusal, -1 until refused
+}
+
+// admit makes one admission try for transaction id with then as the
+// delivery; walkers and SendWithRetry both retry through it. A refusal
+// rearms retry after a jittered service quantum (see SendWithRetry for why
+// the cadence matters); the time from the first refusal to acceptance is
+// attributed as backpressure.
+func (n *Network) admit(m *admission, id uint64, then, retry func()) {
+	n.trSet(id)
+	if m.ch.TrySendAfter(m.size, m.extra, then) {
+		if m.blocked >= 0 {
+			n.trRange(m.ch.Hop(), trace.CauseBackpressured, m.blocked, n.eng.Now())
+		}
+		return
+	}
+	if m.blocked < 0 {
+		m.blocked = n.eng.Now()
+	}
+	n.eng.After(retryBackoff(n.eng, retryQuantum(m.ch.Capacity(), m.size)), retry)
+}
+
 // SendWithRetry sends on a bounded channel, retrying after a jittered
 // service quantum when backpressured. The retry cadence is what makes
 // admission arrival-proportional: a sender that wants more bandwidth has
 // more messages in the retry pool, so it wins more freed slots — the
 // sender-driven aggressive partitioning of §3.5. Exported so composing
 // subsystems (the NUMA fabric, accelerator models) inherit the same
-// admission behaviour.
+// admission behaviour; they issue no core transactions, so their traffic
+// is traced as infrastructure (transaction id 0).
 func (n *Network) SendWithRetry(ch *link.Channel, size units.ByteSize, extra units.Time, then func()) {
-	// Composed subsystems issue no core transactions, so their traffic is
-	// traced as infrastructure (transaction id 0).
-	n.pushWithRetry(ch, size, extra, 0, then)
-}
-
-// pushWithRetry sends for transaction id; time between the first refusal
-// and the eventual acceptance is attributed as backpressure. Core
-// transactions use the allocation-free walker equivalent (walker.attempt);
-// this closure form remains for composing subsystems whose sends are rare.
-func (n *Network) pushWithRetry(ch *link.Channel, size units.ByteSize, extra units.Time, id uint64, then func()) {
-	blocked := units.Time(-1)
-	var attempt func()
-	attempt = func() {
-		n.trSet(id)
-		if ch.TrySendAfter(size, extra, then) {
-			if blocked >= 0 {
-				n.trRange(ch.Hop(), trace.CauseBackpressured, blocked, n.eng.Now())
-			}
-			return
-		}
-		if blocked < 0 {
-			blocked = n.eng.Now()
-		}
-		n.eng.After(retryBackoff(n.eng, retryQuantum(ch.Capacity(), size)), attempt)
-	}
-	attempt()
+	m := &admission{ch: ch, size: size, extra: extra, blocked: -1}
+	var retry func()
+	retry = func() { n.admit(m, 0, then, retry) }
+	retry()
 }

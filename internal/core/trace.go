@@ -2,7 +2,7 @@
 // internal/trace; this file attaches it to every channel, token pool and
 // device of a Network, registers the path stages only the issuing layer
 // can see (CCM, LLC lookups, intra/inter-chiplet fabric slack), and
-// provides the nil-guarded helpers the path walkers in issue.go call.
+// provides the nil-guarded helpers the path walker in walker.go calls.
 //
 // The guarantee maintained here is exact tiling: the spans recorded for
 // one transaction cover [Issued, Completed] with no gaps and no overlaps,
@@ -59,30 +59,14 @@ func (n *Network) AttachTracer(tr *trace.Tracer) {
 // Tracer reports the attached flight recorder, nil when none is attached.
 func (n *Network) Tracer() *trace.Tracer { return n.tracer }
 
-// ccmHop reports chiplet ccd's cache-miss-handling stage hop (zero when
-// no tracer is attached — callers only dereference it under the guarded
-// helpers below).
-func (n *Network) ccmHop(ccd int) trace.HopID {
-	if n.ccmHops == nil {
+// stageHop reports chiplet ccd's hop in one of the per-CCD stage tables
+// (ccmHops, llcHops, ifHops): zero when no tracer is attached, since
+// callers only dereference it under the guarded helpers below.
+func stageHop(hops []trace.HopID, ccd int) trace.HopID {
+	if hops == nil {
 		return 0
 	}
-	return n.ccmHops[ccd]
-}
-
-// llcHop reports chiplet ccd's remote-LLC-lookup stage hop.
-func (n *Network) llcHop(ccd int) trace.HopID {
-	if n.llcHops == nil {
-		return 0
-	}
-	return n.llcHops[ccd]
-}
-
-// ifHop reports chiplet ccd's intra-chiplet fabric stage hop.
-func (n *Network) ifHop(ccd int) trace.HopID {
-	if n.ifHops == nil {
-		return 0
-	}
-	return n.ifHops[ccd]
+	return hops[ccd]
 }
 
 // trSet re-establishes the tracer's active-transaction register. The
@@ -119,26 +103,28 @@ func (w *walker) trAfter(hop trace.HopID, cause trace.Cause, d units.Time) {
 }
 
 // trMeshHops retroactively attributes a memory-path NoC crossing that
-// just completed now.
-func (w *walker) trMeshHops(shops, cs units.Time) {
+// just completed now: the walker's hop-extra is the switch-hop run
+// followed by the CS stage.
+func (w *walker) trMeshHops(cs units.Time) {
 	n := w.n
 	if n.tracer == nil {
 		return
 	}
 	now := n.eng.Now()
-	n.tracer.Range(n.noc.ShopsHop(), trace.CausePropagating, now-cs-shops, now-cs)
+	n.tracer.Range(n.noc.ShopsHop(), trace.CausePropagating, now-w.hopExtra, now-cs)
 	n.tracer.Range(n.noc.CSHop(), trace.CauseProcessing, now-cs, now)
 }
 
 // trHubHops retroactively attributes a device-path NoC crossing that just
-// completed now.
-func (w *walker) trHubHops(shops, hub, rc units.Time) {
+// completed now: the walker's hop-extra is the switch-hop run followed by
+// the I/O hub and root-complex stages.
+func (w *walker) trHubHops(hub, rc units.Time) {
 	n := w.n
 	if n.tracer == nil {
 		return
 	}
 	now := n.eng.Now()
-	n.tracer.Range(n.noc.ShopsHop(), trace.CausePropagating, now-rc-hub-shops, now-rc-hub)
+	n.tracer.Range(n.noc.ShopsHop(), trace.CausePropagating, now-w.hopExtra, now-rc-hub)
 	n.tracer.Range(n.noc.IOHubHop(), trace.CauseProcessing, now-rc-hub, now-rc)
 	n.tracer.Range(n.noc.RootHop(), trace.CauseProcessing, now-rc, now)
 }

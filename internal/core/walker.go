@@ -2,7 +2,9 @@ package core
 
 import (
 	"repro/internal/link"
+	"repro/internal/memsys"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/txn"
 	"repro/internal/units"
@@ -14,12 +16,15 @@ import (
 // Walkers are recycled through the network's free list, so the steady-state
 // transaction path allocates nothing.
 //
-// The state machines below are the closure chains of the former
-// runDRAM/runCXL/runLLCIntra/runLLCInter walkers unrolled: each case is one
-// event callback, in the same order, with the same tracer attributions and
-// the same random draws. Changing the sequence changes seeded replay.
-// Every hop is one channel send whose delivery is the next calendar event;
-// the channel elides only its own depart events (see link.Channel).
+// Every off-chiplet path has Fig 2's shape: cache miss and CCM, out
+// through the source GMI, across the I/O-die NoC, a destination-specific
+// far end, then back over the NoC and into the source GMI. The walker runs
+// that skeleton once for every destination; only the far end (farEnd)
+// differs. Each state is one event callback. The event order, the tracer
+// attributions and the random draws are part of seeded replay: changing
+// the sequence changes every result. Every hop is one channel send whose
+// delivery is the next calendar event; the channel elides only its own
+// depart events (see link.Channel).
 type walker struct {
 	n    *Network
 	t    *txn.Transaction
@@ -36,30 +41,34 @@ type walker struct {
 	id             uint64 // trace attribution: t.ID, or 0 for writebacks
 	wb             bool   // asynchronous dirty-writeback walker
 
-	phase int
 	state int
 
-	// Path constants computed on entry (former walker locals).
-	shops    units.Time     // switch-hop delay run
-	hopExtra units.Time     // per-message extra on the NoC leg
-	respSize units.ByteSize // LLC-inter response size
+	// Path constants computed on entry.
+	hopExtra  units.Time     // per-message extra on the outbound NoC leg
+	req, resp units.ByteSize // outbound and return message sizes
 
 	// In-flight push: the channel the walker is (re)trying to enter.
-	ch      *link.Channel
-	size    units.ByteSize
-	pExtra  units.Time
-	blocked units.Time
+	push admission
 
 	stepFn  func() // bound w.step: every resumption, event or token grant
 	retryFn func() // bound w.attempt, reused for every retry
 }
 
-// Walker phases: acquire flow windows, acquire hardware tokens, then walk
-// the path.
+// Walker states, one per event callback. A walker acquires its flow
+// windows and hardware tokens, then walks the shared skeleton; sFar..sFar+2
+// are the far end, and sIntra is the whole on-chiplet LLC path.
 const (
-	phaseExtra = iota
-	phaseHW
-	phasePath
+	sExtra = iota // acquire flow windows
+	sHW           // acquire hardware tokens
+	sCCM          // cache-miss handling elapsed: enter the source GMI
+	sNoC          // out of the source GMI: enter the NoC write direction
+	sFar          // NoC delivered at the far end (up to three states)
+	_
+	_
+	sReturn // response onto the NoC read direction
+	sGMIIn  // into the source GMI
+	sIntra  // over the intra-chiplet fabric and back
+	sDone   // response delivered
 )
 
 // getWalker pops a recycled walker from the free list or builds a fresh
@@ -90,16 +99,39 @@ func (n *Network) putWalker(w *walker) {
 	w.done = nil
 	w.hw = nil
 	w.extra = nil
-	w.ch = nil
+	w.push.ch = nil
 	n.freeW = append(n.freeW, w)
+}
+
+// msgSizes reports an access's request and response sizes. A
+// non-temporal write carries the line out and an ack back; a read, or a
+// temporal write's read-for-ownership, carries a request out and the line
+// back.
+func msgSizes(p *topology.Profile, op txn.Op) (req, resp units.ByteSize) {
+	if op == txn.NTWrite {
+		return units.CacheLine, p.WriteAckSize
+	}
+	return p.ReadRequestSize, units.CacheLine
 }
 
 // step is the walker's only continuation: channel deliveries, timers and
 // token grants all resume here, and it selects the next action from the
-// (phase, state) pair.
+// state.
+//
+// Every state follows the same tracing discipline: re-establish the
+// active transaction at the top of the callback, and attribute the
+// deterministic delays the channels cannot see (CCM handling, switch-hop
+// runs riding the NoC's per-message extra, device service) to their named
+// stage hops, retroactively where the delay has just elapsed. Together
+// with the channel and pool hooks, the spans tile [Issued, Completed]
+// exactly. sDone must not set the register: TokenPool.Acquire reads it,
+// so a set there would change which transaction the stalls of a
+// transaction issued from done are charged to.
 func (w *walker) step() {
-	switch w.phase {
-	case phaseExtra:
+	n := w.n
+	src := w.a.Src.CCD
+	switch w.state {
+	case sExtra:
 		if w.acq < len(w.extra) {
 			p := w.extra[w.acq]
 			w.acq++
@@ -111,12 +143,12 @@ func (w *walker) step() {
 		// curves include those stalls — that is what the Table 2 "Max
 		// CCX Q" rows are), but not time spent queued behind a software
 		// flow window.
-		w.t.Issued = w.n.eng.Now()
-		w.n.trSet(w.id)
-		w.phase = phaseHW
+		w.t.Issued = n.eng.Now()
+		n.trSet(w.id)
+		w.state = sHW
 		w.acq = 0
 		fallthrough
-	case phaseHW:
+	case sHW:
 		if w.acq < len(w.hw) {
 			p := w.hw[w.acq]
 			w.acq++
@@ -124,32 +156,168 @@ func (w *walker) step() {
 			return
 		}
 		w.enterPath()
-	default:
-		w.pathStep()
+	case sCCM:
+		n.trSet(w.id)
+		w.trBefore(stageHop(n.ccmHops, src), trace.CauseProcessing, n.prof.CacheMissBase)
+		w.state = sNoC
+		w.pushTo(n.gmiOut[src], w.req, 0)
+	case sNoC:
+		n.trSet(w.id)
+		w.state = sFar
+		w.pushTo(n.noc.Write, w.req, w.hopExtra)
+	case sFar, sFar + 1, sFar + 2:
+		w.farEnd()
+	case sReturn:
+		n.trSet(w.id)
+		w.state = sGMIIn
+		w.xsend(n.noc.Read, w.resp, 0)
+	case sGMIIn:
+		n.trSet(w.id)
+		w.state = sDone
+		w.xsend(n.gmiIn[src], w.resp, 0)
+	case sIntra:
+		n.trSet(w.id)
+		w.trBefore(stageHop(n.ifHops, src), trace.CausePropagating, w.hopExtra)
+		w.state = sDone
+		w.xsend(n.intraIn[src], w.resp, 0)
+	case sDone:
+		if w.a.Kind == DestDRAM && w.a.Op == txn.Write {
+			n.startWriteback(w.a, w.hopExtra)
+		}
+		w.finish()
 	}
 }
 
-// pathStep dispatches to the destination's state machine.
-func (w *walker) pathStep() {
-	if w.wb {
-		w.stepWriteback()
+// enterPath runs once all tokens are held: it computes the walker's path
+// constants, sampling the LLC paths' coherence jitter before the first
+// event, and performs the path's first action. The on-chiplet LLC path
+// has no CCM stage: its first push happens here.
+func (w *walker) enterPath() {
+	n, p, a := w.n, w.n.prof, w.a
+	w.req, w.resp = msgSizes(p, a.Op)
+	w.state = sCCM
+	switch a.Kind {
+	case DestDRAM:
+		w.hopExtra = n.noc.MemoryHopDelay(a.Src.CCD, a.UMC) + p.CSLatency
+	case DestCXL:
+		w.hopExtra = n.noc.IOHopDelay(a.Src.CCD) + p.IOHubLatency + p.RootComplexLatency
+	case DestLLCInter:
+		// The deterministic latency budget beyond the explicitly modelled
+		// legs (GMI crossings and the remote LLC lookup), plus coherence
+		// jitter.
+		w.hopExtra = interHopBase(p) + n.llcJitter.Sample()
+	case DestLLCIntra:
+		w.hopExtra = p.IntraCCLatency + n.llcJitter.Sample()
+		w.state = sIntra
+		w.pushTo(n.intraOut[a.Src.CCD], w.req, w.hopExtra)
 		return
 	}
-	switch w.a.Kind {
-	case DestDRAM:
-		w.stepDRAM()
-	case DestCXL:
-		w.stepCXL()
-	case DestLLCIntra:
-		w.stepLLCIntra()
-	case DestLLCInter:
-		w.stepLLCInter()
+	w.after(p.CacheMissBase)
+}
+
+// farEnd runs the destination's part of the path, from the NoC write
+// delivery to the response entering the return leg: at most three events.
+//
+//   - DRAM: CS -> UMC -> DRAM. Write data enters the UMC before the
+//     access; read data leaves it after.
+//   - CXL: I/O hub -> root complex -> P link -> CXL module, cachelines
+//     riding 68 B flits (§3.2's device path; Table 2's 243 ns row).
+//   - Inter-chiplet LLC: into the target chiplet's GMI, the remote LLC
+//     lookup, and out of its GMI. Requests and responses ride opposite
+//     GMI directions on both chiplets, which is why the paper sees
+//     inter-CC interference only at much higher aggregate bandwidth ("the
+//     I/O chiplet provisions more than one routing path").
+//   - Writeback: the line enters the UMC write queue and the walker ends.
+func (w *walker) farEnd() {
+	n, p, a := w.n, w.n.prof, w.a
+	step := w.state - sFar
+	w.state++
+	n.trSet(w.id)
+	switch {
+	case w.wb:
+		n.drams[a.UMC].Write.Send(units.CacheLine, nil)
+		n.putWalker(w)
+	case a.Kind == DestDRAM:
+		dram := n.drams[a.UMC]
+		nt := a.Op == txn.NTWrite
+		if step == 0 {
+			w.trMeshHops(p.CSLatency)
+			if nt {
+				w.xsend(dram.Write, w.req, 0)
+			} else {
+				w.serve(dram.ServiceHop(), dram.AccessTime())
+			}
+			return
+		}
+		w.state = sReturn
+		if nt {
+			w.serve(dram.ServiceHop(), dram.AccessTime())
+		} else {
+			w.xsend(dram.Read, w.resp, 0)
+		}
+	case a.Kind == DestCXL:
+		mod := n.cxls[a.Module]
+		switch step {
+		case 0:
+			w.trHubHops(p.IOHubLatency, p.RootComplexLatency)
+			w.pushTo(mod.Write, flitted(mod, w.req), p.PLinkLatency)
+		case 1:
+			w.trBefore(mod.PLinkHop(), trace.CausePropagating, p.PLinkLatency)
+			w.serve(mod.ServiceHop(), mod.AccessTime())
+		case 2:
+			w.xsend(mod.Read, flitted(mod, w.resp), 0)
+		}
+	case a.Kind == DestLLCInter:
+		dst := a.DstCCD
+		switch step {
+		case 0:
+			w.trBefore(n.interHop, trace.CausePropagating, w.hopExtra)
+			w.xsend(n.gmiIn[dst], w.req, 0)
+		case 1:
+			w.trAfter(stageHop(n.llcHops, dst), trace.CauseProcessing, p.L3Latency)
+			w.after(p.L3Latency)
+		case 2:
+			w.xsend(n.gmiOut[dst], w.resp, 0)
+		}
 	}
+}
+
+// flitted reports a CXL message's P-link size: a cacheline of data rides
+// whole flits, request and ack headers ride bare.
+func flitted(mod *memsys.CXLModule, size units.ByteSize) units.ByteSize {
+	if size == units.CacheLine {
+		return mod.FlitSize(size)
+	}
+	return size
+}
+
+// startWriteback launches a writeback walker for the dirty line a temporal
+// write leaves behind. It models the asynchronous eviction: it consumes
+// write-path bandwidth but completes nobody, so it traces as
+// infrastructure (id 0): counted in the per-hop registry, excluded from
+// transaction tilings. It joins the skeleton at the source GMI, reusing
+// the parent's NoC hop-extra (same CCD -> UMC route).
+func (n *Network) startWriteback(a Access, hopExtra units.Time) {
+	w := n.getWalker()
+	w.a = a
+	w.wb = true
+	w.id = 0
+	w.hopExtra = hopExtra
+	w.req = units.CacheLine
+	w.state = sNoC
+	w.pushTo(n.gmiOut[a.Src.CCD], units.CacheLine, 0)
 }
 
 // after resumes the walker d from now.
 func (w *walker) after(d units.Time) {
 	w.n.eng.After(d, w.stepFn)
+}
+
+// serve attributes a device access of duration d to its service hop and
+// resumes the walker when it ends.
+func (w *walker) serve(hop trace.HopID, d units.Time) {
+	w.trAfter(hop, trace.CauseService, d)
+	w.after(d)
 }
 
 // xsend sends unconditionally on ch with the walker's step as the
@@ -158,68 +326,17 @@ func (w *walker) xsend(ch *link.Channel, size units.ByteSize, extra units.Time) 
 	ch.SendAfter(size, extra, w.stepFn)
 }
 
-// enterPath runs once all tokens are held: it computes the walker's path
-// constants (sampling jitter exactly where the closure walkers did) and
-// performs the path's first action.
-func (w *walker) enterPath() {
-	n, p, a := w.n, w.n.prof, w.a
-	w.phase = phasePath
-	w.state = 1
-	switch a.Kind {
-	case DestDRAM:
-		w.shops = n.noc.MemoryHopDelay(a.Src.CCD, a.UMC)
-		w.hopExtra = w.shops + p.CSLatency
-		w.after(p.CacheMissBase)
-	case DestCXL:
-		w.shops = n.noc.IOHopDelay(a.Src.CCD)
-		w.hopExtra = w.shops + p.IOHubLatency + p.RootComplexLatency
-		w.after(p.CacheMissBase)
-	case DestLLCIntra:
-		w.hopExtra = p.IntraCCLatency + n.llcJitter.Sample()
-		if a.Op == txn.NTWrite {
-			w.pushTo(n.intraOut[a.Src.CCD], units.CacheLine, w.hopExtra)
-		} else {
-			w.pushTo(n.intraOut[a.Src.CCD], p.ReadRequestSize, w.hopExtra)
-		}
-	case DestLLCInter:
-		// The deterministic latency budget beyond the explicitly modelled
-		// legs (GMI crossings and the remote LLC lookup), plus coherence
-		// jitter.
-		w.hopExtra = interHopBase(p) + n.llcJitter.Sample()
-		if a.Op == txn.NTWrite {
-			w.respSize = p.WriteAckSize
-		} else {
-			w.respSize = units.CacheLine
-		}
-		w.after(p.CacheMissBase)
-	}
-}
-
 // pushTo starts (re)trying to enter ch with the walker's step as the
 // delivery continuation. Callers advance w.state first, so the delivery
-// lands in the next case.
+// lands in the next state.
 func (w *walker) pushTo(ch *link.Channel, size units.ByteSize, extra units.Time) {
-	w.ch, w.size, w.pExtra = ch, size, extra
-	w.blocked = -1
+	w.push = admission{ch: ch, size: size, extra: extra, blocked: -1}
 	w.attempt()
 }
 
-// attempt is one admission try; refusals rearm it after a jittered service
-// quantum, exactly like pushWithRetry (see SendWithRetry for why the
-// cadence matters).
+// attempt is one admission try of the in-flight push (see admit).
 func (w *walker) attempt() {
-	n, eng := w.n, w.n.eng
-	n.trSet(w.id)
-	if w.ch.TrySendAfter(w.size, w.pExtra, w.stepFn) {
-		if w.blocked >= 0 {
-			n.trRange(w.ch.Hop(), trace.CauseBackpressured, w.blocked, eng.Now())
-		}
-		return
-	}
-	if w.blocked < 0 {
-		w.blocked = eng.Now()
-	}
-	eng.After(retryBackoff(eng, retryQuantum(w.ch.Capacity(), w.size)), w.retryFn)
+	w.n.admit(&w.push, w.id, w.stepFn, w.retryFn)
 }
 
 // finish completes the transaction: stamp, trace, release every token in
@@ -248,268 +365,5 @@ func (w *walker) finish() {
 	}
 	if n.recycle {
 		n.txns.Put(t)
-	}
-}
-
-// stepDRAM walks a memory transaction: CCM -> GMI -> switch hops -> CS ->
-// UMC -> DRAM, response back through the NoC and GMI (Fig 2's path).
-//
-// Every walker follows the same tracing discipline: re-establish the
-// active transaction at the top of each event callback, and attribute the
-// deterministic delays the channels cannot see (CCM handling, switch-hop
-// runs riding the NoC's per-message extra, device service) to their named
-// stage hops, retroactively where the delay has just elapsed. Together
-// with the channel and pool hooks, the spans tile [Issued, Completed]
-// exactly.
-func (w *walker) stepDRAM() {
-	n, p, a := w.n, w.n.prof, w.a
-	ccd := a.Src.CCD
-	dram := n.drams[a.UMC]
-	nt := a.Op == txn.NTWrite
-	switch w.state {
-	case 1:
-		n.trSet(w.id)
-		w.trBefore(n.ccmHop(ccd), trace.CauseProcessing, p.CacheMissBase)
-		w.state = 2
-		if nt {
-			w.pushTo(n.gmiOut[ccd], units.CacheLine, 0)
-		} else {
-			// A temporal write is a read-for-ownership: the line is
-			// fetched like a read; the dirty writeback happens
-			// asynchronously later.
-			w.pushTo(n.gmiOut[ccd], p.ReadRequestSize, 0)
-		}
-	case 2:
-		n.trSet(w.id)
-		w.state = 3
-		if nt {
-			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra)
-		} else {
-			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra)
-		}
-	case 3:
-		n.trSet(w.id)
-		w.trMeshHops(w.shops, p.CSLatency)
-		w.state = 4
-		if nt {
-			w.xsend(dram.Write, units.CacheLine, 0)
-		} else {
-			access := dram.AccessTime()
-			w.trAfter(dram.ServiceHop(), trace.CauseService, access)
-			w.after(access)
-		}
-	case 4:
-		n.trSet(w.id)
-		w.state = 5
-		if nt {
-			access := dram.AccessTime()
-			w.trAfter(dram.ServiceHop(), trace.CauseService, access)
-			w.after(access)
-		} else {
-			w.xsend(dram.Read, units.CacheLine, 0)
-		}
-	case 5:
-		n.trSet(w.id)
-		w.state = 6
-		if nt {
-			w.xsend(n.noc.Read, p.WriteAckSize, 0)
-		} else {
-			w.xsend(n.noc.Read, units.CacheLine, 0)
-		}
-	case 6:
-		n.trSet(w.id)
-		w.state = 7
-		if nt {
-			w.xsend(n.gmiIn[ccd], p.WriteAckSize, 0)
-		} else {
-			w.xsend(n.gmiIn[ccd], units.CacheLine, 0)
-		}
-	case 7:
-		if a.Op == txn.Write {
-			n.startWriteback(a, w.hopExtra)
-		}
-		w.finish()
-	}
-}
-
-// stepWriteback models the asynchronous dirty-line eviction a temporal
-// write eventually causes: it consumes write-path bandwidth but completes
-// nobody, so it traces as infrastructure (id 0): counted in the per-hop
-// registry, excluded from transaction tilings.
-func (w *walker) stepWriteback() {
-	n := w.n
-	switch w.state {
-	case 1:
-		w.state = 2
-		w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra)
-	case 2:
-		n.trSet(0)
-		n.drams[w.a.UMC].Write.Send(units.CacheLine, nil)
-		n.putWalker(w)
-	}
-}
-
-// startWriteback launches a writeback walker for the dirty line a temporal
-// write leaves behind, reusing the parent's NoC hop-extra (same CCD -> UMC
-// route).
-func (n *Network) startWriteback(a Access, hopExtra units.Time) {
-	w := n.getWalker()
-	w.a = a
-	w.wb = true
-	w.id = 0
-	w.hopExtra = hopExtra
-	w.phase = phasePath
-	w.state = 1
-	w.pushTo(n.gmiOut[a.Src.CCD], units.CacheLine, 0)
-}
-
-// stepCXL walks a device transaction: CCM -> GMI -> switch hops -> I/O hub
-// -> root complex -> P link -> CXL module, riding 68 B flits on the CXL
-// leg (§3.2's device path; Table 2's 243 ns row).
-func (w *walker) stepCXL() {
-	n, p, a := w.n, w.n.prof, w.a
-	ccd := a.Src.CCD
-	mod := n.cxls[a.Module]
-	nt := a.Op == txn.NTWrite
-	switch w.state {
-	case 1:
-		n.trSet(w.id)
-		w.trBefore(n.ccmHop(ccd), trace.CauseProcessing, p.CacheMissBase)
-		w.state = 2
-		if nt {
-			w.pushTo(n.gmiOut[ccd], units.CacheLine, 0)
-		} else {
-			w.pushTo(n.gmiOut[ccd], p.ReadRequestSize, 0)
-		}
-	case 2:
-		n.trSet(w.id)
-		w.state = 3
-		if nt {
-			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra)
-		} else {
-			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra)
-		}
-	case 3:
-		n.trSet(w.id)
-		w.trHubHops(w.shops, p.IOHubLatency, p.RootComplexLatency)
-		w.state = 4
-		if nt {
-			w.pushTo(mod.Write, mod.FlitSize(units.CacheLine), p.PLinkLatency)
-		} else {
-			w.pushTo(mod.Write, p.ReadRequestSize, p.PLinkLatency)
-		}
-	case 4:
-		n.trSet(w.id)
-		w.trBefore(mod.PLinkHop(), trace.CausePropagating, p.PLinkLatency)
-		access := mod.AccessTime()
-		w.trAfter(mod.ServiceHop(), trace.CauseService, access)
-		w.state = 5
-		w.after(access)
-	case 5:
-		n.trSet(w.id)
-		w.state = 6
-		if nt {
-			w.xsend(mod.Read, p.WriteAckSize, 0)
-		} else {
-			w.xsend(mod.Read, mod.FlitSize(units.CacheLine), 0)
-		}
-	case 6:
-		n.trSet(w.id)
-		w.state = 7
-		if nt {
-			w.xsend(n.noc.Read, p.WriteAckSize, 0)
-		} else {
-			w.xsend(n.noc.Read, units.CacheLine, 0)
-		}
-	case 7:
-		n.trSet(w.id)
-		w.state = 8
-		if nt {
-			w.xsend(n.gmiIn[ccd], p.WriteAckSize, 0)
-		} else {
-			w.xsend(n.gmiIn[ccd], units.CacheLine, 0)
-		}
-	case 8:
-		w.finish()
-	}
-}
-
-// stepLLCIntra walks a cache-to-cache transfer within one compute chiplet.
-// Its first push happens in enterPath (there is no CCM delay stage), so the
-// machine starts at the delivery.
-func (w *walker) stepLLCIntra() {
-	n, p, a := w.n, w.n.prof, w.a
-	ccd := a.Src.CCD
-	switch w.state {
-	case 1:
-		n.trSet(w.id)
-		w.trBefore(n.ifHop(ccd), trace.CausePropagating, w.hopExtra)
-		w.state = 2
-		if a.Op == txn.NTWrite {
-			w.xsend(n.intraIn[ccd], p.WriteAckSize, 0)
-		} else {
-			w.xsend(n.intraIn[ccd], units.CacheLine, 0)
-		}
-	case 2:
-		w.finish()
-	}
-}
-
-// stepLLCInter walks a cache-to-cache transfer between compute chiplets:
-// out through the source GMI, across the I/O die, into the target chiplet,
-// and back. Requests and responses ride opposite GMI directions on both
-// chiplets, which is why the paper sees inter-CC interference only at much
-// higher aggregate bandwidth ("the I/O chiplet provisions more than one
-// routing path").
-func (w *walker) stepLLCInter() {
-	n, p, a := w.n, w.n.prof, w.a
-	src, dst := a.Src.CCD, a.DstCCD
-	nt := a.Op == txn.NTWrite
-	switch w.state {
-	case 1:
-		n.trSet(w.id)
-		w.trBefore(n.ccmHop(src), trace.CauseProcessing, p.CacheMissBase)
-		w.state = 2
-		if nt {
-			w.pushTo(n.gmiOut[src], units.CacheLine, 0)
-		} else {
-			w.pushTo(n.gmiOut[src], p.ReadRequestSize, 0)
-		}
-	case 2:
-		n.trSet(w.id)
-		w.state = 3
-		if nt {
-			w.pushTo(n.noc.Write, units.CacheLine, w.hopExtra)
-		} else {
-			w.pushTo(n.noc.Write, p.ReadRequestSize, w.hopExtra)
-		}
-	case 3:
-		n.trSet(w.id)
-		w.trBefore(n.interHop, trace.CausePropagating, w.hopExtra)
-		w.state = 4
-		if nt {
-			w.xsend(n.gmiIn[dst], units.CacheLine, 0)
-		} else {
-			w.xsend(n.gmiIn[dst], p.ReadRequestSize, 0)
-		}
-	case 4:
-		n.trSet(w.id)
-		w.trAfter(n.llcHop(dst), trace.CauseProcessing, p.L3Latency)
-		w.state = 5
-		w.after(p.L3Latency)
-	case 5:
-		n.trSet(w.id)
-		w.state = 6
-		w.xsend(n.gmiOut[dst], w.respSize, 0)
-	case 6:
-		n.trSet(w.id)
-		w.state = 7
-		w.xsend(n.noc.Read, w.respSize, 0)
-	case 7:
-		n.trSet(w.id)
-		w.state = 8
-		w.xsend(n.gmiIn[src], w.respSize, 0)
-	case 8:
-		w.finish()
 	}
 }

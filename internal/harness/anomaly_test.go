@@ -58,11 +58,10 @@ func TestFigure4MonitoredCellNamesSharedUMC(t *testing.T) {
 }
 
 // TestFigure4FusedCellWindowVerdict runs tracer and registry on one
-// engine and checks the fused view against the flight recorder's own
-// span-level verdict: the spans SpansInWindow returns for the incident's
-// onset window are exactly the ones a brute-force EachSpan overlap
-// filter selects, they are non-empty, and they include wait time on the
-// congested umc0/rd hop itself.
+// engine and keys the flight recorder off the umc0/rd incident's onset
+// window: the spans SpansInWindow returns are exactly the ones a
+// brute-force EachSpan overlap filter selects, they are non-empty, and
+// they include queueing on the congested umc0/rd hop itself.
 func TestFigure4FusedCellWindowVerdict(t *testing.T) {
 	reg := metrics.New(metrics.Config{Window: 25 * units.Microsecond})
 	mon := anomaly.Attach(reg, anomaly.Config{})
@@ -80,48 +79,45 @@ func TestFigure4FusedCellWindowVerdict(t *testing.T) {
 		t.Fatalf("no umc0/rd incident to fuse: %v", anomaly.Report(incs))
 	}
 
-	fused := anomaly.Fuse(*umc, tr)
-	if len(fused.Spans) == 0 {
-		t.Fatal("fused onset window holds no spans")
+	start, end := umc.OnsetStart, umc.OnsetEnd
+	var spans []trace.Span
+	n := tr.SpansInWindow(start, end, func(s trace.Span) { spans = append(spans, s) })
+	if n == 0 || n != len(spans) {
+		t.Fatalf("onset window holds %d spans (%d collected), want > 0", n, len(spans))
 	}
 
 	// The flight recorder's verdict: brute-force overlap filter over the
-	// whole ring must select exactly the fused span set, in order.
+	// whole ring must select exactly the same span set, in order.
 	var want []trace.Span
 	tr.EachSpan(func(s trace.Span) {
-		if s.End > fused.Start && s.Start < fused.End {
+		if s.End > start && s.Start < end {
 			want = append(want, s)
 		}
 	})
-	if !reflect.DeepEqual(fused.Spans, want) {
-		t.Fatalf("fused spans diverge from the recorder's verdict: %d vs %d spans",
-			len(fused.Spans), len(want))
+	if !reflect.DeepEqual(spans, want) {
+		t.Fatalf("window spans diverge from the recorder's verdict: %d vs %d spans",
+			len(spans), len(want))
 	}
-	// Every fused span genuinely overlaps the window.
-	for _, s := range fused.Spans {
-		if s.End <= fused.Start || s.Start >= fused.End {
-			t.Fatalf("span [%v,%v) outside fused window [%v,%v)", s.Start, s.End, fused.Start, fused.End)
+	// Every selected span genuinely overlaps the window.
+	for _, s := range spans {
+		if s.End <= start || s.Start >= end {
+			t.Fatalf("span [%v,%v) outside onset window [%v,%v)", s.Start, s.End, start, end)
 		}
 	}
 
-	// The congested resource's own hop appears among the fused spans with
-	// wait time — the metrics-side name keys into the trace-side hop.
+	// The congested resource's own hop appears among the window's spans
+	// with queueing time — the metrics-side name keys into the trace-side
+	// hop.
 	hops := tr.Hops()
 	sawUMCWait := false
-	for _, s := range fused.Spans {
+	for _, s := range spans {
 		if hops[s.Hop].Name == "umc0/rd" && s.Cause == trace.CauseQueued {
 			sawUMCWait = true
 			break
 		}
 	}
 	if !sawUMCWait {
-		t.Error("fused window has no queueing span on the umc0/rd hop")
-	}
-
-	// And the rendered fusion names the resource.
-	out := fused.Render(hops, 5)
-	if !strings.Contains(out, "umc0/rd") {
-		t.Errorf("fusion render missing umc0/rd:\n%s", out)
+		t.Error("onset window has no queueing span on the umc0/rd hop")
 	}
 }
 

@@ -102,7 +102,7 @@ func (r CellResult) Render() string {
 // convergence), so spans and harvest windows describe the interval the
 // cell's bandwidth numbers summarize, and their stamps share one clock:
 // a metrics window's [start, end) keys directly into the tracer
-// (trace.SpansInWindow, anomaly.Fuse). Detectors ride on the registry —
+// (trace.SpansInWindow). Detectors ride on the registry —
 // call anomaly.Attach on it before RunCell. Observers observe and never
 // steer: the cell's result is identical with any combination attached.
 type Observers struct {

@@ -166,8 +166,8 @@ func (t *Tracer) WriteTraceEvents(w io.Writer) error {
 // WriteTraceEventsAnnotated is WriteTraceEvents plus an incident
 // annotation track: each annotation becomes a complete event on the
 // "incidents" thread (onset/clear instant markers included), overlaid on
-// the span timeline in the same file. anomaly.FusedTraceEvents builds
-// the annotations from a monitor's incident list.
+// the span timeline in the same file. anomaly.WriteFusedTraceEvents
+// builds the annotations from a monitor's incident list.
 func (t *Tracer) WriteTraceEventsAnnotated(w io.Writer, anns []Annotation) error {
 	return writeTraceEvents(w, t.hops, t.EachSpan, anns)
 }

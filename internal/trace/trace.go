@@ -428,22 +428,6 @@ func (t *Tracer) SpansInWindow(start, end units.Time, fn func(Span)) int {
 	return n
 }
 
-// TxnsInWindow visits, oldest-first, the live transaction records whose
-// [Issued, Completed] lifetime overlaps [start, end) — the transactions
-// in flight during a harvest window. Reports the number visited.
-func (t *Tracer) TxnsInWindow(start, end units.Time, fn func(TxnRecord)) int {
-	n := 0
-	t.EachTxn(func(r TxnRecord) {
-		if r.Completed > start && r.Issued < end {
-			if fn != nil {
-				fn(r)
-			}
-			n++
-		}
-	})
-	return n
-}
-
 // EachTxn visits live transaction records oldest-first.
 func (t *Tracer) EachTxn(fn func(TxnRecord)) {
 	start := t.txnPos - t.txnN

@@ -258,12 +258,6 @@ func TestSpansInWindow(t *testing.T) {
 		t.Fatalf("SpansInWindow = %d spans, brute-force overlap = %d", n, want)
 	}
 
-	if n := tr.TxnsInWindow(10, 20, nil); n != 1 {
-		t.Fatalf("TxnsInWindow visited %d records, want 1 (txn 1 in flight)", n)
-	}
-	if n := tr.TxnsInWindow(30, 40, nil); n != 2 {
-		t.Fatalf("TxnsInWindow(30,40) visited %d records, want 2", n)
-	}
 }
 
 // TestLoadedSpansInWindow: the offline filter must agree with the live
