@@ -58,6 +58,11 @@ done
 # (SpansInWindow keyed off harvest-window stamps).
 go test -race -timeout 1800s ./internal/harness/ ./internal/core/ ./internal/metrics/ ./internal/anomaly/ ./internal/trace/
 
+# Any host shape: the orchestrator's determinism and recycling tests pin
+# Workers to 1 and 4, so run their goroutines on one core and
+# oversubscribed on eight. No timing assertions belong in this leg.
+go test -count=1 -cpu 1,8 -run 'Parallel|Recycling' ./internal/harness
+
 # Observability overhead guards: an attached-but-disabled tracer must stay
 # within ~5% of a nil tracer on the channel hot path (judged over
 # interleaved nil/disabled pairs, so host drift lands on both sides), and
@@ -68,8 +73,10 @@ CHIPLET_OVERHEAD_GATE=1 go test ./internal/trace/ -run 'TestDisabledTracerOverhe
 
 # Windowed-metrics overhead guards: a harvesting registry must stay within
 # ~5% of an uninstrumented run on the event hot path (the probes are
-# pulled once per window, never per event), and an attached-but-unstarted
-# registry must leave the simulation byte-identical.
+# pulled once per window, never per event; judged over interleaved
+# none/harvesting pairs, as the tracer guard is), and an
+# attached-but-unstarted registry must leave the simulation
+# byte-identical.
 CHIPLET_OVERHEAD_GATE=1 go test ./internal/metrics/ -run 'TestEnabledMetricsOverhead|TestUnstartedRegistryInvisible|TestHarvestAllocs' -v
 
 # The harvest tick over the full-network instrument table must not
@@ -120,9 +127,10 @@ fi
 
 # Fuzz the event calendar against a reference (time, seq) binary heap,
 # checking the wheel's own invariants after every op: exact stamp
-# collisions, out-of-order arrivals within a slot (the aside heap), stamps
-# straddling and far past the sliding horizon, events scheduled from
-# callbacks and RunUntil/Step interleavings; the seed corpus in
+# collisions, out-of-order arrivals within a slot (sorted inserts, and the
+# aside heap past the walk cap), stamps straddling and far past the
+# sliding horizon, events scheduled from callbacks and RunUntil/Step
+# interleavings; the seed corpus in
 # internal/sim/testdata/fuzz runs with every go test.
 go test ./internal/sim/ -run '^$' -fuzz FuzzCalendar -fuzztime 30s
 

@@ -1,9 +1,9 @@
 // Package cache models the compute chiplet's cache hierarchy: per-core L1
 // and L2, and the L3 slice shared by a core complex (CCX). It provides
-// both a cycle-free analytic model (which level serves a pointer-chase
+// a cycle-free analytic model (which level serves a pointer-chase
 // over a given working set — how the paper's Table 2 "Compute Chiplet"
-// rows were measured) and a concrete set-associative LRU simulator used to
-// validate the analytic thresholds and to drive cache-accurate workloads.
+// rows were measured). The package tests hold the analytic thresholds to a
+// concrete set-associative LRU simulator, which lives in sim_test.go.
 package cache
 
 import (
@@ -38,21 +38,6 @@ type Geometry struct {
 	Size units.ByteSize
 	Ways int
 	Line units.ByteSize
-}
-
-// Sets reports the number of sets.
-func (g Geometry) Sets() int {
-	return int(g.Size / (units.ByteSize(g.Ways) * g.Line))
-}
-
-func (g Geometry) validate(name string) error {
-	if g.Size <= 0 || g.Ways <= 0 || g.Line <= 0 {
-		return fmt.Errorf("cache: %s: non-positive geometry", name)
-	}
-	if g.Size%(units.ByteSize(g.Ways)*g.Line) != 0 {
-		return fmt.Errorf("cache: %s: size %v not divisible into %d ways of %v lines", name, g.Size, g.Ways, g.Line)
-	}
-	return nil
 }
 
 // Config sizes a three-level hierarchy as seen by one core: private L1 and

@@ -1,5 +1,29 @@
 package cache
 
+import (
+	"fmt"
+
+	"repro/internal/units"
+)
+
+// This file is the concrete cache simulator the analytic model is checked
+// against; only tests use it.
+
+// Sets reports the number of sets.
+func (g Geometry) Sets() int {
+	return int(g.Size / (units.ByteSize(g.Ways) * g.Line))
+}
+
+func (g Geometry) validate(name string) error {
+	if g.Size <= 0 || g.Ways <= 0 || g.Line <= 0 {
+		return fmt.Errorf("cache: %s: non-positive geometry", name)
+	}
+	if g.Size%(units.ByteSize(g.Ways)*g.Line) != 0 {
+		return fmt.Errorf("cache: %s: size %v not divisible into %d ways of %v lines", name, g.Size, g.Ways, g.Line)
+	}
+	return nil
+}
+
 // set is one associativity set with true-LRU replacement: tags ordered
 // most-recently-used first.
 type set struct {

@@ -2,6 +2,7 @@ package metrics_test
 
 import (
 	"os"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -144,24 +145,31 @@ func TestEnabledMetricsOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark comparison skipped in -short mode")
 	}
-	run := func(mode string) float64 {
-		best := 0.0
-		for i := 0; i < 3; i++ {
-			r := testing.Benchmark(func(b *testing.B) { benchChurn(b, mode) })
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			if best == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best
+	nsPerOp := func(mode string) float64 {
+		r := testing.Benchmark(func(b *testing.B) { benchChurn(b, mode) })
+		return float64(r.T.Nanoseconds()) / float64(r.N)
 	}
-	none := run("none")
-	harvesting := run("harvesting")
-	limit := none*1.05 + 2.0 // 5% plus 2 ns absolute slack
-	t.Logf("none=%.1f ns/op harvesting=%.1f ns/op limit=%.1f ns/op", none, harvesting, limit)
-	if harvesting > limit {
-		t.Fatalf("harvesting registry too slow: %.1f ns/op vs none %.1f ns/op (limit %.1f)",
-			harvesting, none, limit)
+	// Time none and harvesting back to back in pairs, alternating which
+	// runs first, so host drift lands on both sides of a pair instead of
+	// on one mode; the contract holds if the median pair meets the bound.
+	const pairs = 7
+	excess := make([]float64, pairs)
+	for i := range excess {
+		var none, harvesting float64
+		if i%2 == 0 {
+			none = nsPerOp("none")
+			harvesting = nsPerOp("harvesting")
+		} else {
+			harvesting = nsPerOp("harvesting")
+			none = nsPerOp("none")
+		}
+		limit := none*1.05 + 2.0 // 5% plus 2 ns absolute slack
+		excess[i] = harvesting - limit
+		t.Logf("pair %d: none=%.1f ns/op harvesting=%.1f ns/op limit=%.1f ns/op", i, none, harvesting, limit)
+	}
+	sort.Float64s(excess)
+	if med := excess[pairs/2]; med > 0 {
+		t.Fatalf("harvesting registry too slow: the median pair exceeds its limit (none*1.05 + 2 ns) by %.1f ns/op", med)
 	}
 }
 

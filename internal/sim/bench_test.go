@@ -39,40 +39,67 @@ func BenchmarkEngineHeapFanout(b *testing.B) {
 // BenchmarkEngineFlagshipMix drives the calendar with the Figure 4
 // flagship cell's measured event profile: about 80 events pending, delays
 // ≈45% under 4 ns, ≈50% 4–64 ns, a few percent 64–262 ns and a thin tail
-// beyond the wheel horizon. Each event schedules one successor and
-// nothing peeks the calendar, as on the walker's hop path. ns/op is the
-// cost of one dispatched event.
+// of 262 ns–1.26 µs.
 func BenchmarkEngineFlagshipMix(b *testing.B) {
+	benchDelayMix(b, 80, []delayBand{
+		{450, 0, 4000},
+		{505, 4 * units.Nanosecond, 60000},
+		{40, 64 * units.Nanosecond, 198000},
+		{5, 262144, 1000000},
+	})
+}
+
+// BenchmarkEngineDeepMix drives the calendar with membw_write's measured
+// event profile, the deep calendar of saturated DRAM write queues: about
+// 1,700 events pending, delays ≈10% under 1 ns, 22% 1–4 ns, 38% 4–64 ns,
+// 10% 64–262 ns and 20% 262 ns–1 µs.
+func BenchmarkEngineDeepMix(b *testing.B) {
+	benchDelayMix(b, 1700, []delayBand{
+		{100, 0, 1000},
+		{220, units.Nanosecond, 3000},
+		{380, 4 * units.Nanosecond, 60000},
+		{100, 64 * units.Nanosecond, 198000},
+		{200, 262 * units.Nanosecond, 738000},
+	})
+}
+
+// delayBand is one band of a measured delay spread: its share of draws in
+// per mille, and the range [lo, lo+span) it draws from uniformly.
+type delayBand struct {
+	permille int
+	lo, span units.Time
+}
+
+// benchDelayMix keeps about pending events scheduled, each drawing its
+// delay from mix (whose shares sum to 1000) and scheduling one successor
+// when it fires. Nothing peeks the calendar, as on the walker's hop path.
+// ns/op is the cost of one dispatched event.
+func benchDelayMix(b *testing.B, pending int, mix []delayBand) {
 	e := New(1)
 	r := e.Rand()
+	delay := func() units.Time {
+		u := r.Intn(1000)
+		for _, d := range mix {
+			if u < d.permille {
+				return d.lo + units.Time(r.Intn(int(d.span)))
+			}
+			u -= d.permille
+		}
+		panic("sim: delay mix shares do not sum to 1000")
+	}
 	n := 0
 	var fire func()
 	fire = func() {
 		if n++; n < b.N {
-			e.After(flagshipDelay(r), fire)
+			e.After(delay(), fire)
 		}
 	}
-	for i := 0; i < 80; i++ {
-		e.After(flagshipDelay(r), fire)
+	for i := 0; i < pending; i++ {
+		e.After(delay(), fire)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n < b.N && e.Step() {
-	}
-}
-
-// flagshipDelay draws one scheduling delay from the flagship cell's
-// measured spread.
-func flagshipDelay(r *RNG) units.Time {
-	switch u := r.Intn(1000); {
-	case u < 450:
-		return units.Time(r.Intn(4000))
-	case u < 955:
-		return 4*units.Nanosecond + units.Time(r.Intn(60000))
-	case u < 995:
-		return 64*units.Nanosecond + units.Time(r.Intn(198000))
-	default:
-		return wheelSpan + units.Time(r.Intn(1000000))
 	}
 }
 

@@ -19,14 +19,17 @@ const noEvent = units.Time(math.MaxInt64)
 // calendar's own invariants hold after every op (see checkWheel).
 // Scheduled events may schedule further events from their callbacks.
 // Stamps are drawn to collide exactly (same stamp, FIFO by scheduling
-// order), to arrive out of order within one 64 ps slot (the aside heap),
-// to straddle the sliding horizon measured from now's tick and to land
-// far beyond it (the aside heap again). The seed corpus in
+// order), to arrive out of order within one 256 ps slot (a sorted insert
+// into the slot list, or the aside heap past the walk cap), to straddle
+// the sliding horizon measured from now's tick and to land far beyond it
+// (the aside heap again). The seed corpus in
 // testdata/fuzz/FuzzCalendar covers same-stamp FIFO across the horizon,
-// a stamp exactly one horizon ahead of now's tick, list and aside
-// entries interleaving at one stamp, a minimum-slot rescan that wraps
-// the bitmap, the aside heap holding the minimum while the wheel is
-// non-empty, and node reuse.
+// a stamp exactly one horizon ahead of now's tick, out-of-order inserts
+// at the head and in the middle of a slot list, the walk-cap fallback
+// splitting equal stamps between a list and the aside heap, list and
+// aside entries interleaving at one stamp, a minimum-slot rescan that
+// wraps the bitmap, the aside heap holding the minimum while the wheel
+// is non-empty, and node reuse.
 //
 // Encoding: 8 bytes of four big-endian uint16 anchors (x 320 ps), then
 // ops. An op byte selects, mod 8: 0-2 schedule a node, 3 Step, 4
@@ -193,10 +196,10 @@ func (n *calNode) stamp(now units.Time, anchors [4]units.Time) units.Time {
 	switch n.class {
 	case 0: // exactly now
 		return now
-	case 1: // within a tick or two
+	case 1: // within a tick or two, in any order: sorted slot inserts
 		return now + units.Time(n.a)
-	case 2: // inside the wheel
-		return now + ab*4
+	case 2: // anywhere inside the wheel
+		return now + ab*(wheelSpan>>16)
 	case 3: // straddling the horizon, which starts at now's tick
 		horizon := units.Time((int64(now)>>tickShift + wheelSlots) << tickShift)
 		return horizon - 512 + ab%1024

@@ -14,14 +14,19 @@
 // a ring of wheelSlots slots, each covering 1<<tickShift picoseconds,
 // whose horizon is measured from now's tick: every wheel event's tick lies
 // in [now>>tickShift, now>>tickShift+wheelSlots), so two live ticks never
-// share a slot and the window never has to be rebased. A slot is a FIFO
-// list of pooled nodes that only accepts in-order appends; the aside heap,
-// a (time, seq) binary heap, takes every other event — stamps beyond the
-// horizon and stamps earlier than their slot's tail. Channel serialization
-// schedules almost every event within nanoseconds of now, in order, so the
-// common case is an O(1) append and an O(1) pop, and the earliest tick is
-// cached rather than searched for. Nodes and the heap reuse their storage
-// across events, so steady-state scheduling does not allocate.
+// share a slot and the window never has to be rebased. A slot is a list of
+// pooled nodes kept in (time, seq) order. A stamp not earlier than its
+// slot's tail is appended; an earlier one is linked in after the last
+// entry stamped at or before it, found by walking at most walkCap entries
+// from the head. The aside heap, a (time, seq) binary heap, takes the
+// rest: stamps beyond the ~1 µs horizon and inserts whose place lies past
+// the walk cap, so a slot crowded with out-of-order stamps costs O(log n),
+// never an O(n) walk. Channel serialization, hop latencies and
+// DRAM queue backlogs schedule almost every event within the horizon, so
+// the common case is an O(1) append or a short insert and an O(1) pop,
+// and the earliest tick is cached rather than searched for. Nodes and the
+// heap reuse their storage across events, so steady-state scheduling does
+// not allocate.
 package sim
 
 import (
@@ -33,18 +38,20 @@ import (
 
 const (
 	// tickShift sets the wheel granularity: one slot spans 1<<tickShift
-	// picoseconds (64 ps). Fine enough that events scheduled from one
-	// callback mostly land in distinct or in-order slots, so a slot list
-	// rarely sees an out-of-order arrival.
-	tickShift = 6
-	// wheelSlots is the number of wheel slots; with tickShift=6 the
-	// horizon is wheelSlots<<tickShift ≈ 262 ns of simulated time, past
-	// almost every serialization, hop and pacing delay. Must be a power of
-	// two (slot index is tick&slotMask) and a multiple of 64 (occupancy
-	// bitmap words).
+	// picoseconds (256 ps). Coarse enough that wheelSlots of them reach
+	// past the DRAM queue backlogs; the slot lists keep the finer order.
+	tickShift = 8
+	// wheelSlots is the number of wheel slots; with tickShift=8 the
+	// horizon is wheelSlots<<tickShift ≈ 1.05 µs of simulated time, past
+	// almost every serialization, hop, pacing and DRAM queueing delay.
+	// Must be a power of two (slot index is tick&slotMask) and a multiple
+	// of 64 (occupancy bitmap words).
 	wheelSlots = 4096
 	slotMask   = wheelSlots - 1
 	wheelSpan  = units.Time(wheelSlots << tickShift)
+	// walkCap bounds the list walk of an out-of-order insert; a stamp
+	// whose place lies further in goes to the aside heap.
+	walkCap = 8
 )
 
 // Engine is a discrete-event scheduler. The zero value is not usable; use
@@ -69,8 +76,8 @@ type Engine struct {
 	// only when its slot drains.
 	minTick  int64
 	wheelLen int // events in slot lists
-	// slots holds one FIFO list per tick of the sliding horizon; a slot's
-	// entry is meaningful only while its occ bit is set.
+	// slots holds one (time, seq)-ordered list per tick of the sliding
+	// horizon; a slot's entry is meaningful only while its occ bit is set.
 	slots *[wheelSlots]slot
 	occ   [wheelSlots / 64]uint64 // occupancy bitmap, one bit per slot
 	// nodes is the pool the slot lists link through; free heads the list
@@ -79,7 +86,8 @@ type Engine struct {
 	nodes []node
 	free  int32
 	// aside is a (time, seq) min-heap of the events no slot list takes:
-	// stamps beyond the horizon and stamps earlier than their slot's tail.
+	// stamps beyond the horizon and out-of-order stamps whose place in
+	// their slot's list lies past the walk cap.
 	aside []event
 }
 
@@ -192,10 +200,38 @@ func (e *Engine) At(t units.Time, fn func()) {
 		e.nodes[s.tail].next = n
 		s.tail = n
 	default:
-		e.aside = heapPush(e.aside, ev)
-		return
+		if !e.insertSorted(s, ev) {
+			e.aside = heapPush(e.aside, ev)
+			return
+		}
 	}
 	e.wheelLen++
+}
+
+// insertSorted links ev, stamped earlier than s's tail, into s's list
+// after the last entry stamped at or before it; ev's seq is the largest
+// yet, so equal stamps stay FIFO. It walks at most walkCap entries from
+// the head and reports false, linking nothing, when the place lies
+// further in.
+func (e *Engine) insertSorted(s *slot, ev event) bool {
+	prev := s.head
+	if ev.at < e.nodes[prev].at {
+		n := e.newNode(ev)
+		e.nodes[n].next = prev
+		s.head = n
+		return true
+	}
+	for i := 0; i < walkCap; i++ {
+		next := e.nodes[prev].next
+		if ev.at < e.nodes[next].at {
+			n := e.newNode(ev)
+			e.nodes[n].next = next
+			e.nodes[prev].next = n
+			return true
+		}
+		prev = next
+	}
+	return false
 }
 
 // After schedules fn to run d after the current time. A negative d is
@@ -319,7 +355,7 @@ type event struct {
 }
 
 // before orders events by (timestamp, scheduling sequence) — the strict
-// tie-break the slot lists keep by appending in order and the aside heap
+// tie-break the slot lists keep by sorted linking and the aside heap
 // keeps by comparison, so ordering is identical wherever an event lives.
 func (a event) before(b event) bool {
 	if a.at != b.at {
