@@ -159,14 +159,16 @@ if echo "$bench" | grep 'BenchmarkNetworkIssue' | grep -qv ' 0 allocs/op'; then
 fi
 
 # The message path must not grow: a saturated channel's departure ring is
-# bounded by its peak occupancy, and the router mesh routes on pooled
-# frames. Amortized append growth rounds to 0 allocs/op, so these gates
-# also demand 0 B/op, and TestDepartureRingBounded checks TotalAlloc
-# directly over 1M messages.
-bench=$(go test ./internal/link/ ./internal/router/ -run '^$' -bench 'BenchmarkChannelSaturated|BenchmarkMeshRoute' -benchtime 200000x)
+# bounded by its peak occupancy, writebacks leave only a stamp in it, a
+# token pool's waiter queue compacts in place, and the router mesh routes
+# on pooled frames. Amortized append growth rounds to 0 allocs/op, so
+# these gates also demand 0 B/op, and TestDepartureRingBounded checks
+# TotalAlloc directly over 1M messages.
+msgpath='BenchmarkChannelSaturated|BenchmarkChannelWriteback|BenchmarkTokenPoolAcquireRelease|BenchmarkMeshRoute'
+bench=$(go test ./internal/link/ ./internal/router/ -run '^$' -bench "$msgpath" -benchtime 200000x)
 echo "$bench"
-if echo "$bench" | grep -E 'BenchmarkChannelSaturated|BenchmarkMeshRoute' | grep -qv ' 0 B/op[[:space:]]*0 allocs/op'; then
-    echo "channel or mesh message path allocates in steady state" >&2
+if echo "$bench" | grep -E "$msgpath" | grep -qv ' 0 B/op[[:space:]]*0 allocs/op'; then
+    echo "channel, token pool or mesh message path allocates in steady state" >&2
     exit 1
 fi
 go test ./internal/link/ -run 'TestDepartureRingBounded' -count=1 -v

@@ -14,12 +14,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/devtree"
 	"repro/internal/mesh"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 	"repro/internal/txn"
@@ -50,7 +53,7 @@ func main() {
 	case "routes":
 		printRoutes(prof)
 	case "telemetry":
-		printTelemetry(prof)
+		printTelemetry(os.Stdout, prof)
 	default:
 		log.Fatalf("unknown view %q", *view)
 	}
@@ -74,10 +77,15 @@ func printRoutes(p *topology.Profile) {
 	fmt.Printf("%-11s        : %s\n", "if-inter", mesh.InterCCRoute(p))
 }
 
-// printTelemetry runs a short mixed load and dumps the per-link counters.
-func printTelemetry(p *topology.Profile) {
+// printTelemetry runs a short mixed load and writes the per-link counters
+// and the load's source/destination traffic matrix to w.
+func printTelemetry(w io.Writer, p *topology.Profile) {
 	eng := sim.New(42)
 	net := core.New(eng, p)
+	matrix := telemetry.NewTrafficMatrix()
+	record := func(t *txn.Transaction) {
+		matrix.Record(t.Flow.Src.String(), t.Flow.Dst.String(), t.Size)
+	}
 	var cores []topology.CoreID
 	for ccx := 0; ccx < p.CCXPerCCD(); ccx++ {
 		for c := 0; c < p.CoresPerCCX(); c++ {
@@ -87,17 +95,18 @@ func printTelemetry(p *topology.Profile) {
 	rd := traffic.MustFlow(net, traffic.FlowConfig{
 		Name: "sample-rd", Cores: cores, Op: txn.Read,
 		Kind: core.DestDRAM, UMCs: p.UMCSet(topology.NPS1, 0),
+		Observer: record,
 	})
 	wr := traffic.MustFlow(net, traffic.FlowConfig{
 		Name: "sample-wr", Cores: cores, Op: txn.NTWrite,
 		Kind: core.DestDRAM, UMCs: p.UMCSet(topology.NPS1, 0),
-		Demand: units.GBps(4),
+		Demand: units.GBps(4), Observer: record,
 	})
 	rd.Start()
 	wr.Start()
 	eng.RunFor(100 * units.Microsecond)
-	fmt.Print(devtree.Telemetry(net))
-	fmt.Println()
-	fmt.Println("traffic matrix (sample load, one compute chiplet):")
-	fmt.Print(net.Matrix().String())
+	fmt.Fprint(w, devtree.Telemetry(net))
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "traffic matrix (sample load, one compute chiplet):")
+	fmt.Fprint(w, matrix.String())
 }

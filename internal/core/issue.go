@@ -77,9 +77,9 @@ func (a Access) destEndpoint(p *topology.Profile) txn.Endpoint {
 //
 // The transaction handed to done is recycled once done returns: a done
 // callback that retains the pointer must copy the struct or call Pin.
-// Everything else on this path — the walker frame, the hardware pool-set,
-// the traffic-matrix keys — is pooled or precomputed, so steady-state
-// issues allocate nothing.
+// Everything else on this path — the walker frame and the hardware
+// pool-set — is pooled or precomputed, so steady-state issues allocate
+// nothing.
 func (n *Network) Issue(a Access, extraTokens []*link.TokenPool, done func(*txn.Transaction)) {
 	n.nextID++
 	var t *txn.Transaction
@@ -100,8 +100,6 @@ func (n *Network) Issue(a Access, extraTokens []*link.TokenPool, done func(*txn.
 	w.done = done
 	w.extra = extraTokens
 	w.hw = n.poolSets[idx*numPoolSets+poolSetIndex(a)]
-	w.srcKey = n.srcKeys[idx]
-	w.dstKey = n.dstKeyFor(a)
 	w.id = t.ID
 	w.wb = false
 	w.state = sExtra

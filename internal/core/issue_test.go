@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/txn"
 	"repro/internal/units"
@@ -75,13 +76,28 @@ func TestInterCCWrite(t *testing.T) {
 	}
 }
 
+// TestTrafficMatrixRecordsFlows builds a traffic matrix from completed
+// transactions, as a flow observer does: each carries its source core
+// and destination endpoint.
 func TestTrafficMatrixRecordsFlows(t *testing.T) {
 	net := newNet(topology.EPYC7302())
-	probe(t, net, Access{
+	m := telemetry.NewTrafficMatrix()
+	a := Access{
 		Src: topology.CoreID{CCD: 1, CCX: 0, Core: 1},
 		Op:  txn.Read, Kind: DestDRAM, UMC: 3,
-	}, 100)
-	m := net.Matrix()
+	}
+	var issue func()
+	left := 100
+	issue = func() {
+		net.Issue(a, nil, func(tx *txn.Transaction) {
+			m.Record(tx.Flow.Src.String(), tx.Flow.Dst.String(), tx.Size)
+			if left--; left > 0 {
+				issue()
+			}
+		})
+	}
+	issue()
+	net.Engine().Run()
 	got := m.Bytes("core:ccd1/ccx0/core1", "dram:umc3")
 	if got != 100*units.CacheLine {
 		t.Errorf("matrix cell = %v, want %v", got, 100*units.CacheLine)

@@ -34,7 +34,6 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/mesh"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/txn"
@@ -50,9 +49,6 @@ type Network struct {
 	// coherence-directory variance give the IF latency distribution its
 	// tail (Fig 3-a reports a 490 ns P999 at a 144.5 ns average).
 	llcJitter *memsys.Jitter
-
-	// matrix is the source/destination traffic matrix.
-	matrix *telemetry.TrafficMatrix
 
 	// Free lists for the per-transaction objects, and the id counter.
 	txns   txn.Pool
@@ -84,15 +80,10 @@ type Network struct {
 	cxlReads  []*link.TokenPool
 	cxlWrites []*link.TokenPool
 
-	// Hot-path flyweights, built once at construction: the hardware token
-	// pool-set per (core, DestKind, Op-class) in acquisition order, and
-	// the interned traffic-matrix key per endpoint. Issue never formats a
-	// string or appends a slice.
+	// Hot-path flyweight, built once at construction: the hardware token
+	// pool-set per (core, DestKind, Op-class) in acquisition order. Issue
+	// never formats a string or appends a slice.
 	poolSets [][]*link.TokenPool // core*numPoolSets + poolSetIndex
-	srcKeys  []telemetry.EndpointID
-	dramKeys []telemetry.EndpointID
-	cxlKeys  []telemetry.EndpointID
-	llcKeys  []telemetry.EndpointID // per CCX: index ccd*CCXPerCCD+ccx
 
 	// recycle is the free-list switch the determinism guard flips off to
 	// prove pooling is invisible to results.
@@ -117,7 +108,6 @@ func New(eng *sim.Engine, p *topology.Profile) *Network {
 	n := &Network{eng: eng, prof: p, recycle: true}
 	n.llcJitter = memsys.NewJitter(eng.Rand(), p.DRAMJitterMean,
 		p.TailSpikeProb, p.TailSpikeDelay)
-	n.matrix = telemetry.NewTrafficMatrix()
 	n.noc = mesh.New(eng, p)
 	for u := 0; u < p.UMCChannels; u++ {
 		n.drams = append(n.drams, memsys.NewDRAMChannel(eng, p, u))
@@ -161,7 +151,6 @@ func New(eng *sim.Engine, p *topology.Profile) *Network {
 		}
 	}
 	n.buildPoolSets()
-	n.buildMatrixKeys()
 	return n
 }
 
@@ -223,54 +212,6 @@ func (n *Network) buildPoolSets() {
 	}
 }
 
-// buildMatrixKeys interns every endpoint name the network can record, so
-// the per-transaction matrix update is two integer map operations.
-func (n *Network) buildMatrixKeys() {
-	p := n.prof
-	n.srcKeys = make([]telemetry.EndpointID, p.Cores)
-	for ccd := 0; ccd < p.CCDs; ccd++ {
-		for ccx := 0; ccx < p.CCXPerCCD(); ccx++ {
-			for c := 0; c < p.CoresPerCCX(); c++ {
-				id := topology.CoreID{CCD: ccd, CCX: ccx, Core: c}
-				n.srcKeys[n.coreIndex(id)] = n.matrix.Intern(txn.CoreEP(id).String())
-			}
-		}
-	}
-	n.dramKeys = make([]telemetry.EndpointID, p.UMCChannels)
-	for u := 0; u < p.UMCChannels; u++ {
-		n.dramKeys[u] = n.matrix.Intern(txn.DRAMEP(u).String())
-	}
-	n.cxlKeys = make([]telemetry.EndpointID, p.CXLModules)
-	for m := 0; m < p.CXLModules; m++ {
-		n.cxlKeys[m] = n.matrix.Intern(txn.CXLEP(m).String())
-	}
-	n.llcKeys = make([]telemetry.EndpointID, p.CCXs)
-	for ccd := 0; ccd < p.CCDs; ccd++ {
-		for ccx := 0; ccx < p.CCXPerCCD(); ccx++ {
-			id := topology.CCXID{CCD: ccd, CCX: ccx}
-			n.llcKeys[ccd*p.CCXPerCCD()+ccx] = n.matrix.Intern(txn.LLCEP(id).String())
-		}
-	}
-}
-
-// dstKeyFor resolves the interned matrix key of an access's destination;
-// it mirrors Access.destEndpoint.
-func (n *Network) dstKeyFor(a Access) telemetry.EndpointID {
-	switch a.Kind {
-	case DestDRAM:
-		return n.dramKeys[a.UMC]
-	case DestCXL:
-		return n.cxlKeys[a.Module]
-	case DestLLCIntra:
-		peer := (a.Src.CCX + 1) % n.prof.CCXPerCCD()
-		return n.llcKeys[a.Src.CCD*n.prof.CCXPerCCD()+peer]
-	case DestLLCInter:
-		return n.llcKeys[a.DstCCD*n.prof.CCXPerCCD()]
-	default:
-		panic(fmt.Sprintf("core: unknown destination kind %d", int(a.Kind)))
-	}
-}
-
 // SetRecycling toggles the transaction and walker free lists. Recycling is
 // on by default; with it off every Issue allocates fresh objects. Results
 // are identical either way — the determinism guard test relies on that.
@@ -292,16 +233,15 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 func (n *Network) EventsExecuted() uint64 { return n.eng.Executed() }
 
 // EventsFused reports the departure events elided by channel stamp rings:
-// one per delivered message, recorded as a stamp instead of being
-// dispatched. EventsExecuted + EventsFused is the classic event count of
-// the same run, one depart and one delivery per message.
+// one per message, writebacks included, recorded as a stamp instead of
+// being dispatched. EventsExecuted + EventsFused is the classic event
+// count of the same run, except that a depart is counted when its message
+// is sent: a run stopped with messages still serializing counts those
+// departs too.
 func (n *Network) EventsFused() uint64 { return n.eng.Fused() }
 
 // Profile reports the platform profile the network was built from.
 func (n *Network) Profile() *topology.Profile { return n.prof }
-
-// Matrix reports the network's source/destination traffic matrix.
-func (n *Network) Matrix() *telemetry.TrafficMatrix { return n.matrix }
 
 // DRAM reports memory channel umc.
 func (n *Network) DRAM(umc int) *memsys.DRAMChannel { return n.drams[umc] }

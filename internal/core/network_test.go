@@ -136,16 +136,18 @@ func TestIntraAndInterCCLatency(t *testing.T) {
 }
 
 // TestElidedDepartsEqualMessages pins what the departure-stamp ring
-// guarantees: every delivered message's depart event is elided, exactly
-// once, and nothing else is. A read-only closed loop sends no
-// nil-delivery writebacks, so on a fresh network (no ResetStats) the
-// engine's fused counter equals the messages summed over every channel.
+// guarantees: every message's depart event is elided, exactly once, and
+// nothing else is, so on a fresh network (no ResetStats) the engine's
+// fused counter equals the messages summed over every channel. The
+// temporal DRAM write counts its writebacks too: their nil-delivery sends
+// leave only a stamp.
 func TestElidedDepartsEqualMessages(t *testing.T) {
 	kinds := []struct {
 		name string
 		a    Access
 	}{
 		{"dram", Access{Kind: DestDRAM, Op: txn.Read}},
+		{"dram-write", Access{Kind: DestDRAM, Op: txn.Write}},
 		{"cxl", Access{Kind: DestCXL, Op: txn.Read}},
 		{"llc-intra", Access{Kind: DestLLCIntra, Op: txn.Read}},
 		{"llc-inter", Access{Kind: DestLLCInter, DstCCD: 1, Op: txn.Read}},

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/link"
 	"repro/internal/memsys"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/txn"
@@ -37,9 +36,8 @@ type walker struct {
 	extra []*link.TokenPool
 	acq   int
 
-	srcKey, dstKey telemetry.EndpointID
-	id             uint64 // trace attribution: t.ID, or 0 for writebacks
-	wb             bool   // asynchronous dirty-writeback walker
+	id uint64 // trace attribution: t.ID, or 0 for writebacks
+	wb bool   // asynchronous dirty-writeback walker
 
 	state int
 
@@ -340,8 +338,8 @@ func (w *walker) attempt() {
 }
 
 // finish completes the transaction: stamp, trace, release every token in
-// reverse order, record the traffic-matrix cell by interned key, then hand
-// the transaction to done and recycle both objects. The walker is recycled
+// reverse order, then hand the transaction to done and recycle both
+// objects. The walker is recycled
 // before done runs so a done callback that issues the next transaction
 // (closed loops) reuses this frame; the transaction is recycled after done
 // returns, unless the callback pinned it.
@@ -357,7 +355,6 @@ func (w *walker) finish() {
 	for i := len(w.extra) - 1; i >= 0; i-- {
 		w.extra[i].Release()
 	}
-	n.matrix.RecordID(w.srcKey, w.dstKey, t.Size)
 	done := w.done
 	n.putWalker(w)
 	if done != nil {

@@ -161,18 +161,18 @@ func FromProfile(p *topology.Profile) *Node {
 
 // Telemetry renders the runtime per-link counters of a live network: the
 // "/proc/chiplet-net" view. Columns: link, capacity, bytes, messages,
-// refused sends (backpressure events), utilization, mean and P999
+// refused sends (backpressure events), utilization, mean and maximum
 // queueing.
 func Telemetry(net *core.Network) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# /proc/chiplet-net — %s @ %v\n", net.Profile().Name, net.Engine().Now())
 	fmt.Fprintf(&b, "%-14s %12s %12s %10s %8s %6s %12s %12s\n",
-		"link", "capacity", "bytes", "msgs", "refused", "util", "q-mean", "q-p999")
+		"link", "capacity", "bytes", "msgs", "refused", "util", "q-mean", "q-max")
 	for _, ch := range net.Channels() {
 		s := ch.Stats()
 		fmt.Fprintf(&b, "%-14s %12s %12s %10d %8d %5.1f%% %12s %12s\n",
 			s.Name, s.Capacity, s.Bytes, s.Messages, s.Refused,
-			ch.Utilization()*100, s.MeanQueueing, s.P999Queueing)
+			ch.Utilization()*100, s.MeanQueueing, s.MaxQueueing)
 	}
 	return b.String()
 }

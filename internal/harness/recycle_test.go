@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/link"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 	"repro/internal/txn"
@@ -47,8 +48,8 @@ func TestRecyclingInvisibleToFigure4(t *testing.T) {
 
 // TestRecyclingInvisibleToCompletionTimes compares one contended cell at
 // full depth: per-transaction completion-latency percentiles, the rendered
-// traffic matrix, and every channel's stats snapshot must be identical
-// with pooling on and off.
+// traffic matrix a flow observer builds, and every channel's stats
+// snapshot must be identical with pooling on and off.
 func TestRecyclingInvisibleToCompletionTimes(t *testing.T) {
 	type snapshot struct {
 		p50, p99, max units.Time
@@ -63,9 +64,13 @@ func TestRecyclingInvisibleToCompletionTimes(t *testing.T) {
 		if net.Recycling() == disable {
 			t.Fatalf("DisableRecycle=%v not applied to the network", disable)
 		}
+		matrix := telemetry.NewTrafficMatrix()
 		f := traffic.MustFlow(net, traffic.FlowConfig{
 			Name: "det", Cores: ccdCores(p, 0), Op: txn.Read,
 			Kind: icore.DestDRAM, UMCs: p.UMCSet(topology.NPS1, 0),
+			Observer: func(t *txn.Transaction) {
+				matrix.Record(t.Flow.Src.String(), t.Flow.Dst.String(), t.Size)
+			},
 		})
 		f.Start()
 		net.Engine().RunFor(opt.scale(20 * units.Microsecond))
@@ -73,7 +78,7 @@ func TestRecyclingInvisibleToCompletionTimes(t *testing.T) {
 			p50:    f.Latency().Percentile(50),
 			p99:    f.Latency().Percentile(99),
 			max:    f.Latency().Max(),
-			matrix: net.Matrix().String(),
+			matrix: matrix.String(),
 		}
 		for _, ch := range net.Channels() {
 			s.stats = append(s.stats, ch.Stats())

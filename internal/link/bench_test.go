@@ -45,9 +45,47 @@ func BenchmarkChannelSaturated(b *testing.B) {
 	}
 }
 
+// BenchmarkChannelWriteback sends one nil-delivery message per
+// serialization time into an unbounded channel, as writebacks do: each
+// leaves only a departure stamp, so the steady state must report 0 B/op.
+func BenchmarkChannelWriteback(b *testing.B) {
+	eng := sim.New(1)
+	ch := NewChannel(eng, "bench", units.GBps(32), 0, 0)
+	gap := units.GBps(32).TimeToSend(units.CacheLine)
+	var pump func()
+	pump = func() {
+		ch.Send(units.CacheLine, nil)
+		eng.After(gap, pump)
+	}
+	eng.After(0, pump)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+}
+
 func BenchmarkTokenPoolAcquireRelease(b *testing.B) {
 	eng := sim.New(1)
 	p := NewTokenPool(eng, "bench", 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Acquire(func() {})
+		p.Release()
+	}
+}
+
+// BenchmarkTokenPoolAcquireReleaseQueued keeps four waiters queued behind
+// a one-token pool: every Acquire appends a waiter and every Release
+// grants the oldest, so grants pop by head index and appends compact the
+// queue. The steady state must report 0 B/op.
+func BenchmarkTokenPoolAcquireReleaseQueued(b *testing.B) {
+	eng := sim.New(1)
+	p := NewTokenPool(eng, "bench", 1)
+	for i := 0; i < 5; i++ {
+		p.Acquire(func() {})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

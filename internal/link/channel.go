@@ -18,6 +18,7 @@ package link
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -34,7 +35,6 @@ type Channel struct {
 	latency  units.Time      // propagation delay after serialization
 	depth    int             // max messages queued or in service; 0 = unbounded
 
-	queued   int        // nil-delivery messages accepted but not yet fully serialized
 	nextFree units.Time // when the serializer finishes its current backlog
 
 	// dep is the FIFO ring of pending departure stamps. A channel's
@@ -45,15 +45,17 @@ type Channel struct {
 	// would already have run for: done before now, or done at now with
 	// the reserved sequence number below the dispatching event's. Stamps
 	// are monotone in (done, seq) because done always equals the new
-	// nextFree. Only nil-delivery sends still schedule a real depart
-	// event: it may be the calendar's last event, and the engine's final
-	// clock after an unbounded Run must not shift.
+	// nextFree. Nil-delivery sends (writebacks) leave no calendar event at
+	// all: the engine keeps the latest elided stamp, so an unbounded Run
+	// still ends where their last depart event would have left the clock.
+	// Sends purge the ring only when it is full, admission checks only
+	// when it holds depth stamps; Queued purges before every read.
 	//
-	// The ring is a power-of-two circular buffer holding depLen live
-	// stamps from depHead on. It doubles only when full, so its size
-	// follows the channel's peak occupancy, not its message count, and a
-	// channel that never drains stops allocating once it has seen its
-	// busiest moment.
+	// The ring is a power-of-two circular buffer holding depLen stamps
+	// from depHead on, the oldest possibly stale until the next purge. It
+	// doubles only when still full after a purge, so its size follows the
+	// channel's peak occupancy, not its message count, and a channel that
+	// never drains stops allocating once it has seen its busiest moment.
 	dep     []departure
 	depHead int
 	depLen  int
@@ -66,19 +68,18 @@ type Channel struct {
 	memoSize units.ByteSize
 	memoTx   units.Time
 
-	refused  uint64 // sends refused due to a full queue (backpressure events)
-	busy     units.Time
-	meter    telemetry.Meter
-	queueLat telemetry.Histogram // time from accept to start of service
+	refused uint64 // sends refused due to a full queue (backpressure events)
+	busy    units.Time
+	meter   telemetry.Meter
+	// waitSum and waitMax total and bound the time from accept to start of
+	// service over the messages the meter counts.
+	waitSum units.Time
+	waitMax units.Time
 
 	// tr is the flight recorder, nil unless SetTracer attached one; hop is
 	// this channel's id in its registry.
 	tr  *trace.Tracer
 	hop trace.HopID
-
-	// departFn is the serialization-complete callback, bound once so the
-	// per-message hot path schedules it without allocating a closure.
-	departFn func()
 }
 
 // NewChannel builds a channel. name appears in telemetry and the device
@@ -90,13 +91,8 @@ func NewChannel(eng *sim.Engine, name string, capacity units.Bandwidth, latency 
 	if depth < 0 {
 		panic(fmt.Sprintf("link: %s: negative queue depth", name))
 	}
-	c := &Channel{eng: eng, name: name, capacity: capacity, latency: latency, depth: depth}
-	c.departFn = c.depart
-	return c
+	return &Channel{eng: eng, name: name, capacity: capacity, latency: latency, depth: depth}
 }
-
-// depart marks the message at the head of the serializer finished.
-func (c *Channel) depart() { c.queued-- }
 
 // timeToSend is capacity.TimeToSend behind the one-entry memo.
 func (c *Channel) timeToSend(size units.ByteSize) units.Time {
@@ -134,16 +130,19 @@ func (c *Channel) purgeDepartures() {
 
 // pushDeparture records one message's departure stamp in place of its
 // depart event, reserving the sequence number the event would have used
-// (keeping every later tie-break classic) and counting the elided event
-// in the engine's fused counter.
+// (keeping every later tie-break classic) and noting the elided event
+// with the engine. A full ring is purged first and grown only if that
+// frees nothing.
 func (c *Channel) pushDeparture(done units.Time) {
-	c.purgeDepartures()
 	if c.depLen == len(c.dep) {
-		c.growDepartures()
+		c.purgeDepartures()
+		if c.depLen == len(c.dep) {
+			c.growDepartures()
+		}
 	}
 	c.dep[(c.depHead+c.depLen)&(len(c.dep)-1)] = departure{done: done, seq: c.eng.ReserveSeq()}
 	c.depLen++
-	c.eng.NoteFused()
+	c.eng.NoteFused(done)
 }
 
 // minDepartures is the ring's first allocation, made by the first send
@@ -189,11 +188,10 @@ func (c *Channel) Capacity() units.Bandwidth { return c.capacity }
 func (c *Channel) Depth() int { return c.depth }
 
 // occupancy is the classically-exact count of messages accepted but not
-// fully serialized: the live departure stamps plus the nil-delivery
-// messages still tracked by real depart events.
+// fully serialized: the departure stamps left after a purge.
 func (c *Channel) occupancy() int {
 	c.purgeDepartures()
-	return c.depLen + c.queued
+	return c.depLen
 }
 
 // Queued reports the messages currently accepted but not fully serialized.
@@ -211,7 +209,9 @@ func (c *Channel) TrySend(size units.ByteSize, deliver func()) bool {
 // TrySendAfter is TrySend with a per-message additional propagation delay,
 // used for routes whose mesh hop count varies by destination.
 func (c *Channel) TrySendAfter(size units.ByteSize, extra units.Time, deliver func()) bool {
-	if c.depth > 0 && c.occupancy() >= c.depth {
+	// Unpurged stamps only overcount, so a ring holding fewer than depth
+	// stamps admits without purging.
+	if c.depth > 0 && c.depLen >= c.depth && c.occupancy() >= c.depth {
 		c.refused++
 		return false
 	}
@@ -245,7 +245,11 @@ func (c *Channel) enqueue(size units.ByteSize, extra units.Time, deliver func())
 	done := start + txTime
 	c.nextFree = done
 	c.busy += txTime
-	c.queueLat.Record(start - now)
+	wait := start - now
+	c.waitSum += wait
+	if wait > c.waitMax {
+		c.waitMax = wait
+	}
 	c.meter.Record(size)
 	if c.tr != nil {
 		// The propagating span covers only this channel's own latency;
@@ -253,34 +257,10 @@ func (c *Channel) enqueue(size units.ByteSize, extra units.Time, deliver func())
 		// attributed by the caller, keeping span tilings overlap-free.
 		c.tr.Enqueue(c.hop, size, now, start, done, done+c.latency)
 	}
-	if deliver == nil {
-		// No arrival to schedule: the depart event doubles as the
-		// message's only calendar footprint, keeping the engine's final
-		// clock after an unbounded Run exactly where it always was.
-		c.queued++
-		c.eng.At(done, c.departFn)
-		return
-	}
 	c.pushDeparture(done)
-	c.eng.At(done+c.latency+extra, deliver)
-}
-
-// QueueDelay reports how long a message accepted now would wait before
-// starting service: the current backlog of the serializer.
-func (c *Channel) QueueDelay() units.Time {
-	if d := c.nextFree - c.eng.Now(); d > 0 {
-		return d
+	if deliver != nil {
+		c.eng.At(done+c.latency+extra, deliver)
 	}
-	return 0
-}
-
-// Saturated reports whether the queue is at least the given fraction full.
-// Flow controllers use it as their congestion signal.
-func (c *Channel) Saturated(frac float64) bool {
-	if c.depth == 0 {
-		return false
-	}
-	return float64(c.occupancy()) >= frac*float64(c.depth)
 }
 
 // Refused reports how many sends were refused by backpressure.
@@ -302,7 +282,7 @@ func (c *Channel) Messages() uint64 { return c.meter.Ops() }
 // behind the serializer backlog (the sum over all accepted messages of
 // accept-to-service time) since the last stats reset — the channel's
 // congestion-time signal for the windowed bottleneck attributor.
-func (c *Channel) QueueWaitTotal() units.Time { return c.queueLat.Sum() }
+func (c *Channel) QueueWaitTotal() units.Time { return c.waitSum }
 
 // Stats is a snapshot of a channel's counters for telemetry export.
 type Stats struct {
@@ -313,7 +293,7 @@ type Stats struct {
 	Refused      uint64
 	BusyTime     units.Time
 	MeanQueueing units.Time
-	P999Queueing units.Time
+	MaxQueueing  units.Time
 }
 
 // Stats snapshots the channel counters.
@@ -325,9 +305,19 @@ func (c *Channel) Stats() Stats {
 		Messages:     c.meter.Ops(),
 		Refused:      c.refused,
 		BusyTime:     c.busy,
-		MeanQueueing: c.queueLat.Mean(),
-		P999Queueing: c.queueLat.P999(),
+		MeanQueueing: c.meanQueueing(),
+		MaxQueueing:  c.waitMax,
 	}
+}
+
+// meanQueueing is the average accept-to-service wait, rounded to the
+// picosecond; zero before any message.
+func (c *Channel) meanQueueing() units.Time {
+	n := c.meter.Ops()
+	if n == 0 {
+		return 0
+	}
+	return units.Time(math.Round(float64(c.waitSum) / float64(n)))
 }
 
 // Utilization reports the fraction of the window since the last stats
@@ -345,5 +335,6 @@ func (c *Channel) ResetStats() {
 	c.refused = 0
 	c.busy = 0
 	c.meter.Reset(c.eng.Now())
-	c.queueLat.Reset()
+	c.waitSum = 0
+	c.waitMax = 0
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -78,34 +79,60 @@ func TestChannelSendBypassesBound(t *testing.T) {
 	}
 }
 
-func TestChannelQueueDelay(t *testing.T) {
-	eng := sim.New(1)
-	ch := NewChannel(eng, "test", units.GBps(64), 0, 0)
-	if ch.QueueDelay() != 0 {
-		t.Error("idle channel should have zero queue delay")
+// TestChannelQueueingStats checks the queueing counters against a brute
+// force list of every message's accept-to-service wait, across a stats
+// reset and with bounded, unbounded and nil-delivery sends mixed.
+func TestChannelQueueingStats(t *testing.T) {
+	eng := sim.New(3)
+	ch := NewChannel(eng, "q", units.GBps(16), 2*units.Nanosecond, 8)
+	var waits []units.Time
+	send := func(size units.ByteSize, deliver func()) {
+		now, free := eng.Now(), ch.nextFree
+		if ch.TrySend(size, deliver) {
+			waits = append(waits, max(free-now, 0))
+		}
 	}
-	ch.TrySend(4*units.CacheLine, nil) // 4 ns of serialization
-	if ch.QueueDelay() != 4*units.Nanosecond {
-		t.Errorf("QueueDelay = %v, want 4ns", ch.QueueDelay())
+	check := func(when string) {
+		t.Helper()
+		var sum, hi units.Time
+		for _, w := range waits {
+			sum += w
+			hi = max(hi, w)
+		}
+		var mean units.Time
+		if len(waits) > 0 {
+			mean = units.Time(math.Round(float64(sum) / float64(len(waits))))
+		}
+		s := ch.Stats()
+		if s.Messages != uint64(len(waits)) || ch.QueueWaitTotal() != sum ||
+			s.MeanQueueing != mean || s.MaxQueueing != hi {
+			t.Errorf("%s: msgs %d wait total %v mean %v max %v, want %d %v %v %v", when,
+				s.Messages, ch.QueueWaitTotal(), s.MeanQueueing, s.MaxQueueing,
+				len(waits), sum, mean, hi)
+		}
 	}
-}
-
-func TestChannelSaturated(t *testing.T) {
-	eng := sim.New(1)
-	ch := NewChannel(eng, "test", units.GBps(1), 0, 4)
-	if ch.Saturated(0.5) {
-		t.Error("empty channel is not saturated")
+	check("idle")
+	rng := eng.Rand()
+	var pump func()
+	pump = func() {
+		for i := rng.Intn(6); i > 0; i-- {
+			size := units.ByteSize(32 * (1 + rng.Intn(4)))
+			if rng.Intn(3) == 0 {
+				send(size, nil)
+			} else {
+				send(size, func() {})
+			}
+		}
+		eng.After(units.Time(1+rng.Intn(8))*units.Nanosecond, pump)
 	}
-	ch.TrySend(units.CacheLine, nil)
-	ch.TrySend(units.CacheLine, nil)
-	if !ch.Saturated(0.5) {
-		t.Error("2/4 should satisfy 0.5 saturation")
-	}
-	unbounded := NewChannel(eng, "u", units.GBps(1), 0, 0)
-	unbounded.TrySend(units.CacheLine, nil)
-	if unbounded.Saturated(0.1) {
-		t.Error("unbounded channel never reports saturation")
-	}
+	eng.After(0, pump)
+	eng.RunUntil(10 * units.Microsecond)
+	check("loaded")
+	ch.ResetStats()
+	waits = waits[:0]
+	check("reset")
+	eng.RunUntil(20 * units.Microsecond)
+	check("after reset")
 }
 
 func TestChannelAchievedBandwidthMatchesCapacity(t *testing.T) {
@@ -337,4 +364,76 @@ func TestTokenPoolConservation(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestTokenPoolWaitQueueCompaction drains and refills a pool's waiter
+// queue many times over, so grants pop from the head while appends
+// compact the consumed prefix away. Grants must stay in FIFO order, and
+// the wait statistics must equal a reference histogram fed every grant's
+// wait, immediate zero waits included, whenever they are read.
+func TestTokenPoolWaitQueueCompaction(t *testing.T) {
+	eng := sim.New(5)
+	rng := eng.Rand()
+	p := NewTokenPool(eng, "q", 3)
+	var ref telemetry.Histogram
+	queued, granted, compactions, immediate := 0, 0, 0, 0
+	acquire := func() {
+		if p.whead > 0 && len(p.waiters) == cap(p.waiters) {
+			compactions++
+		}
+		if p.Waiting() == 0 && p.InUse() < p.Capacity() {
+			immediate++
+		}
+		id, since := queued, eng.Now()
+		queued++
+		p.Acquire(func() {
+			if id != granted {
+				t.Fatalf("granted waiter %d, want %d (FIFO)", id, granted)
+			}
+			granted++
+			ref.Record(eng.Now() - since)
+		})
+	}
+	check := func(round int) {
+		t.Helper()
+		if p.Grants() != ref.Count() || p.WaitTotal() != ref.Sum() || p.MeanWait() != ref.Mean() {
+			t.Fatalf("round %d: grants %d total %v mean %v, want %d %v %v", round,
+				p.Grants(), p.WaitTotal(), p.MeanWait(), ref.Count(), ref.Sum(), ref.Mean())
+		}
+		for _, pct := range []float64{0, 25, 50, 95, 99.9, 100} {
+			if got, want := p.WaitPercentile(pct), ref.Percentile(pct); got != want {
+				t.Fatalf("round %d: P%v = %v, want %v", round, pct, got, want)
+			}
+		}
+	}
+	maxQueue := 0
+	for round := 0; round < 400; round++ {
+		for i := rng.Intn(12); i > 0; i-- {
+			acquire()
+		}
+		maxQueue = max(maxQueue, p.Waiting())
+		eng.RunFor(units.Time(rng.Intn(4)) * units.Nanosecond)
+		for i := rng.Intn(14); i > 0 && p.InUse() > 0; i-- {
+			p.Release()
+		}
+		if round%7 == 0 {
+			check(round)
+		}
+	}
+	for p.InUse() > 0 {
+		p.Release()
+	}
+	check(-1)
+	if granted != queued || p.Waiting() != 0 {
+		t.Fatalf("granted %d of %d, %d still waiting", granted, queued, p.Waiting())
+	}
+	if compactions == 0 || immediate == 0 {
+		t.Fatalf("%d compactions and %d immediate grants: the script missed a path", compactions, immediate)
+	}
+	if cap(p.waiters) > 2*maxQueue+8 {
+		t.Errorf("waiter slice holds %d slots for a peak queue of %d", cap(p.waiters), maxQueue)
+	}
+	p.ResetStats()
+	ref.Reset()
+	check(-2)
 }

@@ -102,7 +102,9 @@ func (r *refChannel) send(size units.ByteSize, deliver func()) {
 func (r *refChannel) queued() int { return r.occ }
 
 // checkedChannel is the channel under test, checking after every send
-// that the ring never holds more than twice its peak live stamps.
+// that the ring never holds more than twice the most stamps it has held
+// at once. It reads depLen without purging, so the channel purges exactly
+// as lazily as it would untested.
 type checkedChannel struct {
 	t    *testing.T
 	c    *Channel
@@ -134,11 +136,15 @@ func (k *checkedChannel) queued() int { return k.c.Queued() }
 // runRingScript interprets ops on one channel and logs every admission
 // verdict and occupancy reading. Each op's low three bits pick the
 // action and the rest is its argument: sends of 1-4 ns at 32 GB/s,
-// bounded, unbounded or without delivery; an occupancy read now; a probe
+// bounded or unbounded, with or without delivery (a writeback's send has
+// none, so nothing but its departure stamp marks it); an occupancy read
+// now; a probe
 // event that reads occupancy at a later stamp (in half-nanosecond steps,
 // so probes often land exactly on departure stamps, before or after the
 // departure's own sequence number); or a clock advance, which may be zero
-// to read again at the same stamp under a later sequence number.
+// to read again at the same stamp under a later sequence number. The
+// script ends with an unbounded Run, whose final clock must land where the
+// last depart event would have left it.
 func runRingScript(eng *sim.Engine, ch ringChannel, ops []byte) []int {
 	var log []int
 	deliver := func() {}
@@ -153,7 +159,11 @@ func runRingScript(eng *sim.Engine, ch ringChannel, ops []byte) []int {
 			step := units.Time(arg) * units.Nanosecond / 2
 			switch op {
 			case 0, 1:
-				if ch.trySend(size, deliver) {
+				d := deliver
+				if op == 1 {
+					d = nil
+				}
+				if ch.trySend(size, d) {
 					log = append(log, 1)
 				} else {
 					log = append(log, 0)

@@ -22,9 +22,16 @@ type TokenPool struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []waiter
-	waitHist telemetry.Histogram
-	maxWait  units.Time
+	// waiters[whead:] are the blocked acquirers in FIFO order. Grants pop
+	// by advancing whead; appends compact the consumed prefix away when
+	// the slice is full.
+	waiters []waiter
+	whead   int
+	// waitHist holds the waits of queued grants; immediate counts the
+	// zero-wait grants not yet folded into it (see waits).
+	waitHist  telemetry.Histogram
+	immediate uint64
+	maxWait   units.Time
 
 	// tr is the flight recorder, nil unless SetTracer attached one; hop is
 	// this pool's id in its registry.
@@ -75,7 +82,7 @@ func (p *TokenPool) Capacity() int { return p.capacity }
 func (p *TokenPool) InUse() int { return p.inUse }
 
 // Waiting reports acquirers currently blocked.
-func (p *TokenPool) Waiting() int { return len(p.waiters) }
+func (p *TokenPool) Waiting() int { return len(p.waiters) - p.whead }
 
 // free reports grantable tokens. It can be negative transiently after a
 // shrink, which simply blocks grants until holders drain.
@@ -83,11 +90,9 @@ func (p *TokenPool) free() int { return p.capacity - p.inUse }
 
 // Acquire grants a token to fn: immediately when one is free and nobody is
 // queued ahead, otherwise when a holder releases (FIFO). Wait times are
-// recorded; an immediate grant records a zero wait.
+// recorded; an immediate grant counts as a zero wait.
 func (p *TokenPool) Acquire(fn func()) {
-	if p.free() > 0 && len(p.waiters) == 0 {
-		p.inUse++
-		p.waitHist.Record(0)
+	if p.TryAcquire() {
 		fn()
 		return
 	}
@@ -97,15 +102,21 @@ func (p *TokenPool) Acquire(fn func()) {
 		// the tracer's active register and attribute the stall.
 		w.txn = p.tr.Active()
 	}
+	if p.whead > 0 && len(p.waiters) == cap(p.waiters) {
+		n := copy(p.waiters, p.waiters[p.whead:])
+		clear(p.waiters[n:])
+		p.waiters = p.waiters[:n]
+		p.whead = 0
+	}
 	p.waiters = append(p.waiters, w)
 }
 
 // TryAcquire grants a token only if one is immediately free, reporting
 // success. It never queues.
 func (p *TokenPool) TryAcquire() bool {
-	if p.free() > 0 && len(p.waiters) == 0 {
+	if p.free() > 0 && p.Waiting() == 0 {
 		p.inUse++
-		p.waitHist.Record(0)
+		p.immediate++
 		return true
 	}
 	return false
@@ -135,10 +146,14 @@ func (p *TokenPool) Resize(capacity int) {
 
 // wake grants free tokens to waiters in FIFO order.
 func (p *TokenPool) wake() {
-	for p.free() > 0 && len(p.waiters) > 0 {
-		w := p.waiters[0]
-		copy(p.waiters, p.waiters[1:])
-		p.waiters = p.waiters[:len(p.waiters)-1]
+	for p.free() > 0 && p.Waiting() > 0 {
+		w := p.waiters[p.whead]
+		p.waiters[p.whead] = waiter{}
+		p.whead++
+		if p.whead == len(p.waiters) {
+			p.waiters = p.waiters[:0]
+			p.whead = 0
+		}
 		p.inUse++
 		now := p.eng.Now()
 		wait := now - w.since
@@ -164,19 +179,29 @@ func (p *TokenPool) WaitTotal() units.Time { return p.waitHist.Sum() }
 
 // Grants reports the number of tokens granted (immediate or queued)
 // since the last stats reset.
-func (p *TokenPool) Grants() uint64 { return p.waitHist.Count() }
+func (p *TokenPool) Grants() uint64 { return p.waitHist.Count() + p.immediate }
 
 // MeanWait reports the average token wait across all acquisitions.
-func (p *TokenPool) MeanWait() units.Time { return p.waitHist.Mean() }
+func (p *TokenPool) MeanWait() units.Time { return p.waits().Mean() }
 
 // WaitPercentile reports the given percentile of token waits (immediate
 // grants count as zero-wait acquisitions).
 func (p *TokenPool) WaitPercentile(pct float64) units.Time {
-	return p.waitHist.Percentile(pct)
+	return p.waits().Percentile(pct)
+}
+
+// waits folds the pending immediate grants into the wait histogram as
+// zero waits and returns it: the histogram every grant would have built,
+// at one bump per immediate grant instead of one Record.
+func (p *TokenPool) waits() *telemetry.Histogram {
+	p.waitHist.RecordN(0, p.immediate)
+	p.immediate = 0
+	return &p.waitHist
 }
 
 // ResetStats clears the wait statistics.
 func (p *TokenPool) ResetStats() {
 	p.waitHist.Reset()
+	p.immediate = 0
 	p.maxWait = 0
 }

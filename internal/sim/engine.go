@@ -62,6 +62,9 @@ type Engine struct {
 	rng      *RNG
 	executed uint64
 	fused    uint64
+	// lastFused is the latest stamp of an elided depart event: an
+	// unbounded Run ends no earlier, as it would have had the event run.
+	lastFused units.Time
 
 	// curSeq is the sequence number of the event currently dispatching,
 	// or idleSeq between drives. Elided bookkeeping events (a channel's
@@ -137,12 +140,19 @@ func (e *Engine) Pending() int { return e.wheelLen + len(e.aside) }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Fused reports the number of departure events elided by channel stamp
-// rings instead of being scheduled and run. Executed+Fused is the
-// classic-equivalent event count of a run.
+// rings instead of being scheduled and run, counted when elided.
+// Executed+Fused is the classic-equivalent event count of a run that
+// drained, and counts the still-pending departs of one that did not.
 func (e *Engine) Fused() uint64 { return e.fused }
 
-// NoteFused counts one departure event elided by a channel stamp ring.
-func (e *Engine) NoteFused() { e.fused++ }
+// NoteFused counts one departure event elided by a channel stamp ring,
+// stamped at: Run's final clock accounts for it as if it had run.
+func (e *Engine) NoteFused(at units.Time) {
+	e.fused++
+	if at > e.lastFused {
+		e.lastFused = at
+	}
+}
 
 // NextAt reports the timestamp of the earliest pending event. ok is false
 // when the calendar is empty. It compares the head of minTick's slot with
@@ -251,11 +261,16 @@ func (e *Engine) Step() bool {
 	return ran
 }
 
-// Run processes events until the calendar is empty.
+// Run processes events until the calendar is empty. The clock ends at the
+// last event or at the latest elided departure stamp, whichever is later:
+// exactly where running every elided depart event would have left it.
 func (e *Engine) Run() {
 	for e.stepOne(0, false) {
 	}
 	e.curSeq = idleSeq
+	if e.lastFused > e.now {
+		e.now = e.lastFused
+	}
 }
 
 // RunUntil processes every event scheduled at or before t, then advances

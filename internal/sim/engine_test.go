@@ -78,6 +78,30 @@ func TestExecutedCounts(t *testing.T) {
 	}
 }
 
+// TestRunEndsAtLatestFusedStamp: an elided depart event still bounds an
+// unbounded Run's final clock, as the event itself would have, while
+// RunUntil keeps ending at its limit and an older stamp never pulls the
+// clock back.
+func TestRunEndsAtLatestFusedStamp(t *testing.T) {
+	e := New(1)
+	e.NoteFused(10 * units.Nanosecond)
+	e.NoteFused(3 * units.Nanosecond)
+	e.RunUntil(4 * units.Nanosecond)
+	if e.Now() != 4*units.Nanosecond {
+		t.Fatalf("RunUntil ended at %v, want its limit 4ns", e.Now())
+	}
+	e.At(6*units.Nanosecond, func() {})
+	e.Run()
+	if e.Now() != 10*units.Nanosecond || e.Executed() != 1 || e.Fused() != 2 {
+		t.Fatalf("Run ended at %v with %d executed, %d fused; want 10ns, 1, 2", e.Now(), e.Executed(), e.Fused())
+	}
+	e.At(20*units.Nanosecond, func() {})
+	e.Run()
+	if e.Now() != 20*units.Nanosecond {
+		t.Fatalf("Run ended at %v, want the last event's 20ns", e.Now())
+	}
+}
+
 func TestAfterAndNestedScheduling(t *testing.T) {
 	e := New(1)
 	var fired []units.Time

@@ -42,7 +42,15 @@ type Histogram struct {
 // Record adds one observation. Negative values are clamped to zero
 // (latency cannot be negative; clamping keeps arithmetic overflow from a
 // buggy caller out of the stats rather than poisoning percentiles).
-func (h *Histogram) Record(v units.Time) {
+func (h *Histogram) Record(v units.Time) { h.RecordN(v, 1) }
+
+// RecordN adds n observations of v at once: the histogram n calls of
+// Record(v) build, for counters that tally a repeated value cheaply and
+// fold it in when read.
+func (h *Histogram) RecordN(v units.Time, n uint64) {
+	if n == 0 {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
@@ -50,9 +58,9 @@ func (h *Histogram) Record(v units.Time) {
 	if idx >= len(h.counts) {
 		h.counts = append(h.counts, make([]uint64, idx+1-len(h.counts))...)
 	}
-	h.counts[idx]++
-	h.total++
-	h.sum += float64(v)
+	h.counts[idx] += n
+	h.total += n
+	h.sum += float64(v) * float64(n)
 	if !h.hasData || v < h.min {
 		h.min = v
 	}
