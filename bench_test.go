@@ -1,190 +1,27 @@
-// Benchmarks regenerating each of the paper's tables and figures. Every
-// benchmark runs the corresponding harness experiment and reports the
-// headline numbers as custom metrics (ns for latencies, GB/s for
-// bandwidths), so `go test -bench=. -benchmem` doubles as the full
-// reproduction run. The same data renders as text via cmd/reproduce.
+// BenchmarkExperiments regenerates each of the paper's tables and figures,
+// one sub-benchmark per harness.Experiments() entry, with the rendered text
+// discarded. `reproduce -scale 2 -experiment <name>` prints the numbers the
+// same run produces.
 package repro_test
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/harness"
-	"repro/internal/topology"
-	"repro/internal/units"
 )
 
-// benchOptions shortens measurement windows moderately: the shapes are
-// stable at this scale and a full -bench=. pass stays in minutes.
-func benchOptions() harness.Options {
-	return harness.Options{Seed: 42, TimeScale: 2}
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := harness.Table1()
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	for _, p := range topology.Profiles() {
-		p := p
-		b.Run(p.Name, func(b *testing.B) {
-			var near units.Time
+func BenchmarkExperiments(b *testing.B) {
+	// TimeScale 2 shortens measurement windows moderately: the shapes are
+	// stable at this scale and a full pass stays in minutes.
+	opt := harness.Options{Seed: 42, TimeScale: 2}
+	for _, e := range harness.Experiments() {
+		b.Run(e.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := harness.Table2(p, benchOptions())
-				if err != nil {
+				if err := e.Run(opt, io.Discard); err != nil {
 					b.Fatal(err)
 				}
-				for _, row := range res.Rows {
-					if row.Name == "Near" {
-						near = row.Measured
-					}
-				}
 			}
-			b.ReportMetric(near.Nanoseconds(), "near-ns")
 		})
 	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	for _, p := range topology.Profiles() {
-		p := p
-		b.Run(p.Name, func(b *testing.B) {
-			var cpuRead units.Bandwidth
-			for i := 0; i < b.N; i++ {
-				res := harness.Table3(p, benchOptions())
-				for _, row := range res.Rows {
-					if row.Scope == "CPU" && row.Domain == "DIMM" {
-						cpuRead = row.Read
-					}
-				}
-			}
-			b.ReportMetric(cpuRead.GBpsValue(), "cpu-read-GB/s")
-		})
-	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		panels, err := harness.Figure3(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Headline: the 9634 GMI read knee (panel e).
-		for _, p := range panels {
-			if p.ID == "e" {
-				last := p.Read[len(p.Read)-1]
-				b.ReportMetric(last.Avg.Nanoseconds(), "gmi-sat-read-ns")
-				b.ReportMetric(last.Achieved.GBpsValue(), "gmi-sat-read-GB/s")
-			}
-		}
-	}
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	for _, sc := range harness.Figure4Scenarios() {
-		sc := sc
-		b.Run(sc.Profile().Name+"/"+sc.Link, func(b *testing.B) {
-			var aggressor units.Bandwidth
-			for i := 0; i < b.N; i++ {
-				rows, err := harness.Figure4Run(sc, benchOptions())
-				if err != nil {
-					b.Fatal(err)
-				}
-				aggressor = rows[1].AchievedB // case 2's aggressive sender
-			}
-			b.ReportMetric(aggressor.GBpsValue(), "case2-aggressor-GB/s")
-			b.ReportMetric(sc.Capacity.GBpsValue()/2, "equal-share-GB/s")
-		})
-	}
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	for _, sc := range harness.Figure5Scenarios() {
-		sc := sc
-		b.Run(sc.Fig4.Profile().Name+"/"+sc.Fig4.Link, func(b *testing.B) {
-			var delay units.Time
-			for i := 0; i < b.N; i++ {
-				res, err := harness.Figure5Run(sc, benchOptions())
-				if err != nil {
-					b.Fatal(err)
-				}
-				delay = res.HarvestDelay
-			}
-			// In the 1:1000 time mapping, 1 us of delay = 1 paper-ms.
-			b.ReportMetric(delay.Microseconds(), "harvest-paper-ms")
-		})
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		curves, err := harness.Figure6(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range curves {
-			// Headline: GMI read-on-read interference endpoint.
-			if c.Link == "GMI" && c.FrontOp == 0 && c.BgOp == 0 {
-				b.ReportMetric(c.Solo.GBpsValue(), "front-solo-GB/s")
-				b.ReportMetric(c.Points[len(c.Points)-1].Front.GBpsValue(), "front-contended-GB/s")
-			}
-		}
-	}
-}
-
-func BenchmarkAblationTrafficManager(b *testing.B) {
-	var managedA units.Bandwidth
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationTrafficManager(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		managedA = rows[1].ManagedA // case 2's protected modest flow
-	}
-	b.ReportMetric(managedA.GBpsValue(), "managed-modest-GB/s")
-}
-
-func BenchmarkAblationNPS(b *testing.B) {
-	for _, p := range topology.Profiles() {
-		p := p
-		b.Run(p.Name, func(b *testing.B) {
-			var spread units.Time
-			for i := 0; i < b.N; i++ {
-				rows, err := harness.AblationNPS(p, benchOptions())
-				if err != nil {
-					b.Fatal(err)
-				}
-				spread = rows[0].Latency - rows[2].Latency // NPS1 minus NPS4
-			}
-			b.ReportMetric(spread.Nanoseconds(), "nps1-vs-nps4-ns")
-		})
-	}
-}
-
-func BenchmarkAblationNUMA(b *testing.B) {
-	var penalty units.Time
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationNUMA(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		penalty = rows[1].Latency - rows[0].Latency
-	}
-	b.ReportMetric(penalty.Nanoseconds(), "remote-penalty-ns")
-}
-
-func BenchmarkAblationCXLFlit(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationCXLFlit(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = rows[1].CPURead.GBpsValue() / rows[0].CPURead.GBpsValue()
-	}
-	b.ReportMetric(ratio, "flit256-payload-ratio")
 }

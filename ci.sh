@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI gate: formatting, vet, build, full test suite, the race detector over
+# CI gate: formatting, vet, build, full test suite, byte-identity of the
+# full reproduce run against reproduce_output.txt, the race detector over
 # the packages that run experiment cells concurrently, and the tracing
 # overhead guards.
 set -eux
@@ -26,6 +27,10 @@ go test ./...
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
 go build -o "$smoke/" ./cmd/reproduce ./cmd/chiplettrace ./cmd/chipletstat
+# The full suite at default flags must reprint reproduce_output.txt byte
+# for byte.
+"$smoke/reproduce" > "$smoke/reproduce_output.txt"
+cmp "$smoke/reproduce_output.txt" reproduce_output.txt
 run="$smoke/reproduce -scale 16 -stats-top 0 -stats-window 25us"
 $run -trace "$smoke/t.json" > /dev/null
 $run -stats "$smoke/s4.json" -cell fig4:1:2 > /dev/null

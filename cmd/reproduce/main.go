@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	reproduce [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6] [-scale N] [-seed N] [-workers N]
+//	reproduce [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6|ablation] [-scale N] [-seed N] [-workers N]
 //	reproduce -trace out.json [-stats out.json] [-cell fig4:S:C|fig5:S] [-trace-spans N]
 //	          [-stats-window D] [-stats-top N] [-scale N] [-seed N]
 //
@@ -40,13 +40,14 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/anomaly"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/profiling"
-	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -54,7 +55,12 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("reproduce: ")
-	experiment := flag.String("experiment", "all", "which experiment to run")
+	exps := harness.Experiments()
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.Name
+	}
+	experiment := flag.String("experiment", "all", "which experiment to run: all or one of "+strings.Join(names, " "))
 	scale := flag.Int("scale", 1, "time-scale divisor for measurement windows")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	workers := flag.Int("workers", 0, "concurrent experiment cells (0 = GOMAXPROCS, 1 = serial)")
@@ -94,32 +100,18 @@ func main() {
 		}
 		return
 	}
-	run := map[string]func(harness.Options) error{
-		"table1":   runTable1,
-		"table2":   runTable2,
-		"table3":   runTable3,
-		"fig3":     runFigure3,
-		"fig4":     runFigure4,
-		"fig5":     runFigure5,
-		"fig6":     runFigure6,
-		"ablation": runAblations,
-	}
-	order := []string{"table1", "table2", "table3", "fig3", "fig4", "fig5", "fig6", "ablation"}
-	if *experiment == "all" {
-		for _, name := range order {
-			if err := run[name](opt); err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
+	if *experiment != "all" {
+		i := slices.Index(names, *experiment)
+		if i < 0 {
+			log.Printf("unknown experiment %q; choose one of: all %v", *experiment, names)
+			os.Exit(2)
 		}
-		return
+		exps = exps[i : i+1]
 	}
-	fn, ok := run[*experiment]
-	if !ok {
-		log.Printf("unknown experiment %q; choose one of: all %v", *experiment, order)
-		os.Exit(2)
-	}
-	if err := fn(opt); err != nil {
-		log.Fatalf("%s: %v", *experiment, err)
+	for _, e := range exps {
+		if err := e.Run(opt, os.Stdout); err != nil {
+			log.Fatalf("%s: %v", e.Name, err)
+		}
 	}
 }
 
@@ -189,95 +181,4 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func runTable1(harness.Options) error {
-	fmt.Println("Table 1 — hardware specifications (from platform profiles)")
-	fmt.Println(harness.RenderTable1(harness.Table1()))
-	return nil
-}
-
-func runTable2(opt harness.Options) error {
-	for _, p := range topology.Profiles() {
-		res, err := harness.Table2(p, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	}
-	return nil
-}
-
-func runTable3(opt harness.Options) error {
-	for _, p := range topology.Profiles() {
-		fmt.Println(harness.Table3(p, opt).Render())
-	}
-	return nil
-}
-
-func runFigure3(opt harness.Options) error {
-	panels, err := harness.Figure3(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Println(harness.RenderFigure3(panels))
-	return nil
-}
-
-func runFigure4(opt harness.Options) error {
-	rows, err := harness.Figure4(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Println(harness.RenderFigure4(rows))
-	return nil
-}
-
-func runFigure5(opt harness.Options) error {
-	results, err := harness.Figure5(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Println(harness.RenderFigure5(results))
-	return nil
-}
-
-func runFigure6(opt harness.Options) error {
-	curves, err := harness.Figure6(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Println(harness.RenderFigure6(curves))
-	return nil
-}
-
-func runAblations(opt harness.Options) error {
-	a1, err := harness.AblationTrafficManager(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Println(harness.RenderA1(a1))
-	for _, p := range topology.Profiles() {
-		a2, err := harness.AblationNPS(p, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println(harness.RenderA2(a2))
-	}
-	a3, err := harness.AblationNUMA(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Println(harness.RenderA3(a3))
-	a4, err := harness.AblationCXLFlit(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Println(harness.RenderA4(a4))
-	a5, err := harness.AblationNoCModel(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Println(harness.RenderA5(a5))
-	return nil
 }

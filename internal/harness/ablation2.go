@@ -175,7 +175,7 @@ func AblationCXLFlit(opt Options) ([]A4Result, error) {
 		p := topology.EPYC9634()
 		p.CXLFlitSize = flits[i]
 
-		net := icore.New(sim.New(opt.Seed), p)
+		net := opt.newNet(p)
 		h, err := traffic.RunPointerChase(net, traffic.ChaseConfig{
 			WorkingSet: units.GiB, CXL: true, Modules: allModules(p), Count: 1500,
 		})
@@ -183,7 +183,7 @@ func AblationCXLFlit(opt Options) ([]A4Result, error) {
 			return A4Result{}, err
 		}
 
-		net = icore.New(sim.New(opt.Seed), p)
+		net = opt.newNet(p)
 		f := traffic.MustFlow(net, traffic.FlowConfig{
 			Name: "flit", Cores: allCores(p), Op: txn.Read,
 			Kind: icore.DestCXL, Modules: allModules(p),

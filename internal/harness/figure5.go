@@ -59,19 +59,13 @@ func Figure5Scenarios() []Fig5Scenario {
 	}
 }
 
-// Figure5Run traces one scenario over six virtual seconds, throttling
+// figure5Cell traces one scenario over six virtual seconds, throttling
 // flow 0 during virtual seconds [2,3) and [4,5): its demand drops to
 // (equal share - 2 GB/s), the paper's "reduce the traffic rate of flow 0
 // by 2.0 GB/s". The controllers are warmed to their equal-share
-// equilibrium before the trace starts.
-func Figure5Run(sc Fig5Scenario, opt Options) (*Fig5Result, error) {
-	res, _, err := figure5Cell(sc, opt, Observers{})
-	return res, err
-}
-
-// figure5Cell is Figure5Run with obs recording the six-virtual-second
+// equilibrium before the trace starts. obs records the six-virtual-second
 // trace (warmup excluded), so harvest windows line up with the Figure 5
-// bandwidth series, plus the cell's execution-cost readout.
+// bandwidth series; CellPerf is the cell's execution-cost readout.
 func figure5Cell(sc Fig5Scenario, opt Options, obs Observers) (*Fig5Result, CellPerf, error) {
 	p := sc.Fig4.Profile()
 	net := opt.newNet(p)
@@ -153,7 +147,8 @@ func shiftPoints(pts []telemetry.Point, t0 units.Time) []telemetry.Point {
 func Figure5(opt Options) ([]*Fig5Result, error) {
 	scs := Figure5Scenarios()
 	return runCells(opt, len(scs), func(i int) (*Fig5Result, error) {
-		return Figure5Run(scs[i], opt)
+		res, _, err := figure5Cell(scs[i], opt, Observers{})
+		return res, err
 	})
 }
 

@@ -22,8 +22,8 @@ type Options struct {
 	// Seed drives every random decision; equal seeds replay identically.
 	Seed uint64
 	// TimeScale divides the steady-state measurement windows. 1 is the
-	// full experiment (used by cmd/reproduce and the benchmarks); tests
-	// pass 4 for a quick pass with looser statistics.
+	// full experiment (cmd/reproduce's default; the root benchmark runs
+	// 2); tests pass 4 for a quick pass with looser statistics.
 	TimeScale int
 	// Workers is the experiment-cell pool width: independent cells (each
 	// with a private engine) run on this many goroutines. 0 means
@@ -35,9 +35,6 @@ type Options struct {
 	// the determinism guard test flips this to prove pooling is invisible.
 	DisableRecycle bool
 }
-
-// DefaultOptions runs experiments at full length with a fixed seed.
-func DefaultOptions() Options { return Options{Seed: 42, TimeScale: 1} }
 
 // scale shortens a duration by the configured time scale, clamping at 5us
 // so no window degenerates.

@@ -228,7 +228,7 @@ func TestFigure5Harvesting(t *testing.T) {
 	scs := Figure5Scenarios()
 	// The 9634 IF panel: throttling frees ~2 GB/s, flow 1 harvests it
 	// with a delay of roughly 100 simulated-ms-equivalents.
-	res, err := Figure5Run(scs[0], quick())
+	res, _, err := figure5Cell(scs[0], quick(), Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,14 @@ func TestTrafficMatrixRenderContent(t *testing.T) {
 	}
 }
 
+func TestUnknownNamesReadZero(t *testing.T) {
+	tm := NewTrafficMatrix()
+	tm.Record("a", "b", units.CacheLine)
+	if tm.Bytes("nope", "b") != 0 || tm.Bytes("a", "nope") != 0 || tm.Bytes("b", "a") != 0 {
+		t.Error("unknown endpoint pair should read zero bytes")
+	}
+}
+
 // TestSlidingSketchExpiryBoundary pins the exact expiry semantics: a count
 // added in the oldest window survives until the clock has advanced by the
 // full span, and is gone the moment it has.

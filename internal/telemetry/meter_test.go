@@ -96,24 +96,11 @@ func TestTrafficMatrix(t *testing.T) {
 	if tm.Bytes("nope", "umc0") != 0 {
 		t.Error("missing cell should be 0")
 	}
-	if tm.TotalFrom("ccd0/core0") != 192 {
-		t.Errorf("TotalFrom = %v", tm.TotalFrom("ccd0/core0"))
-	}
-	if tm.TotalTo("umc0") != 320 {
-		t.Errorf("TotalTo = %v", tm.TotalTo("umc0"))
+	if tm.Bytes("ccd0/core0", "umc1") != 128 || tm.Bytes("ccd1/core0", "umc0") != 256 {
+		t.Error("cells mixed up")
 	}
 	if tm.Total() != 448 {
 		t.Errorf("Total = %v", tm.Total())
-	}
-	eps := tm.Endpoints()
-	want := []string{"ccd0/core0", "ccd1/core0", "umc0", "umc1"}
-	if len(eps) != len(want) {
-		t.Fatalf("Endpoints = %v", eps)
-	}
-	for i := range eps {
-		if eps[i] != want[i] {
-			t.Fatalf("Endpoints = %v, want %v", eps, want)
-		}
 	}
 	s := tm.String()
 	if s == "" {
