@@ -31,6 +31,14 @@ go build -o "$smoke/" ./cmd/reproduce ./cmd/chiplettrace ./cmd/chipletstat
 # for byte.
 "$smoke/reproduce" > "$smoke/reproduce_output.txt"
 cmp "$smoke/reproduce_output.txt" reproduce_output.txt
+# Every example is deterministic and must reprint its golden output in
+# examples/testdata byte for byte (cmp also fails when a golden is missing).
+go build -o "$smoke/" ./examples/...
+for main in examples/*/main.go; do
+    ex=$(basename "$(dirname "$main")")
+    "$smoke/$ex" > "$smoke/$ex.txt"
+    cmp "$smoke/$ex.txt" "examples/testdata/$ex.golden"
+done
 run="$smoke/reproduce -scale 16 -stats-top 0 -stats-window 25us"
 $run -trace "$smoke/t.json" > /dev/null
 $run -stats "$smoke/s4.json" -cell fig4:1:2 > /dev/null

@@ -54,7 +54,7 @@ func run(managed bool) (service, batch units.Bandwidth, p999 units.Time) {
 	svc, bat := tenants(net, managed)
 
 	if managed {
-		mgr := trafficmgr.New(eng, 20*units.Microsecond, trafficmgr.MaxMinFair)
+		mgr := trafficmgr.New(eng, 20*units.Microsecond)
 		mgr.AddResource("umc0/rd", prof.UMCReadCap)
 		for _, f := range []*traffic.Flow{svc, bat} {
 			if err := mgr.Register(f, "umc0/rd"); err != nil {

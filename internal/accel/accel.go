@@ -99,9 +99,6 @@ type Completion struct {
 // DoorbellLatency is the submission signal-plane delay.
 func (c Completion) DoorbellLatency() units.Time { return c.Accepted - c.Submitted }
 
-// CompletionLatency is the notification signal-plane delay.
-func (c Completion) CompletionLatency() units.Time { return c.Notified - c.Drained }
-
 // Total is submission to notification.
 func (c Completion) Total() units.Time { return c.Notified - c.Submitted }
 
@@ -178,9 +175,6 @@ func (a *Accelerator) signalToHost() *link.Channel {
 	}
 	return a.toHost
 }
-
-// ToDev exposes the to-device link direction (for telemetry).
-func (a *Accelerator) ToDev() *link.Channel { return a.toDev }
 
 // Doorbells reports the observed doorbell-latency histogram.
 func (a *Accelerator) Doorbells() *telemetry.Histogram { return &a.doorbells }

@@ -256,10 +256,6 @@ func (n *Network) NoC() *mesh.NoC { return n.noc }
 func (n *Network) GMIIn(ccd int) *link.Channel  { return n.gmiIn[ccd] }
 func (n *Network) GMIOut(ccd int) *link.Channel { return n.gmiOut[ccd] }
 
-// IntraIn and IntraOut report the per-chiplet intra-CC fabric directions.
-func (n *Network) IntraIn(ccd int) *link.Channel  { return n.intraIn[ccd] }
-func (n *Network) IntraOut(ccd int) *link.Channel { return n.intraOut[ccd] }
-
 // CCXTokens reports the token pool of a core complex.
 func (n *Network) CCXTokens(id topology.CCXID) *link.TokenPool {
 	return n.ccxTokens[id.CCD*n.prof.CCXPerCCD()+id.CCX]

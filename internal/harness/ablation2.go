@@ -2,7 +2,6 @@ package harness
 
 import (
 	"repro/internal/numa"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -36,7 +35,7 @@ func AblationNUMA(opt Options) ([]A3Result, error) {
 	cells, err := runCells(opt, 3, func(i int) (a3meas, error) {
 		switch i {
 		case 0:
-			sys := numa.NewSystem(sim.New(opt.Seed), numa.DefaultDual7302())
+			sys := opt.newSystem()
 			return a3meas{
 				localLat:  chaseLocal(sys, 1000),
 				remoteLat: chaseRemote(sys, 1000),
@@ -115,7 +114,7 @@ func socketReadBW(opt Options) units.Bandwidth {
 }
 
 func remoteReadBW(opt Options) units.Bandwidth {
-	sys := numa.NewSystem(sim.New(opt.Seed), numa.DefaultDual7302())
+	sys := opt.newSystem()
 	p := sys.Socket(0).Profile()
 	umcs := p.UMCSet(topology.NPS1, 0)
 	var meter telemetry.Meter

@@ -25,7 +25,6 @@ type A5Point struct {
 
 // A5Result is the abstraction-validation sweep.
 type A5Result struct {
-	Mode       router.Mode
 	Saturation units.Bandwidth // router mesh's measured ceiling
 	Unloaded   units.Time      // router mesh's unloaded mean latency
 	Points     []A5Point
@@ -43,7 +42,6 @@ func AblationNoCModel(opt Options) (*A5Result, error) {
 		LinkCapacity: units.GBps(32),
 		HopLatency:   7 * units.Nanosecond,
 		QueueDepth:   16,
-		Mode:         router.Buffered,
 	}
 	window := opt.scale(30 * units.Microsecond)
 
@@ -56,7 +54,7 @@ func AblationNoCModel(opt Options) (*A5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &A5Result{Mode: cfg.Mode, Saturation: satBW, Unloaded: unloaded}
+	res := &A5Result{Saturation: satBW, Unloaded: unloaded}
 
 	// Step 2: sweep both models over the same offered loads — one cell per
 	// sweep point, each running its own pair of private engines.
@@ -172,7 +170,7 @@ func RenderA5(r *A5Result) string {
 		})
 	}
 	return fmt.Sprintf(
-		"Ablation A5 — flit-level %v router mesh vs aggregate NoC abstraction\n"+
+		"Ablation A5 — flit-level buffered router mesh vs aggregate NoC abstraction\n"+
 			"(mesh ceiling %v, unloaded %v)\n%s",
-		r.Mode, r.Saturation, r.Unloaded, renderTable(rows))
+		r.Saturation, r.Unloaded, renderTable(rows))
 }

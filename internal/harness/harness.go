@@ -12,6 +12,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/core"
+	"repro/internal/numa"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -52,7 +53,20 @@ func (o Options) scale(d units.Time) units.Time {
 
 // newNet builds a fresh engine+network pair for a profile.
 func (o Options) newNet(p *topology.Profile) *core.Network {
-	n := core.New(sim.New(o.Seed), p)
+	return o.apply(core.New(sim.New(o.Seed), p))
+}
+
+// newSystem builds the dual-socket testbed on a fresh engine, applying the
+// options to both sockets as newNet does to its one network.
+func (o Options) newSystem() *numa.System {
+	sys := numa.NewSystem(sim.New(o.Seed), numa.DefaultDual7302())
+	o.apply(sys.Socket(0))
+	o.apply(sys.Socket(1))
+	return sys
+}
+
+// apply sets the options that act on a built network.
+func (o Options) apply(n *core.Network) *core.Network {
 	if o.DisableRecycle {
 		n.SetRecycling(false)
 	}

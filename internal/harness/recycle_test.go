@@ -90,3 +90,18 @@ func TestRecyclingInvisibleToCompletionTimes(t *testing.T) {
 		t.Errorf("pooling changed observable results:\npooled: %+v\nfresh:  %+v", pooled, fresh)
 	}
 }
+
+// TestRecyclingReachesBothSockets checks that A3's dual-socket system gets
+// the same DisableRecycle treatment as every single-socket network.
+func TestRecyclingReachesBothSockets(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		opt := quick()
+		opt.DisableRecycle = disable
+		sys := opt.newSystem()
+		for i := 0; i < 2; i++ {
+			if sys.Socket(i).Recycling() != !disable {
+				t.Errorf("DisableRecycle=%v: socket %d Recycling() = %v", disable, i, sys.Socket(i).Recycling())
+			}
+		}
+	}
+}

@@ -21,10 +21,8 @@ import (
 	"repro/internal/units"
 )
 
-// Config sizes the multi-socket system.
+// Config sizes the two-socket system.
 type Config struct {
-	// Sockets is the package count (the modelled boxes have 1 or 2).
-	Sockets int
 	// Profile is the per-socket platform (sockets are homogeneous).
 	Profile *topology.Profile
 	// XGMILatency is the one-way socket-to-socket crossing time. On 2P
@@ -43,7 +41,6 @@ type Config struct {
 // DefaultDual7302 is the Dell 7525 testbed: two EPYC 7302 packages.
 func DefaultDual7302() Config {
 	return Config{
-		Sockets:      2,
 		Profile:      topology.EPYC7302(),
 		XGMILatency:  28 * units.Nanosecond,
 		XGMIReadCap:  units.GBps(37),
@@ -52,44 +49,36 @@ func DefaultDual7302() Config {
 	}
 }
 
-// System is a multi-socket chiplet server.
+// System is a two-socket chiplet server.
 type System struct {
 	eng  *sim.Engine
 	cfg  Config
-	nets []*core.Network
-	// xgmi[s] carries traffic *leaving* socket s toward its peer (the
-	// two-socket case has exactly one peer; the request/data direction
-	// split mirrors the GMI modelling).
-	xgmiOut []*link.Channel // requests + write data leaving socket s
-	xgmiIn  []*link.Channel // read data + acks arriving at socket s
+	nets [2]*core.Network
+	// xgmi*[s] carry socket s's side of the link to its one peer; the
+	// request/data direction split mirrors the GMI modelling.
+	xgmiOut [2]*link.Channel // requests + write data leaving socket s
+	xgmiIn  [2]*link.Channel // read data + acks arriving at socket s
 	nextID  uint64
 }
 
-// NewSystem builds the system. Sockets must be 1 or 2 (commodity chiplet
-// boxes; 4P topologies would need a link mesh this model does not claim).
+// NewSystem builds both sockets and their xGMI link on one engine.
 func NewSystem(eng *sim.Engine, cfg Config) *System {
-	if cfg.Sockets < 1 || cfg.Sockets > 2 {
-		panic(fmt.Sprintf("numa: %d sockets unsupported (want 1 or 2)", cfg.Sockets))
-	}
 	if cfg.Profile == nil {
 		panic("numa: nil profile")
 	}
 	s := &System{eng: eng, cfg: cfg}
-	for i := 0; i < cfg.Sockets; i++ {
-		s.nets = append(s.nets, core.New(eng, cfg.Profile))
-		s.xgmiOut = append(s.xgmiOut, link.NewChannel(eng,
-			fmt.Sprintf("socket%d/xgmi/out", i), cfg.XGMIWriteCap, cfg.XGMILatency, cfg.XGMIQueue))
-		s.xgmiIn = append(s.xgmiIn, link.NewChannel(eng,
-			fmt.Sprintf("socket%d/xgmi/in", i), cfg.XGMIReadCap, cfg.XGMILatency, 0))
+	for i := range s.nets {
+		s.nets[i] = core.New(eng, cfg.Profile)
+		s.xgmiOut[i] = link.NewChannel(eng,
+			fmt.Sprintf("socket%d/xgmi/out", i), cfg.XGMIWriteCap, cfg.XGMILatency, cfg.XGMIQueue)
+		s.xgmiIn[i] = link.NewChannel(eng,
+			fmt.Sprintf("socket%d/xgmi/in", i), cfg.XGMIReadCap, cfg.XGMILatency, 0)
 	}
 	return s
 }
 
 // Engine reports the shared simulation engine.
 func (s *System) Engine() *sim.Engine { return s.eng }
-
-// Sockets reports the package count.
-func (s *System) Sockets() int { return len(s.nets) }
 
 // Socket reports socket i's network; local traffic is issued on it
 // directly with core.Network.Issue.
@@ -107,9 +96,6 @@ func (s *System) peer(i int) int { return 1 - i }
 // local I/O die and the xGMI link, is routed by the remote die to the
 // remote UMC, and the response returns over the reverse path.
 func (s *System) IssueRemote(srcSocket int, src topology.CoreID, op txn.Op, umc int, done func(*txn.Transaction)) {
-	if len(s.nets) < 2 {
-		panic("numa: IssueRemote on a single-socket system")
-	}
 	local := s.nets[srcSocket]
 	remote := s.nets[s.peer(srcSocket)]
 	p := s.cfg.Profile

@@ -143,26 +143,10 @@ func TestLocalTrafficUnaffectedBySecondSocket(t *testing.T) {
 
 func TestSystemValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero sockets": func() {
-			cfg := DefaultDual7302()
-			cfg.Sockets = 0
-			NewSystem(sim.New(1), cfg)
-		},
-		"four sockets": func() {
-			cfg := DefaultDual7302()
-			cfg.Sockets = 4
-			NewSystem(sim.New(1), cfg)
-		},
 		"nil profile": func() {
 			cfg := DefaultDual7302()
 			cfg.Profile = nil
 			NewSystem(sim.New(1), cfg)
-		},
-		"remote on 1P": func() {
-			cfg := DefaultDual7302()
-			cfg.Sockets = 1
-			s := NewSystem(sim.New(1), cfg)
-			s.IssueRemote(0, topology.CoreID{}, txn.Read, 0, nil)
 		},
 	} {
 		func() {
@@ -178,9 +162,6 @@ func TestSystemValidation(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	s := newSystem(t)
-	if s.Sockets() != 2 {
-		t.Errorf("Sockets = %d", s.Sockets())
-	}
 	if s.Socket(0) == s.Socket(1) {
 		t.Error("sockets must be distinct networks")
 	}

@@ -15,7 +15,7 @@ import (
 // and 0 allocs/op.
 func BenchmarkMeshRoute(b *testing.B) {
 	eng := sim.New(7)
-	m := New(eng, cfg4x2(Buffered))
+	m := New(eng, cfg4x2())
 	rng := sim.NewRNG(99)
 	inFlight := 0
 	done := func() { inFlight-- }

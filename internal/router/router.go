@@ -1,11 +1,9 @@
 // Package router is a packet-switched 2D-mesh network-on-chip at per-hop
 // granularity: every mesh edge is a serialized, bounded channel and every
 // message walks router to router under dimension-ordered (XY) routing.
-// The paper's §2.3 describes exactly this design space — mesh topologies
-// with "either bufferless or buffered routing protocols" — and both modes
-// are implemented: buffered routers hold refused messages and retry;
-// bufferless routers deflect them out of any free port and re-route from
-// the new position.
+// The paper's §2.3 describes mesh topologies with "either bufferless or
+// buffered routing protocols"; this mesh is buffered: a router holds a
+// refused message and retries the same port after a jittered backoff.
 //
 // The main model (internal/mesh) abstracts the I/O die's NoC as aggregate
 // per-direction routing capacity, arguing that at the paper's loads the
@@ -22,30 +20,8 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
-
-// Mode selects the routing protocol.
-type Mode int
-
-// Routing protocols (§2.3).
-const (
-	// Buffered routers queue refused messages at the input and retry —
-	// wormhole/store-and-forward style.
-	Buffered Mode = iota
-	// Bufferless routers never wait: a message that cannot take its
-	// preferred port is deflected out of any free port and re-routes
-	// from wherever it lands (hot-potato routing).
-	Bufferless
-)
-
-func (m Mode) String() string {
-	if m == Bufferless {
-		return "bufferless"
-	}
-	return "buffered"
-}
 
 // Config sizes a mesh.
 type Config struct {
@@ -54,10 +30,8 @@ type Config struct {
 	LinkCapacity units.Bandwidth
 	// HopLatency is each edge's propagation delay.
 	HopLatency units.Time
-	// QueueDepth bounds each edge's staging queue (buffered mode;
-	// bufferless uses depth 1 — a single cut-through slot).
+	// QueueDepth bounds each edge's staging queue (default 8).
 	QueueDepth int
-	Mode       Mode
 }
 
 // Mesh is a running router network.
@@ -65,18 +39,14 @@ type Mesh struct {
 	eng *sim.Engine
 	cfg Config
 	// ports[node(c)] lists c's outgoing edges in fixed direction order
-	// (+X, -X, +Y, -Y), so deflections replay exactly for a seed.
+	// (+X, -X, +Y, -Y).
 	ports [][]port
 	rng   *sim.RNG
 	free  []*frame // recycled message frames
 
-	delivered   uint64
-	hops        uint64
-	deflections uint64
-	latency     telemetry.Histogram
-
-	tr    *trace.Tracer
-	msgID uint64 // per-mesh trace message ids (disjoint engines only)
+	delivered uint64
+	hops      uint64
+	latency   telemetry.Histogram
 }
 
 // port is one directed edge out of a router.
@@ -88,26 +58,12 @@ type port struct {
 // directions is the fixed port order: +X, -X, +Y, -Y.
 var directions = [4]topology.Coord{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}
 
-// node is c's index in ports: column-major, the order edges are built and
-// traced in.
+// node is c's index in ports: column-major, the order edges are built in.
 func (m *Mesh) node(c topology.Coord) int { return c.X*m.cfg.Height + c.Y }
 
 // onMesh reports whether c is one of the mesh's routers.
 func (m *Mesh) onMesh(c topology.Coord) bool {
 	return c.X >= 0 && c.X < m.cfg.Width && c.Y >= 0 && c.Y < m.cfg.Height
-}
-
-// AttachTracer attaches the flight recorder to every directed edge, in
-// deterministic coordinate order so hop ids are stable across runs. Each
-// routed message then records per-edge spans under its own id and an
-// end-to-end record at delivery.
-func (m *Mesh) AttachTracer(tr *trace.Tracer) {
-	m.tr = tr
-	for _, ps := range m.ports {
-		for _, p := range ps {
-			p.ch.SetTracer(tr)
-		}
-	}
 }
 
 // New builds the mesh. Dimensions must be positive; capacity must be
@@ -120,9 +76,6 @@ func New(eng *sim.Engine, cfg Config) *Mesh {
 		panic("router: non-positive link capacity")
 	}
 	depth := cfg.QueueDepth
-	if cfg.Mode == Bufferless {
-		depth = 1
-	}
 	if depth <= 0 {
 		depth = 8
 	}
@@ -171,19 +124,16 @@ func xyNext(at, dst topology.Coord) topology.Coord {
 // frame is the reusable state of one in-flight message. Its two callbacks
 // are bound once when the frame is built: the next hop is stored in the
 // frame before each send, so one arrival callback serves every hop, and
-// one retry callback serves every backoff and deflection spin. Frames are
-// recycled through the mesh's free list, so routing allocates nothing in
-// steady state.
+// one retry callback serves every backoff. Frames are recycled through the
+// mesh's free list, so routing allocates nothing in steady state.
 type frame struct {
-	m         *Mesh
-	at        topology.Coord // the router the message is at
-	next      topology.Coord // the router the message is being sent to
-	dst       topology.Coord
-	size      units.ByteSize
-	deliver   func()
-	start     units.Time
-	id        uint64
-	blockedAt units.Time // first refusal of the current wait, or -1
+	m       *Mesh
+	at      topology.Coord // the router the message is at
+	next    topology.Coord // the router the message is being sent to
+	dst     topology.Coord
+	size    units.ByteSize
+	deliver func()
+	start   units.Time
 
 	arriveFn func() // bound f.arrive
 	retryFn  func() // bound f.walk
@@ -204,8 +154,7 @@ func (m *Mesh) getFrame() *frame {
 }
 
 // Route injects a message at src and delivers it at dst, walking the mesh
-// hop by hop under the configured protocol. deliver runs on arrival (may
-// be nil).
+// hop by hop. deliver runs on arrival (may be nil).
 func (m *Mesh) Route(src, dst topology.Coord, size units.ByteSize, deliver func()) {
 	if !m.onMesh(src) || !m.onMesh(dst) {
 		panic(fmt.Sprintf("router: route %v->%v off the mesh", src, dst))
@@ -213,12 +162,6 @@ func (m *Mesh) Route(src, dst topology.Coord, size units.ByteSize, deliver func(
 	f := m.getFrame()
 	f.at, f.dst, f.size, f.deliver = src, dst, size, deliver
 	f.start = m.eng.Now()
-	f.id = 0
-	if m.tr != nil {
-		m.msgID++
-		f.id = m.msgID
-	}
-	f.blockedAt = -1
 	f.walk()
 }
 
@@ -229,19 +172,13 @@ func (f *frame) arrive() {
 }
 
 // walk delivers the message if it is at its destination, and otherwise
-// offers it to the next port: the XY hop, then under bufferless routing
-// any other free port, else it waits and retries from where it is.
+// offers it to the XY hop, waiting and retrying from where it is when that
+// port refuses.
 func (f *frame) walk() {
 	m := f.m
-	if m.tr != nil {
-		m.tr.SetActive(f.id)
-	}
 	if f.at == f.dst {
 		m.delivered++
 		m.latency.Record(m.eng.Now() - f.start)
-		if m.tr != nil {
-			m.tr.EndTxn(f.id, f.start, m.eng.Now())
-		}
 		// Release first, so a deliver callback that routes again
 		// synchronously reuses this frame.
 		deliver := f.deliver
@@ -252,35 +189,12 @@ func (f *frame) walk() {
 		}
 		return
 	}
-	want := xyNext(f.at, f.dst)
-	if f.send(m.edge(f.at, want), want) {
+	f.next = xyNext(f.at, f.dst)
+	if m.edge(f.at, f.next).TrySend(f.size, f.arriveFn) {
+		m.hops++
 		return
 	}
-	if f.blockedAt < 0 {
-		f.blockedAt = m.eng.Now()
-	}
-	if m.cfg.Mode == Bufferless {
-		// Deflect: take any free port, re-route from there. If every
-		// port is busy, spin one serialization quantum in place (a
-		// real deflection router would have won some port; the spin
-		// models losing arbitration).
-		ports := m.ports[m.node(f.at)]
-		off := m.rng.Intn(len(ports))
-		for i := range ports {
-			p := ports[(off+i)%len(ports)]
-			if p.to == want {
-				continue
-			}
-			if f.send(p.ch, p.to) {
-				m.deflections++
-				return
-			}
-		}
-		m.eng.After(m.cfg.LinkCapacity.TimeToSend(f.size), f.retryFn)
-		return
-	}
-	// Buffered: wait for the wanted port, jittered around one
-	// serialization quantum.
+	// Wait for the wanted port, jittered around one serialization quantum.
 	q := m.cfg.LinkCapacity.TimeToSend(f.size)
 	if q <= 0 {
 		q = units.Nanosecond
@@ -289,37 +203,18 @@ func (f *frame) walk() {
 	m.eng.After(backoff, f.retryFn)
 }
 
-// send offers the message to ch toward next, counting the hop and closing
-// any backpressure wait on acceptance.
-func (f *frame) send(ch *link.Channel, next topology.Coord) bool {
-	f.next = next
-	if !ch.TrySend(f.size, f.arriveFn) {
-		return false
-	}
-	m := f.m
-	m.hops++
-	if m.tr != nil && f.blockedAt >= 0 {
-		m.tr.Range(ch.Hop(), trace.CauseBackpressured, f.blockedAt, m.eng.Now())
-		f.blockedAt = -1
-	}
-	return true
-}
-
 // Delivered reports completed messages.
 func (m *Mesh) Delivered() uint64 { return m.delivered }
 
 // Hops reports total edge traversals.
 func (m *Mesh) Hops() uint64 { return m.hops }
 
-// Deflections reports bufferless mis-routes.
-func (m *Mesh) Deflections() uint64 { return m.deflections }
-
 // Latency reports the end-to-end delivery histogram.
 func (m *Mesh) Latency() *telemetry.Histogram { return &m.latency }
 
 // ResetStats clears counters (in-flight messages keep walking).
 func (m *Mesh) ResetStats() {
-	m.delivered, m.hops, m.deflections = 0, 0, 0
+	m.delivered, m.hops = 0, 0
 	m.latency.Reset()
 }
 

@@ -2,7 +2,6 @@ package router
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -10,19 +9,18 @@ import (
 	"repro/internal/units"
 )
 
-func cfg4x2(mode Mode) Config {
+func cfg4x2() Config {
 	return Config{
 		Width: 4, Height: 2,
 		LinkCapacity: units.GBps(32),
 		HopLatency:   7 * units.Nanosecond,
 		QueueDepth:   16,
-		Mode:         mode,
 	}
 }
 
 func TestUnloadedLatencyIsHopCount(t *testing.T) {
 	eng := sim.New(1)
-	m := New(eng, cfg4x2(Buffered))
+	m := New(eng, cfg4x2())
 	var got units.Time
 	src, dst := topology.Coord{X: 0, Y: 0}, topology.Coord{X: 3, Y: 1}
 	m.Route(src, dst, units.CacheLine, nil)
@@ -41,7 +39,7 @@ func TestUnloadedLatencyIsHopCount(t *testing.T) {
 
 func TestXYRoutingIsMinimalWhenUnloaded(t *testing.T) {
 	eng := sim.New(2)
-	m := New(eng, cfg4x2(Buffered))
+	m := New(eng, cfg4x2())
 	pairs := 0
 	for x := 0; x < 4; x++ {
 		for y := 0; y < 2; y++ {
@@ -67,10 +65,10 @@ func TestXYRoutingIsMinimalWhenUnloaded(t *testing.T) {
 
 // drive injects uniform-random traffic at the offered load for a window
 // and reports achieved bandwidth and mean latency.
-func drive(t *testing.T, mode Mode, offered units.Bandwidth, window units.Time) (units.Bandwidth, units.Time, *Mesh) {
+func drive(t *testing.T, offered units.Bandwidth, window units.Time) (units.Bandwidth, units.Time, *Mesh) {
 	t.Helper()
 	eng := sim.New(7)
-	m := New(eng, cfg4x2(mode))
+	m := New(eng, cfg4x2())
 	rng := sim.NewRNG(99)
 	gap := units.Interval(units.CacheLine, offered)
 	inFlight := 0
@@ -108,11 +106,11 @@ func drive(t *testing.T, mode Mode, offered units.Bandwidth, window units.Time) 
 
 func TestBufferedLatencyLoadCurve(t *testing.T) {
 	// Latency must be flat at low load and rise near the mesh's limit.
-	low, lowLat, _ := drive(t, Buffered, units.GBps(8), 30*units.Microsecond)
+	low, lowLat, _ := drive(t, units.GBps(8), 30*units.Microsecond)
 	if low.GBpsValue() < 7 {
 		t.Errorf("low-load achieved %v, want ~8", low)
 	}
-	_, highLat, _ := drive(t, Buffered, units.GBps(200), 30*units.Microsecond)
+	_, highLat, _ := drive(t, units.GBps(200), 30*units.Microsecond)
 	if highLat < units.Time(float64(lowLat)*1.3) {
 		t.Errorf("no congestion knee: %v -> %v", lowLat, highLat)
 	}
@@ -122,62 +120,11 @@ func TestSaturationNearBisection(t *testing.T) {
 	// Uniform-random saturation lands within a factor of ~2 of the
 	// bisection bound (half the traffic crosses the cut on average, and
 	// XY routing is not perfectly balanced).
-	achieved, _, m := drive(t, Buffered, units.GBps(400), 30*units.Microsecond)
+	achieved, _, m := drive(t, units.GBps(400), 30*units.Microsecond)
 	bisection := m.BisectionBandwidth().GBpsValue()
 	if achieved.GBpsValue() < bisection*0.5 || achieved.GBpsValue() > bisection*2.2 {
 		t.Errorf("saturation %.1f vs bisection %.1f GB/s: out of the plausible band",
 			achieved.GBpsValue(), bisection)
-	}
-}
-
-func TestBufferlessDeflects(t *testing.T) {
-	// Under heavy load the bufferless mesh must deflect, and deflections
-	// show up as extra hops versus the buffered mesh.
-	_, _, m := drive(t, Bufferless, units.GBps(200), 30*units.Microsecond)
-	if m.Deflections() == 0 {
-		t.Error("bufferless mesh never deflected under heavy load")
-	}
-	if m.Delivered() == 0 {
-		t.Fatal("nothing delivered")
-	}
-	meanHops := float64(m.Hops()) / float64(m.Delivered())
-	_, _, buf := drive(t, Buffered, units.GBps(200), 30*units.Microsecond)
-	bufHops := float64(buf.Hops()) / float64(buf.Delivered())
-	if meanHops <= bufHops {
-		t.Errorf("deflection should add hops: bufferless %.2f vs buffered %.2f", meanHops, bufHops)
-	}
-}
-
-func TestBufferlessDeterministic(t *testing.T) {
-	// Deflection port choice comes from the seeded RNG over a fixed port
-	// order, so the same seed must replay the same walk.
-	_, _, a := drive(t, Bufferless, units.GBps(200), 30*units.Microsecond)
-	_, _, b := drive(t, Bufferless, units.GBps(200), 30*units.Microsecond)
-	if a.Hops() != b.Hops() || a.Deflections() != b.Deflections() || a.Delivered() != b.Delivered() {
-		t.Errorf("same seed diverged: hops %d/%d, deflections %d/%d, delivered %d/%d",
-			a.Hops(), b.Hops(), a.Deflections(), b.Deflections(), a.Delivered(), b.Delivered())
-	}
-	if !reflect.DeepEqual(a.Latency(), b.Latency()) {
-		t.Errorf("same seed, different latency histograms: %v vs %v", a.Latency(), b.Latency())
-	}
-}
-
-func TestBufferlessUnloadedMatchesBuffered(t *testing.T) {
-	// With no contention the two protocols are identical.
-	for _, mode := range []Mode{Buffered, Bufferless} {
-		eng := sim.New(5)
-		m := New(eng, cfg4x2(mode))
-		m.Route(topology.Coord{}, topology.Coord{X: 2, Y: 1}, units.CacheLine, nil)
-		eng.Run()
-		if m.Hops() != 3 || m.Deflections() != 0 {
-			t.Errorf("%v: hops=%d deflections=%d, want 3/0", mode, m.Hops(), m.Deflections())
-		}
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if Buffered.String() != "buffered" || Bufferless.String() != "bufferless" {
-		t.Error("mode names wrong")
 	}
 }
 
@@ -187,7 +134,7 @@ func TestPanics(t *testing.T) {
 		"bad dims": func() { New(eng, Config{Width: 0, Height: 2, LinkCapacity: 1}) },
 		"no cap":   func() { New(eng, Config{Width: 2, Height: 2}) },
 		"off mesh": func() {
-			m := New(eng, cfg4x2(Buffered))
+			m := New(eng, cfg4x2())
 			m.Route(topology.Coord{X: 9, Y: 9}, topology.Coord{}, 64, nil)
 		},
 	} {

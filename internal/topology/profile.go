@@ -84,10 +84,8 @@ type Profile struct {
 	// structure bounding outstanding requests per CCX and (on the 7302)
 	// per CCD. Token exhaustion manifests as the Table 2 "Max CCX Q" /
 	// "Max CCD Q" delays.
-	CCXTokens   int
-	CCDTokens   int        // 0 = no per-CCD stage (EPYC 9634)
-	MaxCCXQueue units.Time // Table 2 reported ceiling (calibration target)
-	MaxCCDQueue units.Time // zero when N/A
+	CCXTokens int
+	CCDTokens int // 0 = no per-CCD stage (EPYC 9634)
 
 	// Directional link capacities (Table 3 ceilings and Fig 6 saturation
 	// points). "Read" is the data-return direction toward the cores,
@@ -114,15 +112,13 @@ type Profile struct {
 	// link direction buffers before backpressure stalls senders. Deeper
 	// queues mean higher tail inflation before the sender feels the wall —
 	// the 9634's GMI write queue is the extreme case (Fig 3-e: average
-	// write latency climbs from 144 ns to 696 ns at saturation).
-	IntraCCReadQueue  int
+	// write latency climbs from 144 ns to 696 ns at saturation). The
+	// core-bound read directions of the intra-chiplet fabric and GMI carry
+	// only responses, which are never refused, so they have no depth.
 	IntraCCWriteQueue int
-	GMIReadQueue      int
 	GMIWriteQueue     int
 	NoCReadQueue      int
 	NoCWriteQueue     int
-	PLinkReadQueue    int
-	PLinkWriteQueue   int
 
 	// Injection-window adaptation epochs (§3.5 / Fig 5): how often a
 	// sender's credit window ramps after bandwidth frees up. The paper

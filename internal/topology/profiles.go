@@ -64,10 +64,8 @@ func EPYC7302() *Profile {
 		CoreWriteWCBs: 7,
 		CoreLLCWindow: 24,
 
-		CCXTokens:   53,
-		CCDTokens:   98,
-		MaxCCXQueue: 30 * units.Nanosecond,
-		MaxCCDQueue: 20 * units.Nanosecond,
+		CCXTokens: 53,
+		CCDTokens: 98,
 
 		IntraCCReadCap:  units.GBps(80),
 		IntraCCWriteCap: units.GBps(80),
@@ -81,9 +79,7 @@ func EPYC7302() *Profile {
 		IntraCCLatency: units.Nanos(141),
 		InterCCLatency: units.Nanos(134),
 
-		IntraCCReadQueue:  32,
 		IntraCCWriteQueue: 32,
-		GMIReadQueue:      80,
 		GMIWriteQueue:     100,
 		NoCReadQueue:      128,
 		NoCWriteQueue:     128,
@@ -174,10 +170,8 @@ func EPYC9634() *Profile {
 		CCDDevReadCrd:  90,
 		CCDDevWriteCrd: 60,
 
-		CCXTokens:   210,
-		CCDTokens:   0, // single CCX per CCD: no second token stage
-		MaxCCXQueue: 20 * units.Nanosecond,
-		MaxCCDQueue: 0,
+		CCXTokens: 210,
+		CCDTokens: 0, // single CCX per CCD: no second token stage
 
 		IntraCCReadCap:  units.GBps(33),
 		IntraCCWriteCap: units.GBps(30),
@@ -193,14 +187,10 @@ func EPYC9634() *Profile {
 		IntraCCLatency: units.Nanos(120),
 		InterCCLatency: units.Nanos(150),
 
-		IntraCCReadQueue:  48,
 		IntraCCWriteQueue: 48,
-		GMIReadQueue:      150,
 		GMIWriteQueue:     420,
 		NoCReadQueue:      256,
 		NoCWriteQueue:     256,
-		PLinkReadQueue:    120,
-		PLinkWriteQueue:   120,
 
 		IFAdaptEpoch:     20 * units.Microsecond,
 		PLinkAdaptEpoch:  62 * units.Microsecond,

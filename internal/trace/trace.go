@@ -205,10 +205,9 @@ type Tracer struct {
 	spanN       int // live spans (<= len(spans))
 	spanDropped uint64
 
-	txns       []TxnRecord
-	txnPos     int
-	txnN       int
-	txnDropped uint64
+	txns   []TxnRecord
+	txnPos int
+	txnN   int
 
 	// attr is the streaming per-cause total over transaction-attributed
 	// spans (active != 0); latTotal/txnSeen the matching end-to-end sums.
@@ -249,9 +248,6 @@ func (t *Tracer) Enable() { t.on = true }
 
 // Disable stops recording; storage and counters are kept for inspection.
 func (t *Tracer) Disable() { t.on = false }
-
-// Enabled reports whether the tracer is recording.
-func (t *Tracer) Enabled() bool { return t.on }
 
 // SetActive establishes the transaction id subsequent spans attribute to.
 // The issuing layer calls it at the top of every event callback; id 0
@@ -352,8 +348,6 @@ func (t *Tracer) EndTxn(id uint64, issued, completed units.Time) {
 	}
 	if t.txnN < len(t.txns) {
 		t.txnN++
-	} else {
-		t.txnDropped++
 	}
 }
 
@@ -376,10 +370,6 @@ func (t *Tracer) Dropped() uint64 { return t.spanDropped }
 // TxnCount reports transactions recorded since construction (including
 // any whose ring record was overwritten).
 func (t *Tracer) TxnCount() uint64 { return t.txnSeen }
-
-// TxnDropped reports transaction records overwritten after the ring
-// filled.
-func (t *Tracer) TxnDropped() uint64 { return t.txnDropped }
 
 // TotalLatency reports the summed end-to-end latency of every recorded
 // transaction (exact; unaffected by ring wrap).

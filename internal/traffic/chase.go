@@ -6,7 +6,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/telemetry"
-	"repro/internal/topology"
 	"repro/internal/txn"
 	"repro/internal/units"
 )
@@ -16,7 +15,6 @@ import (
 // measured the latency by configuring the pointer-chasing mode of our
 // utility and gradually increasing the working set").
 type ChaseConfig struct {
-	Src        topology.CoreID
 	WorkingSet units.ByteSize
 	// UMCs is the channel set the working set is interleaved across when
 	// it spills to memory (e.g. topology.Profile.UMCSet for an NPS
@@ -92,7 +90,7 @@ func RunPointerChase(net *core.Network, cfg ChaseConfig) (*telemetry.Histogram, 
 		}
 	}
 	step = func() {
-		a := core.Access{Src: cfg.Src, Op: txn.Read, Kind: kind}
+		a := core.Access{Op: txn.Read, Kind: kind}
 		target := set[done%len(set)]
 		if cfg.CXL {
 			a.Module = target

@@ -209,10 +209,3 @@ func (c *controller) govern() {
 		c.rateCap = math.Max(c.rateCap+kick, 1e9)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -57,17 +57,6 @@ type FlowConfig struct {
 	// mean, giving the latency-load curves of Fig 3 their M/D/1 knee.
 	Jitter bool
 
-	// LoopsPerCore bounds the closed-loop chains per core. The default is
-	// the per-core hardware window for the flow's operation, so closed
-	// loops saturate the window without queueing artificial extra
-	// requests behind it (which would double the measured latency).
-	LoopsPerCore int
-
-	// MaxPending bounds issued-but-incomplete transactions per flow in
-	// open-loop mode; beyond it the generator skips issues, modelling a
-	// stalled core pipeline. Default: 4x the window, or 512.
-	MaxPending int
-
 	// Observer, when set, sees every completed transaction — the hook
 	// profilers and traffic-matrix collectors attach to.
 	Observer func(*txn.Transaction)
@@ -134,16 +123,6 @@ func NewFlow(net *core.Network, cfg FlowConfig) (*Flow, error) {
 	}
 	if cfg.Adaptive && cfg.Window <= 0 {
 		return nil, fmt.Errorf("traffic: flow %q is adaptive but has no initial window", cfg.Name)
-	}
-	if cfg.LoopsPerCore <= 0 {
-		cfg.LoopsPerCore = net.WindowFor(cfg.Op, cfg.Kind)
-	}
-	if cfg.MaxPending <= 0 {
-		if cfg.Window > 0 {
-			cfg.MaxPending = 4 * cfg.Window
-		} else {
-			cfg.MaxPending = 512
-		}
 	}
 	eng := net.Engine()
 	f := &Flow{net: net, cfg: cfg, eng: eng, demand: cfg.Demand}
@@ -215,7 +194,10 @@ func (f *Flow) ResetStats() {
 }
 
 // Start begins issuing. Open-loop (paced) flows schedule their first issue
-// immediately; closed-loop flows spawn LoopsPerCore chains per core.
+// immediately; closed-loop flows spawn one chain per slot of the per-core
+// hardware window for the flow's operation, so closed loops saturate the
+// window without queueing artificial extra requests behind it (which would
+// double the measured latency).
 func (f *Flow) Start() {
 	f.meter.Open(f.eng.Now())
 	if f.ctrl != nil {
@@ -225,8 +207,9 @@ func (f *Flow) Start() {
 		f.scheduleNext(0)
 		return
 	}
+	loops := f.net.WindowFor(f.cfg.Op, f.cfg.Kind)
 	for _, c := range f.cfg.Cores {
-		for i := 0; i < f.cfg.LoopsPerCore; i++ {
+		for i := 0; i < loops; i++ {
 			ch := &loopChain{f: f, src: c}
 			ch.done = ch.complete
 			ch.issue()
@@ -310,16 +293,16 @@ func (c *loopChain) issue() {
 	c.f.net.Issue(c.f.access(c.src), c.f.extraPools(), c.done)
 }
 
-// pendingLimit reports the stalled-pipeline bound: windowed flows track
-// the live window capacity (the controller resizes it), unwindowed flows
-// use the static MaxPending.
+// pendingLimit bounds issued-but-incomplete transactions in open-loop
+// mode; beyond it the generator skips issues, modelling a stalled core
+// pipeline. Windowed flows allow 4x the initial window or 2x the live
+// window capacity (the controller resizes it), whichever is larger;
+// unwindowed flows allow 512.
 func (f *Flow) pendingLimit() int {
-	if f.window != nil {
-		if dyn := 2 * f.window.Capacity(); dyn > f.cfg.MaxPending {
-			return dyn
-		}
+	if f.window == nil {
+		return 512
 	}
-	return f.cfg.MaxPending
+	return max(4*f.cfg.Window, 2*f.window.Capacity())
 }
 
 // scheduleNext arms the next paced issue after d.

@@ -5,13 +5,12 @@
 // application-specialized traffic control instead of relying on the sender
 // side naively."
 //
-// The manager holds a registry of flows, a catalogue of shared resources
-// (link directions with capacities), and a fairness policy. Every
-// management epoch it reads each flow's declared demand, computes an
-// allocation by weighted max-min water-filling across the shared
-// resources, and enforces it by pacing each flow — replacing the chiplet
-// network's sender-driven aggressive partitioning (§3.5) with a policy the
-// operator chooses. The A1 ablation in the harness quantifies the effect
+// The manager holds a registry of flows and a catalogue of shared resources
+// (link directions with capacities). Every management epoch it reads each
+// flow's declared demand, computes a max-min fair allocation by
+// water-filling across the shared resources, and enforces it by pacing
+// each flow — replacing the chiplet network's sender-driven aggressive
+// partitioning (§3.5) with an allocation the operator controls. The A1 ablation in the harness quantifies the effect
 // on the paper's Figure 4 cases.
 package trafficmgr
 
@@ -25,19 +24,18 @@ import (
 	"repro/internal/units"
 )
 
-// FlowSpec is the allocator's view of one flow: its demand (0 = unbounded),
-// its fairness weight, and the indices of the resources it crosses.
+// FlowSpec is the allocator's view of one flow: its demand (0 = unbounded)
+// and the indices of the resources it crosses.
 type FlowSpec struct {
 	Demand    units.Bandwidth
-	Weight    float64
 	Resources []int
 }
 
-// Allocate computes the weighted max-min fair allocation of flows over
-// resources by progressive filling: every active flow's rate rises in
-// proportion to its weight until it meets its demand or saturates a
-// resource it crosses, at which point it (or every flow on the saturated
-// resource) freezes. The returned slice holds one allocation per flow.
+// Allocate computes the max-min fair allocation of flows over resources by
+// progressive filling: every active flow's rate rises by the same step
+// until it meets its demand or saturates a resource it crosses, at which
+// point it (or every flow on the saturated resource) freezes. The returned
+// slice holds one allocation per flow.
 //
 // Allocate is a pure function so the fairness policy is testable in
 // isolation from the simulator.
@@ -47,9 +45,6 @@ func Allocate(flows []FlowSpec, resources []units.Bandwidth) []units.Bandwidth {
 	used := make([]float64, len(resources))
 
 	for i, f := range flows {
-		if f.Weight <= 0 {
-			flows[i].Weight = 1
-		}
 		for _, r := range f.Resources {
 			if r < 0 || r >= len(resources) {
 				panic(fmt.Sprintf("trafficmgr: flow %d references resource %d of %d", i, r, len(resources)))
@@ -67,7 +62,7 @@ func Allocate(flows []FlowSpec, resources []units.Bandwidth) []units.Bandwidth {
 			}
 			anyActive = true
 			if f.Demand > 0 {
-				if room := (float64(f.Demand) - float64(alloc[i])) / f.Weight; room < step {
+				if room := float64(f.Demand) - float64(alloc[i]); room < step {
 					step = room
 				}
 			}
@@ -76,22 +71,22 @@ func Allocate(flows []FlowSpec, resources []units.Bandwidth) []units.Bandwidth {
 			break
 		}
 		for r, cap := range resources {
-			var activeWeight float64
+			active := 0
 			for i, f := range flows {
 				if frozen[i] {
 					continue
 				}
 				for _, fr := range f.Resources {
 					if fr == r {
-						activeWeight += f.Weight
+						active++
 						break
 					}
 				}
 			}
-			if activeWeight == 0 {
+			if active == 0 {
 				continue
 			}
-			if room := (float64(cap) - used[r]) / activeWeight; room < step {
+			if room := (float64(cap) - used[r]) / float64(active); room < step {
 				step = room
 			}
 		}
@@ -107,10 +102,9 @@ func Allocate(flows []FlowSpec, resources []units.Bandwidth) []units.Bandwidth {
 			if frozen[i] {
 				continue
 			}
-			inc := step * f.Weight
-			alloc[i] += units.Bandwidth(math.Round(inc))
+			alloc[i] += units.Bandwidth(math.Round(step))
 			for _, r := range f.Resources {
-				used[r] += inc
+				used[r] += step
 			}
 		}
 		// Freeze demand-satisfied flows and flows on saturated resources.
@@ -143,32 +137,11 @@ func Allocate(flows []FlowSpec, resources []units.Bandwidth) []units.Bandwidth {
 	return alloc
 }
 
-// Policy selects how the manager divides contended bandwidth.
-type Policy int
-
-// Policies.
-const (
-	// MaxMinFair gives every contending flow an equal share, honoring
-	// demands below the share (the classic fix for §3.5's aggression).
-	MaxMinFair Policy = iota
-	// WeightedFair divides shares in proportion to per-flow weights —
-	// the "application-specialized traffic control" the paper envisions.
-	WeightedFair
-)
-
-func (p Policy) String() string {
-	if p == WeightedFair {
-		return "weighted-fair"
-	}
-	return "max-min-fair"
-}
-
 // Manager is the runtime: it owns resources and registrations and
 // re-allocates every epoch.
 type Manager struct {
-	eng    *sim.Engine
-	epoch  units.Time
-	policy Policy
+	eng   *sim.Engine
+	epoch units.Time
 
 	resourceIdx map[string]int
 	resources   []units.Bandwidth
@@ -181,12 +154,11 @@ type Manager struct {
 
 type registration struct {
 	flow      *traffic.Flow
-	weight    float64
 	resources []int
 }
 
-// New builds a manager re-allocating every epoch under the given policy.
-func New(eng *sim.Engine, epoch units.Time, policy Policy) *Manager {
+// New builds a manager re-allocating every epoch.
+func New(eng *sim.Engine, epoch units.Time) *Manager {
 	if eng == nil {
 		panic("trafficmgr: nil engine")
 	}
@@ -194,7 +166,7 @@ func New(eng *sim.Engine, epoch units.Time, policy Policy) *Manager {
 		panic("trafficmgr: non-positive epoch")
 	}
 	return &Manager{
-		eng: eng, epoch: epoch, policy: policy,
+		eng: eng, epoch: epoch,
 		resourceIdx: make(map[string]int),
 	}
 }
@@ -211,19 +183,11 @@ func (m *Manager) AddResource(name string, capacity units.Bandwidth) {
 	m.names = append(m.names, name)
 }
 
-// Register attaches a flow to the manager with fairness weight 1 across
-// the named resources. Unknown resource names are an error.
+// Register attaches a flow to the manager across the named resources.
+// Unknown resource names are an error.
 func (m *Manager) Register(f *traffic.Flow, resources ...string) error {
-	return m.RegisterWeighted(f, 1, resources...)
-}
-
-// RegisterWeighted attaches a flow with an explicit fairness weight.
-func (m *Manager) RegisterWeighted(f *traffic.Flow, weight float64, resources ...string) error {
 	if f == nil {
 		return fmt.Errorf("trafficmgr: nil flow")
-	}
-	if weight <= 0 {
-		return fmt.Errorf("trafficmgr: flow %s: non-positive weight", f.Name())
 	}
 	if len(resources) == 0 {
 		return fmt.Errorf("trafficmgr: flow %s registered with no resources", f.Name())
@@ -236,7 +200,7 @@ func (m *Manager) RegisterWeighted(f *traffic.Flow, weight float64, resources ..
 		}
 		idx = append(idx, i)
 	}
-	m.regs = append(m.regs, registration{flow: f, weight: weight, resources: idx})
+	m.regs = append(m.regs, registration{flow: f, resources: idx})
 	return nil
 }
 
@@ -295,15 +259,7 @@ func (m *Manager) Resources() []string {
 func (m *Manager) allocate() []units.Bandwidth {
 	specs := make([]FlowSpec, len(m.regs))
 	for i, r := range m.regs {
-		w := r.weight
-		if m.policy == MaxMinFair {
-			w = 1
-		}
-		specs[i] = FlowSpec{
-			Demand:    r.flow.Demand(),
-			Weight:    w,
-			Resources: r.resources,
-		}
+		specs[i] = FlowSpec{Demand: r.flow.Demand(), Resources: r.resources}
 	}
 	return Allocate(specs, m.resources)
 }

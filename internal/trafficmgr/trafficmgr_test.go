@@ -22,8 +22,8 @@ func approx(a, b units.Bandwidth, tol float64) bool {
 func TestAllocateUndersubscribed(t *testing.T) {
 	// Everyone below capacity gets their demand.
 	got := Allocate([]FlowSpec{
-		{Demand: gbps(6), Weight: 1, Resources: []int{0}},
-		{Demand: gbps(10), Weight: 1, Resources: []int{0}},
+		{Demand: gbps(6), Resources: []int{0}},
+		{Demand: gbps(10), Resources: []int{0}},
 	}, []units.Bandwidth{gbps(20)})
 	if !approx(got[0], gbps(6), 0.01) || !approx(got[1], gbps(10), 0.01) {
 		t.Errorf("alloc = %v", got)
@@ -32,8 +32,8 @@ func TestAllocateUndersubscribed(t *testing.T) {
 
 func TestAllocateEqualSplit(t *testing.T) {
 	got := Allocate([]FlowSpec{
-		{Demand: gbps(30), Weight: 1, Resources: []int{0}},
-		{Demand: gbps(30), Weight: 1, Resources: []int{0}},
+		{Demand: gbps(30), Resources: []int{0}},
+		{Demand: gbps(30), Resources: []int{0}},
 	}, []units.Bandwidth{gbps(20)})
 	if !approx(got[0], gbps(10), 0.05) || !approx(got[1], gbps(10), 0.05) {
 		t.Errorf("alloc = %v", got)
@@ -44,8 +44,8 @@ func TestAllocateMaxMinHonorsSmallDemand(t *testing.T) {
 	// The fix for Fig 4 case 2: the modest flow gets its full demand,
 	// the aggressor only the remainder — not the other way around.
 	got := Allocate([]FlowSpec{
-		{Demand: gbps(6), Weight: 1, Resources: []int{0}},
-		{Demand: gbps(50), Weight: 1, Resources: []int{0}},
+		{Demand: gbps(6), Resources: []int{0}},
+		{Demand: gbps(50), Resources: []int{0}},
 	}, []units.Bandwidth{gbps(20)})
 	if !approx(got[0], gbps(6), 0.05) {
 		t.Errorf("modest flow alloc = %v, want its demand 6", got[0])
@@ -57,9 +57,9 @@ func TestAllocateMaxMinHonorsSmallDemand(t *testing.T) {
 
 func TestAllocateUnboundedDemands(t *testing.T) {
 	got := Allocate([]FlowSpec{
-		{Weight: 1, Resources: []int{0}},
-		{Weight: 1, Resources: []int{0}},
-		{Weight: 1, Resources: []int{0}},
+		{Resources: []int{0}},
+		{Resources: []int{0}},
+		{Resources: []int{0}},
 	}, []units.Bandwidth{gbps(30)})
 	for i, a := range got {
 		if !approx(a, gbps(10), 0.05) {
@@ -68,22 +68,12 @@ func TestAllocateUnboundedDemands(t *testing.T) {
 	}
 }
 
-func TestAllocateWeighted(t *testing.T) {
-	got := Allocate([]FlowSpec{
-		{Weight: 1, Resources: []int{0}},
-		{Weight: 3, Resources: []int{0}},
-	}, []units.Bandwidth{gbps(20)})
-	if !approx(got[0], gbps(5), 0.1) || !approx(got[1], gbps(15), 0.1) {
-		t.Errorf("weighted alloc = %v, want 5/15", got)
-	}
-}
-
 func TestAllocateMultiResource(t *testing.T) {
 	// Flow 0 crosses both links; flow 1 only the second. Link 0 caps
 	// flow 0 at 8; flow 1 then takes the rest of link 1.
 	got := Allocate([]FlowSpec{
-		{Weight: 1, Resources: []int{0, 1}},
-		{Weight: 1, Resources: []int{1}},
+		{Resources: []int{0, 1}},
+		{Resources: []int{1}},
 	}, []units.Bandwidth{gbps(8), gbps(30)})
 	if !approx(got[0], gbps(8), 0.1) {
 		t.Errorf("flow 0 = %v, want 8 (link-0 bound)", got[0])
@@ -105,7 +95,7 @@ func TestAllocatePanicsOnBadResource(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Allocate([]FlowSpec{{Weight: 1, Resources: []int{5}}}, []units.Bandwidth{gbps(10)})
+	Allocate([]FlowSpec{{Resources: []int{5}}}, []units.Bandwidth{gbps(10)})
 }
 
 // Properties: allocations never exceed demand, never oversubscribe a
@@ -122,7 +112,6 @@ func TestAllocateProperties(t *testing.T) {
 		for i, d := range demandsRaw {
 			flows[i] = FlowSpec{
 				Demand:    units.Bandwidth(d) * units.Bandwidth(units.MB),
-				Weight:    1,
 				Resources: []int{0},
 			}
 			total += flows[i].Demand
@@ -168,7 +157,7 @@ func TestManagerLifecycle(t *testing.T) {
 	fa := mk("A", 0, 6)
 	fb := mk("B", 1, 30)
 
-	m := New(eng, 20*units.Microsecond, MaxMinFair)
+	m := New(eng, 20*units.Microsecond)
 	m.AddResource("umc0/rd", p.UMCReadCap)
 	if err := m.Register(fa, "umc0/rd"); err != nil {
 		t.Fatal(err)
@@ -181,9 +170,6 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 	if err := m.Register(nil, "umc0/rd"); err == nil {
 		t.Fatal("nil flow should be rejected")
-	}
-	if err := m.RegisterWeighted(fb, -1, "umc0/rd"); err == nil {
-		t.Fatal("negative weight should be rejected")
 	}
 	if err := m.Register(fb); err == nil {
 		t.Fatal("no resources should be rejected")
@@ -223,8 +209,8 @@ func TestManagerLifecycle(t *testing.T) {
 
 func TestManagerPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"nil engine": func() { New(nil, units.Microsecond, MaxMinFair) },
-		"zero epoch": func() { New(sim.New(1), 0, MaxMinFair) },
+		"nil engine": func() { New(nil, units.Microsecond) },
+		"zero epoch": func() { New(sim.New(1), 0) },
 	} {
 		func() {
 			defer func() {
@@ -234,39 +220,5 @@ func TestManagerPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if MaxMinFair.String() != "max-min-fair" || WeightedFair.String() != "weighted-fair" {
-		t.Error("policy names wrong")
-	}
-}
-
-func TestManagerWeightedPolicy(t *testing.T) {
-	eng := sim.New(1)
-	p := topology.EPYC7302()
-	net := core.New(eng, p)
-	mk := func(name string, ccx int) *traffic.Flow {
-		return traffic.MustFlow(net, traffic.FlowConfig{
-			Name: name, Op: txn.Read, Kind: core.DestDRAM, UMCs: []int{0},
-			Cores: []topology.CoreID{
-				{CCD: 0, CCX: ccx, Core: 0}, {CCD: 0, CCX: ccx, Core: 1}},
-			Demand: units.GBps(30),
-		})
-	}
-	fa, fb := mk("A", 0), mk("B", 1)
-	m := New(eng, 20*units.Microsecond, WeightedFair)
-	m.AddResource("umc0/rd", p.UMCReadCap)
-	if err := m.RegisterWeighted(fa, 1, "umc0/rd"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RegisterWeighted(fb, 2, "umc0/rd"); err != nil {
-		t.Fatal(err)
-	}
-	allocs := m.Allocations()
-	ratio := allocs["B"].GBpsValue() / allocs["A"].GBpsValue()
-	if ratio < 1.9 || ratio > 2.1 {
-		t.Errorf("weighted allocation ratio = %.2f, want 2", ratio)
 	}
 }
