@@ -81,8 +81,11 @@ go test -count=1 -cpu 1,8 -run 'Parallel|Recycling' ./internal/harness
 # interleaved nil/disabled pairs, so host drift lands on both sides), and
 # the tracer hooks must never allocate — even when enabled. The
 # wall-clock ratios only run with CHIPLET_OVERHEAD_GATE=1; plain go test
-# checks their deterministic half.
+# checks their deterministic half. The span ring grows in fixed chunks up
+# to SpanCap: TestSpanRingBounded checks TotalAlloc directly, at most the
+# cap's chunks while filling and 0 B once wrapped.
 CHIPLET_OVERHEAD_GATE=1 go test ./internal/trace/ -run 'TestDisabledTracerOverhead|TestHotPathAllocs' -v
+go test ./internal/trace/ -run 'TestSpanRingBounded' -count=1 -v
 
 # Windowed-metrics overhead guards: a harvesting registry must stay within
 # ~5% of an uninstrumented run on the event hot path (the probes are

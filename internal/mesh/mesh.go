@@ -27,6 +27,12 @@ import (
 type NoC struct {
 	prof *topology.Profile
 
+	// memHops[ccd][umc] and ioHops[ccd] are the switch-hop delays from
+	// each chiplet to each memory channel and to the I/O hub, built once so
+	// the per-transaction lookups skip the node geometry.
+	memHops [][]units.Time
+	ioHops  []units.Time
+
 	// Read is the data-return direction (toward cores); Write the
 	// data-out direction. Their capacities are the Table 3 "From CPU"
 	// plateaus: the die's total routing capacity per direction.
@@ -66,11 +72,21 @@ func (n *NoC) RootHop() trace.HopID { return n.rootHop }
 
 // New builds the NoC for a profile.
 func New(eng *sim.Engine, p *topology.Profile) *NoC {
-	return &NoC{
-		prof:  p,
-		Read:  link.NewChannel(eng, "noc/rd", p.NoCReadCap, 0, p.NoCReadQueue),
-		Write: link.NewChannel(eng, "noc/wr", p.NoCWriteCap, 0, p.NoCWriteQueue),
+	n := &NoC{
+		prof:    p,
+		memHops: make([][]units.Time, p.CCDs),
+		ioHops:  make([]units.Time, p.CCDs),
+		Read:    link.NewChannel(eng, "noc/rd", p.NoCReadCap, 0, p.NoCReadQueue),
+		Write:   link.NewChannel(eng, "noc/wr", p.NoCWriteCap, 0, p.NoCWriteQueue),
 	}
+	for ccd := 0; ccd < p.CCDs; ccd++ {
+		n.memHops[ccd] = make([]units.Time, p.UMCChannels)
+		for umc := range n.memHops[ccd] {
+			n.memHops[ccd][umc] = n.HopDelay(p.MemoryHops(ccd, umc))
+		}
+		n.ioHops[ccd] = n.HopDelay(p.IOHubHops(ccd))
+	}
+	return n
 }
 
 // HopDelay reports the deterministic latency of traversing the given
@@ -82,14 +98,12 @@ func (n *NoC) HopDelay(hops int) units.Time {
 // MemoryHopDelay reports the switch-hop latency from chiplet ccd to memory
 // channel umc.
 func (n *NoC) MemoryHopDelay(ccd, umc int) units.Time {
-	return n.HopDelay(n.prof.MemoryHops(ccd, umc))
+	return n.memHops[ccd][umc]
 }
 
 // IOHopDelay reports the switch-hop latency from chiplet ccd to the I/O
 // hub.
-func (n *NoC) IOHopDelay(ccd int) units.Time {
-	return n.HopDelay(n.prof.IOHubHops(ccd))
-}
+func (n *NoC) IOHopDelay(ccd int) units.Time { return n.ioHops[ccd] }
 
 // Segment is one named leg of a data path with its deterministic latency:
 // the decomposition view of the paper's Table 2.

@@ -90,6 +90,24 @@ func TestHopDelays(t *testing.T) {
 	}
 }
 
+// TestHopTablesMatchProfile: every entry of the hop tables New builds must
+// equal the delay of the profile's own hop count, on both platforms.
+func TestHopTablesMatchProfile(t *testing.T) {
+	for _, p := range []*topology.Profile{topology.EPYC7302(), topology.EPYC9634()} {
+		n := New(sim.New(1), p)
+		for ccd := 0; ccd < p.CCDs; ccd++ {
+			for umc := 0; umc < p.UMCChannels; umc++ {
+				if got, want := n.MemoryHopDelay(ccd, umc), n.HopDelay(p.MemoryHops(ccd, umc)); got != want {
+					t.Errorf("%s: MemoryHopDelay(%d, %d) = %v, want %v", p.Name, ccd, umc, got, want)
+				}
+			}
+			if got, want := n.IOHopDelay(ccd), n.HopDelay(p.IOHubHops(ccd)); got != want {
+				t.Errorf("%s: IOHopDelay(%d) = %v, want %v", p.Name, ccd, got, want)
+			}
+		}
+	}
+}
+
 func TestNoCCapacities(t *testing.T) {
 	eng := sim.New(1)
 	p := topology.EPYC9634()

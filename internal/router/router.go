@@ -219,14 +219,9 @@ func (m *Mesh) ResetStats() {
 }
 
 // BisectionBandwidth reports the mesh's theoretical bisection limit: the
-// directed capacity crossing the narrower middle cut, a standard upper
-// bound on uniform-random throughput.
+// capacity crossing the narrower middle cut, both directions, a standard
+// upper bound on uniform-random throughput. The cut across the longer
+// dimension crosses min(Width, Height) links each way.
 func (m *Mesh) BisectionBandwidth() units.Bandwidth {
-	cut := m.cfg.Height // vertical cut crosses Height edges each way
-	if m.cfg.Width > m.cfg.Height {
-		cut = m.cfg.Height
-	} else {
-		cut = m.cfg.Width
-	}
-	return units.Bandwidth(2*cut) * m.cfg.LinkCapacity
+	return units.Bandwidth(2*min(m.cfg.Width, m.cfg.Height)) * m.cfg.LinkCapacity
 }

@@ -116,6 +116,25 @@ func TestBufferedLatencyLoadCurve(t *testing.T) {
 	}
 }
 
+func TestBisectionBandwidth(t *testing.T) {
+	for _, c := range []struct {
+		w, h, cut int
+	}{
+		{4, 2, 2}, // wider than tall: the vertical cut crosses Height links
+		{2, 4, 2}, // taller than wide: the horizontal cut crosses Width links
+		{3, 3, 3},
+		{1, 5, 1},
+		{6, 1, 1},
+	} {
+		cfg := cfg4x2()
+		cfg.Width, cfg.Height = c.w, c.h
+		m := New(sim.New(1), cfg)
+		if got, want := m.BisectionBandwidth(), units.Bandwidth(2*c.cut)*cfg.LinkCapacity; got != want {
+			t.Errorf("%dx%d mesh: bisection %v, want %v", c.w, c.h, got, want)
+		}
+	}
+}
+
 func TestSaturationNearBisection(t *testing.T) {
 	// Uniform-random saturation lands within a factor of ~2 of the
 	// bisection bound (half the traffic crosses the cut on average, and

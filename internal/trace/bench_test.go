@@ -123,7 +123,9 @@ func TestDisabledTracerOverhead(t *testing.T) {
 }
 
 // TestHotPathAllocs: the hooks must not allocate, even when enabled —
-// the ring and counters are preallocated.
+// the counters are preallocated, and the span ring allocates only on the
+// first write into each of its chunks (the warm-up churn makes the one
+// this fixture uses; TestSpanRingBounded bounds the rest).
 func TestHotPathAllocs(t *testing.T) {
 	for _, mode := range []string{"nil", "disabled", "enabled"} {
 		eng, ch, _ := churnChannel(mode)

@@ -77,7 +77,7 @@ func pct(part, total units.Time) float64 {
 // top bounds both the hop×cause and slowest-transaction lists.
 func (t *Tracer) BreakdownReport(top int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "latency breakdown — %d transactions, %d spans", t.txnSeen, t.spanN)
+	fmt.Fprintf(&b, "latency breakdown — %d transactions, %d spans", t.txnSeen, t.spans.n)
 	if t.spanDropped > 0 {
 		fmt.Fprintf(&b, " (+%d overwritten)", t.spanDropped)
 	}
@@ -120,7 +120,7 @@ func (t *Tracer) BreakdownReport(top int) string {
 
 // slowestTxns picks the top-n transaction records by latency.
 func (t *Tracer) slowestTxns(n int) []TxnRecord {
-	recs := make([]TxnRecord, 0, t.txnN)
+	recs := make([]TxnRecord, 0, t.txns.n)
 	t.EachTxn(func(r TxnRecord) { recs = append(recs, r) })
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Latency() > recs[j].Latency() })
 	if len(recs) > n {
@@ -199,14 +199,14 @@ type TxnBreakdown struct {
 // its end-to-end latency. With an unwrapped ring the residuals are all
 // zero — the acceptance test of the span tiling.
 func (t *Tracer) Reconcile() []TxnBreakdown {
-	sums := make(map[uint64]units.Time, t.txnN)
+	sums := make(map[uint64]units.Time, t.txns.n)
 	t.EachTxn(func(r TxnRecord) { sums[r.ID] = 0 })
 	t.EachSpan(func(s Span) {
 		if _, ok := sums[s.Txn]; ok && s.Txn != 0 {
 			sums[s.Txn] += s.Duration()
 		}
 	})
-	out := make([]TxnBreakdown, 0, t.txnN)
+	out := make([]TxnBreakdown, 0, t.txns.n)
 	t.EachTxn(func(r TxnRecord) {
 		a := sums[r.ID]
 		out = append(out, TxnBreakdown{Txn: r, Attributed: a, Residual: r.Latency() - a})

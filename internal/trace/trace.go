@@ -13,10 +13,11 @@
 //     nil until attached, and every hook site is a nil check around a call;
 //     an attached-but-disabled tracer costs one extra predictable branch
 //     (the `on` flag). ci.sh gates this with a benchmark comparison.
-//   - No allocations on the hot path, enabled or not — the same discipline
-//     as the sim engine's calendar. Spans and transaction records live in
-//     preallocated rings that overwrite their oldest entries; counters are
-//     flat arrays indexed by hop id.
+//   - No steady-state allocations on the hot path, enabled or not — the
+//     same discipline as the sim engine's calendar. Spans and transaction
+//     records live in bounded rings that grow in fixed chunks as entries
+//     are recorded and, once full, overwrite their oldest entries in
+//     place; counters are flat arrays indexed by hop id.
 //   - Exact attribution. Spans for one transaction tile the interval
 //     [Issued, Completed] with no gaps or overlaps, so their durations sum
 //     to the end-to-end latency exactly (tested to the picosecond). The
@@ -181,7 +182,9 @@ func (c *Counters) Busy() units.Time {
 	return t
 }
 
-// Config sizes a Tracer's preallocated storage.
+// Config bounds a Tracer's storage. The rings are not presized: they grow
+// in fixed chunks of 64 Ki entries as spans and records are written, up to
+// the cap.
 type Config struct {
 	// SpanCap bounds the span ring (default 1<<20). When full, the oldest
 	// spans are overwritten and Dropped counts them; counters stay exact.
@@ -200,14 +203,10 @@ type Tracer struct {
 	hops     []Hop
 	counters []Counters
 
-	spans       []Span
-	spanPos     int // next write slot
-	spanN       int // live spans (<= len(spans))
+	spans       ring[Span]
 	spanDropped uint64
 
-	txns   []TxnRecord
-	txnPos int
-	txnN   int
+	txns ring[TxnRecord]
 
 	// attr is the streaming per-cause total over transaction-attributed
 	// spans (active != 0); latTotal/txnSeen the matching end-to-end sums.
@@ -229,8 +228,8 @@ func New(cfg Config) *Tracer {
 		cfg.TxnCap = 1 << 16
 	}
 	return &Tracer{
-		spans: make([]Span, cfg.SpanCap),
-		txns:  make([]TxnRecord, cfg.TxnCap),
+		spans: newRing[Span](cfg.SpanCap),
+		txns:  newRing[TxnRecord](cfg.TxnCap),
 	}
 }
 
@@ -281,14 +280,7 @@ func (t *Tracer) span(hop HopID, cause Cause, from, to units.Time) {
 		t.last = to
 	}
 	t.hasSpan = true
-	t.spans[t.spanPos] = Span{Txn: t.active, Start: from, End: to, Hop: hop, Cause: cause}
-	t.spanPos++
-	if t.spanPos == len(t.spans) {
-		t.spanPos = 0
-	}
-	if t.spanN < len(t.spans) {
-		t.spanN++
-	} else {
+	if t.spans.push(Span{Txn: t.active, Start: from, End: to, Hop: hop, Cause: cause}) {
 		t.spanDropped++
 	}
 }
@@ -341,14 +333,7 @@ func (t *Tracer) EndTxn(id uint64, issued, completed units.Time) {
 	}
 	t.latTotal += completed - issued
 	t.txnSeen++
-	t.txns[t.txnPos] = TxnRecord{ID: id, Issued: issued, Completed: completed}
-	t.txnPos++
-	if t.txnPos == len(t.txns) {
-		t.txnPos = 0
-	}
-	if t.txnN < len(t.txns) {
-		t.txnN++
-	}
+	t.txns.push(TxnRecord{ID: id, Issued: issued, Completed: completed})
 }
 
 // Hops reports the registry contents (a copy).
@@ -362,7 +347,7 @@ func (t *Tracer) Hops() []Hop {
 func (t *Tracer) Counters(hop HopID) Counters { return t.counters[hop] }
 
 // SpanCount reports live spans in the ring.
-func (t *Tracer) SpanCount() int { return t.spanN }
+func (t *Tracer) SpanCount() int { return t.spans.n }
 
 // Dropped reports spans overwritten after the ring filled.
 func (t *Tracer) Dropped() uint64 { return t.spanDropped }
@@ -385,15 +370,7 @@ func (t *Tracer) TimeRange() (first, last units.Time, ok bool) {
 }
 
 // EachSpan visits live spans oldest-first.
-func (t *Tracer) EachSpan(fn func(Span)) {
-	start := t.spanPos - t.spanN
-	if start < 0 {
-		start += len(t.spans)
-	}
-	for i := 0; i < t.spanN; i++ {
-		fn(t.spans[(start+i)%len(t.spans)])
-	}
-}
+func (t *Tracer) EachSpan(fn func(Span)) { t.spans.each(fn) }
 
 // SpansInWindow visits, oldest-first, the live spans overlapping the
 // half-open interval [start, end) — the window-indexed filter of the
@@ -419,12 +396,4 @@ func (t *Tracer) SpansInWindow(start, end units.Time, fn func(Span)) int {
 }
 
 // EachTxn visits live transaction records oldest-first.
-func (t *Tracer) EachTxn(fn func(TxnRecord)) {
-	start := t.txnPos - t.txnN
-	if start < 0 {
-		start += len(t.txns)
-	}
-	for i := 0; i < t.txnN; i++ {
-		fn(t.txns[(start+i)%len(t.txns)])
-	}
-}
+func (t *Tracer) EachTxn(fn func(TxnRecord)) { t.txns.each(fn) }
