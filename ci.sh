@@ -83,9 +83,11 @@ go test -count=1 -cpu 1,8 -run 'Parallel|Recycling' ./internal/harness
 # wall-clock ratios only run with CHIPLET_OVERHEAD_GATE=1; plain go test
 # checks their deterministic half. The span ring grows in fixed chunks up
 # to SpanCap: TestSpanRingBounded checks TotalAlloc directly, at most the
-# cap's chunks while filling and 0 B once wrapped.
+# cap's chunks of 24-byte records while filling and 0 B once wrapped; the
+# TestSpanPacking tests round-trip spans at the packing limits and require
+# a panic past them.
 CHIPLET_OVERHEAD_GATE=1 go test ./internal/trace/ -run 'TestDisabledTracerOverhead|TestHotPathAllocs' -v
-go test ./internal/trace/ -run 'TestSpanRingBounded' -count=1 -v
+go test ./internal/trace/ -run 'TestSpanRingBounded|TestSpanPackingLossless|TestSpanPackingLimits' -count=1 -v
 
 # Windowed-metrics overhead guards: a harvesting registry must stay within
 # ~5% of an uninstrumented run on the event hot path (the probes are
@@ -96,18 +98,19 @@ go test ./internal/trace/ -run 'TestSpanRingBounded' -count=1 -v
 CHIPLET_OVERHEAD_GATE=1 go test ./internal/metrics/ -run 'TestEnabledMetricsOverhead|TestUnstartedRegistryInvisible|TestHarvestAllocs' -v
 
 # The harvest tick over the full-network instrument table must not
-# allocate: the series ring grows from 128 windows to Cap (the benchmark
+# allocate: the series ring grows from 8 windows to Cap (the benchmark
 # warms it until it wraps), then is reused; rescheduling reuses the
 # pre-bound callback. Amortized growth would round to 0 allocs/op, so the
-# gate also demands 0 B/op, and TestHarvestRingBounded checks TotalAlloc
-# directly over Cap windows of a full ring.
+# gate also demands 0 B/op, TestHarvestRingBounded checks TotalAlloc
+# directly over Cap windows of a full ring, and TestStartAllocationBounded
+# holds Start to the first 8 windows.
 bench=$(go test ./internal/metrics/ -run '^$' -bench 'BenchmarkMetricsHarvest' -benchtime 1000x)
 echo "$bench"
 if echo "$bench" | grep 'BenchmarkMetricsHarvest' | grep -qv ' 0 B/op[[:space:]]*0 allocs/op'; then
     echo "metrics harvest allocates on the steady-state path" >&2
     exit 1
 fi
-go test ./internal/metrics/ -run 'TestHarvestRingBounded' -count=1 -v
+go test ./internal/metrics/ -run 'TestHarvestRingBounded|TestStartAllocationBounded' -count=1 -v
 
 # Fuzz the metrics dump reader behind chipletstat: malformed bytes must be
 # rejected or yield a dump every report and exporter handles without

@@ -21,11 +21,11 @@
 //     amortized over the tens of thousands of simulation events a window
 //     contains (ci.sh gates the enabled overhead at <5% and the harvest
 //     tick at 0 allocs/op);
-//   - no steady-state allocations: the series ring starts at 128 windows
+//   - no steady-state allocations: the series ring starts at 8 windows
 //     (or Cap, if smaller) and doubles while it fills, up to Cap; from
 //     then on it is reused, the oldest windows are overwritten and
 //     DroppedWindows counts them. A cell that harvests 15 windows holds
-//     128, not Cap.
+//     16, not Cap.
 //
 // Harvest events ride the engine calendar but never touch the RNG and
 // never mutate component state, so enabling metrics cannot change a
@@ -180,10 +180,11 @@ type Registry struct {
 	onHarvest []func()
 }
 
-// firstSlots is the ring's initial window count: enough for a typical
-// experiment cell, which harvests tens of windows, without paying for
-// Cap windows of every instrument up front.
-const firstSlots = 128
+// firstSlots is the ring's initial window count. Start pays only for
+// these windows of every instrument; harvest doubles the ring as windows
+// arrive, so a cell that harvests tens of windows grows it a few times
+// and holds less than twice what it recorded, never Cap up front.
+const firstSlots = 8
 
 // New builds a registry with the given window and capacity.
 func New(cfg Config) *Registry {
@@ -226,7 +227,7 @@ func (r *Registry) register(d Desc, probe func() float64) ID {
 	return ID(len(r.descs) - 1)
 }
 
-// Start allocates the series ring (min(Cap, 128) windows; harvest grows
+// Start allocates the series ring (min(Cap, 8) windows; harvest grows
 // it to Cap), primes the counter baselines and schedules the first
 // harvest one window from now on eng's calendar.
 // Windows are counted from the Start time: window w covers

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -88,4 +89,57 @@ func TestHarvestRingBounded(t *testing.T) {
 			r.Total(), r.FirstWindow(), r.DroppedWindows(), 2*capWindows, capWindows, capWindows)
 	}
 	check()
+}
+
+// TestStartAllocationBounded: Start must allocate only the first
+// firstSlots windows of every instrument, plus O(instruments) for the
+// counter baselines, and harvest must then double the ring window by
+// window until it reaches a Cap that is not a power-of-two multiple of
+// firstSlots, so the last step is clipped.
+func TestStartAllocationBounded(t *testing.T) {
+	const (
+		capWindows  = 100
+		instruments = 512
+		window      = units.Microsecond
+	)
+	eng := sim.New(1)
+	r := New(Config{Window: window, Cap: capWindows})
+	for i := 0; i < instruments; i++ {
+		r.Counter("res", "c", "fam", "u", func() float64 { return 1 })
+	}
+	// TotalAlloc is process-wide; hold one P as TestHarvestRingBounded does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	r.Start(eng)
+	runtime.ReadMemStats(&m1)
+	limit := uint64(firstSlots*instruments*8 + instruments*8 + 4096)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > limit {
+		t.Errorf("Start allocated %d bytes for %d instruments, more than %d (%d windows)",
+			got, instruments, limit, firstSlots)
+	}
+
+	var want []int
+	for s := firstSlots; ; s = min(2*s, capWindows) {
+		want = append(want, s)
+		if s == capWindows {
+			break
+		}
+	}
+	got := []int{len(r.starts)}
+	for w := 1; w <= capWindows; w++ {
+		eng.RunFor(window)
+		if r.Total() != w {
+			t.Fatalf("after %d windows Total = %d", w, r.Total())
+		}
+		if n := len(r.starts); n != got[len(got)-1] {
+			got = append(got, n)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ring sizes %v, want doubling %v", got, want)
+	}
+	if len(r.series) != capWindows*instruments || r.DroppedWindows() != 0 {
+		t.Fatalf("ring holds %d samples, dropped %d", len(r.series), r.DroppedWindows())
+	}
 }

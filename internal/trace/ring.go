@@ -1,6 +1,6 @@
 package trace
 
-// chunkShift sets the ring's chunk size: 1<<16 entries, 2 MiB of spans.
+// chunkShift sets the ring's chunk size: 1<<16 entries, 1.5 MiB of spans.
 const (
 	chunkShift = 16
 	chunkLen   = 1 << chunkShift

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -106,12 +107,16 @@ func TestRingMatchesSliceRing(t *testing.T) {
 }
 
 // TestSpanRingBounded records 3×SpanCap spans into a ring whose cap is
-// not a chunk multiple. Construction must not presize the ring; the first
-// pass may allocate at most its ceil(cap/chunk) chunks, and once the ring
-// has wrapped, recording must not allocate at all.
+// not a chunk multiple. A span must be stored in 24 bytes. Construction
+// must not presize the ring; the first pass may allocate at most its
+// ceil(cap/chunk) chunks of stored records, and once the ring has wrapped,
+// recording must not allocate at all.
 func TestSpanRingBounded(t *testing.T) {
 	const spanCap = chunkLen + chunkLen/2 + 3
-	chunkBytes := uint64(chunkLen * unsafe.Sizeof(Span{}))
+	if size := unsafe.Sizeof(spanRec{}); size != 24 {
+		t.Fatalf("a stored span takes %d bytes, want 24", size)
+	}
+	chunkBytes := uint64(chunkLen * unsafe.Sizeof(spanRec{}))
 	// TotalAlloc is process-wide. Hold one P for the measured stretch, as
 	// testing.AllocsPerRun does, so the scheduler cannot start (and
 	// heap-allocate) a new M while it runs.
@@ -147,5 +152,71 @@ func TestSpanRingBounded(t *testing.T) {
 	}
 	if tr.SpanCount() != spanCap || tr.Dropped() != 2*spanCap {
 		t.Fatalf("live %d dropped %d, want %d/%d", tr.SpanCount(), tr.Dropped(), spanCap, 2*spanCap)
+	}
+}
+
+// TestSpanPackingLossless round-trips spans at the packing limits — the
+// largest transaction id, id 0, every cause, the largest hop, and times
+// from MinInt64 to MaxInt64 — through pack and back, and through a
+// tracer's ring for the hops a test can register.
+func TestSpanPackingLossless(t *testing.T) {
+	times := [][2]units.Time{
+		{math.MinInt64, math.MinInt64 + 1}, {-5, -1}, {-1, 1},
+		{0, math.MaxInt64}, {math.MaxInt64 - 1, math.MaxInt64},
+	}
+	for _, txn := range []uint64{0, 1, 1<<40 - 1} {
+		for _, hop := range []HopID{0, 1, 1<<21 - 1} {
+			for c := Cause(0); c < NumCauses; c++ {
+				for _, w := range times {
+					s := Span{Txn: txn, Start: w[0], End: w[1], Hop: hop, Cause: c}
+					if got := pack(s).span(); got != s {
+						t.Fatalf("pack(%+v) decodes to %+v", s, got)
+					}
+				}
+			}
+		}
+	}
+
+	tr := New(Config{})
+	hops := []HopID{tr.RegisterHop("a", KindChannel), tr.RegisterHop("b", KindDevice)}
+	tr.Enable()
+	var want []Span
+	for _, txn := range []uint64{0, 1<<40 - 1} {
+		tr.SetActive(txn)
+		for c := Cause(0); c < NumCauses; c++ {
+			for _, w := range times {
+				s := Span{Txn: txn, Start: w[0], End: w[1], Hop: hops[int(c)%2], Cause: c}
+				tr.Range(s.Hop, s.Cause, s.Start, s.End)
+				want = append(want, s)
+			}
+		}
+	}
+	if got := collect(tr.EachSpan); !slices.Equal(got, want) {
+		t.Fatalf("EachSpan gave back %d spans that differ from the %d recorded", len(got), len(want))
+	}
+}
+
+// TestSpanPackingLimits: recording a span for a transaction id the tag
+// cannot hold, or registering a hop past its hop field, must panic rather
+// than corrupt the record. The hop limit is checked through hopID, which
+// RegisterHop calls, so the test registers no million hops.
+func TestSpanPackingLimits(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	tr := New(Config{})
+	hop := tr.RegisterHop("h", KindStage)
+	tr.Enable()
+	tr.SetActive(1 << 40)
+	mustPanic("a span for transaction 1<<40", func() { tr.Range(hop, CauseProcessing, 0, 1) })
+	mustPanic("hop 1<<21", func() { hopID(1 << 21) })
+	if id := hopID(1<<21 - 1); id != 1<<21-1 {
+		t.Fatalf("hopID(1<<21 - 1) = %d", id)
 	}
 }

@@ -17,7 +17,10 @@
 //     same discipline as the sim engine's calendar. Spans and transaction
 //     records live in bounded rings that grow in fixed chunks as entries
 //     are recorded and, once full, overwrite their oldest entries in
-//     place; counters are flat arrays indexed by hop id.
+//     place; counters are flat arrays indexed by hop id. A span is stored
+//     in 24 bytes (24 MiB at the default cap), which limits a tracer to
+//     2^21 hops and transaction ids below 2^40: RegisterHop and span
+//     recording panic past them.
 //   - Exact attribution. Spans for one transaction tile the interval
 //     [Issued, Completed] with no gaps or overlaps, so their durations sum
 //     to the end-to-end latency exactly (tested to the picosecond). The
@@ -153,6 +156,41 @@ type Span struct {
 // Duration reports the span length.
 func (s Span) Duration() units.Time { return s.End - s.Start }
 
+// The span ring stores each span as a 24-byte spanRec rather than a Span,
+// whose 29 bytes pad to 32: Start and End stay whole, and Txn, Hop and
+// Cause share one tag, txn<<24 | hop<<3 | cause. The tag bounds the hop
+// registry at maxHops (RegisterHop panics past it) and transaction ids
+// below maxTxn (recording a span for a larger one panics).
+const (
+	causeBits = 3
+	hopBits   = 21
+	txnShift  = causeBits + hopBits
+	maxHops   = 1 << hopBits
+	maxTxn    = 1 << (64 - txnShift)
+)
+
+// Every cause must fit its tag field: this fails to compile otherwise.
+var _ [1<<causeBits - NumCauses]struct{}
+
+type spanRec struct {
+	tag        uint64
+	start, end units.Time
+}
+
+// pack encodes s for the span ring.
+func pack(s Span) spanRec {
+	if s.Txn >= maxTxn {
+		panic("trace: transaction id does not fit a span record (limit 1<<40)")
+	}
+	return spanRec{tag: s.Txn<<txnShift | uint64(s.Hop)<<causeBits | uint64(s.Cause), start: s.Start, end: s.End}
+}
+
+// span decodes the record pack made.
+func (r spanRec) span() Span {
+	return Span{Txn: r.tag >> txnShift, Start: r.start, End: r.end,
+		Hop: HopID(r.tag >> causeBits & (maxHops - 1)), Cause: Cause(r.tag & (1<<causeBits - 1))}
+}
+
 // TxnRecord is the end-to-end record of one traced transaction.
 type TxnRecord struct {
 	ID                uint64
@@ -184,7 +222,8 @@ func (c *Counters) Busy() units.Time {
 
 // Config bounds a Tracer's storage. The rings are not presized: they grow
 // in fixed chunks of 64 Ki entries as spans and records are written, up to
-// the cap.
+// the cap. A span takes 24 bytes of ring, so the default cap holds 24 MiB;
+// the packing limits a tracer to 2^21 hops and transaction ids below 2^40.
 type Config struct {
 	// SpanCap bounds the span ring (default 1<<20). When full, the oldest
 	// spans are overwritten and Dropped counts them; counters stay exact.
@@ -203,7 +242,7 @@ type Tracer struct {
 	hops     []Hop
 	counters []Counters
 
-	spans       ring[Span]
+	spans       ring[spanRec]
 	spanDropped uint64
 
 	txns ring[TxnRecord]
@@ -228,7 +267,7 @@ func New(cfg Config) *Tracer {
 		cfg.TxnCap = 1 << 16
 	}
 	return &Tracer{
-		spans: newRing[Span](cfg.SpanCap),
+		spans: newRing[spanRec](cfg.SpanCap),
 		txns:  newRing[TxnRecord](cfg.TxnCap),
 	}
 }
@@ -237,9 +276,19 @@ func New(cfg Config) *Tracer {
 // at attach time (never on the hot path); registering the same name twice
 // creates two hops, so components attach exactly once.
 func (t *Tracer) RegisterHop(name string, kind Kind) HopID {
+	id := hopID(len(t.hops))
 	t.hops = append(t.hops, Hop{Name: name, Kind: kind})
 	t.counters = append(t.counters, Counters{})
-	return HopID(len(t.hops) - 1)
+	return id
+}
+
+// hopID turns the registry index of a new hop into its id, panicking past
+// the maxHops a span record's hop field holds.
+func hopID(i int) HopID {
+	if i >= maxHops {
+		panic(fmt.Sprintf("trace: hop %d does not fit a span record (limit %d)", i, maxHops))
+	}
+	return HopID(i)
 }
 
 // Enable starts recording.
@@ -280,7 +329,7 @@ func (t *Tracer) span(hop HopID, cause Cause, from, to units.Time) {
 		t.last = to
 	}
 	t.hasSpan = true
-	if t.spans.push(Span{Txn: t.active, Start: from, End: to, Hop: hop, Cause: cause}) {
+	if t.spans.push(pack(Span{Txn: t.active, Start: from, End: to, Hop: hop, Cause: cause})) {
 		t.spanDropped++
 	}
 }
@@ -370,7 +419,7 @@ func (t *Tracer) TimeRange() (first, last units.Time, ok bool) {
 }
 
 // EachSpan visits live spans oldest-first.
-func (t *Tracer) EachSpan(fn func(Span)) { t.spans.each(fn) }
+func (t *Tracer) EachSpan(fn func(Span)) { t.spans.each(func(r spanRec) { fn(r.span()) }) }
 
 // SpansInWindow visits, oldest-first, the live spans overlapping the
 // half-open interval [start, end) — the window-indexed filter of the
