@@ -26,7 +26,7 @@ go test ./...
 # Bad -cell names and non-positive -stats-window must be refused.
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
-go build -o "$smoke/" ./cmd/reproduce ./cmd/chiplettrace ./cmd/chipletstat
+go build -o "$smoke/" ./cmd/reproduce ./cmd/chiplettrace ./cmd/chipletstat ./cmd/chipletbench
 # The full suite at default flags must reprint reproduce_output.txt byte
 # for byte.
 "$smoke/reproduce" > "$smoke/reproduce_output.txt"
@@ -39,6 +39,10 @@ for main in examples/*/main.go; do
     "$smoke/$ex" > "$smoke/$ex.txt"
     cmp "$smoke/$ex.txt" "examples/testdata/$ex.golden"
 done
+# chipletbench's per-flow profile report must reprint its golden byte for
+# byte.
+"$smoke/chipletbench" -platform 9634 -mode bandwidth -dest dram -cores 8 -demand 20 -profile > "$smoke/profile.txt"
+cmp "$smoke/profile.txt" cmd/chipletbench/testdata/profile.golden
 run="$smoke/reproduce -scale 16 -stats-top 0 -stats-window 25us"
 $run -trace "$smoke/t.json" > /dev/null
 $run -stats "$smoke/s4.json" -cell fig4:1:2 > /dev/null
@@ -98,12 +102,12 @@ go test ./internal/trace/ -run 'TestSpanRingBounded|TestSpanPackingLossless|Test
 CHIPLET_OVERHEAD_GATE=1 go test ./internal/metrics/ -run 'TestEnabledMetricsOverhead|TestUnstartedRegistryInvisible|TestHarvestAllocs' -v
 
 # The harvest tick over the full-network instrument table must not
-# allocate: the series ring grows from 8 windows to Cap (the benchmark
-# warms it until it wraps), then is reused; rescheduling reuses the
-# pre-bound callback. Amortized growth would round to 0 allocs/op, so the
-# gate also demands 0 B/op, TestHarvestRingBounded checks TotalAlloc
-# directly over Cap windows of a full ring, and TestStartAllocationBounded
-# holds Start to the first 8 windows.
+# allocate: the series ring grows from 8 windows to metrics.MaxWindows
+# (the benchmark warms it until it wraps), then is reused; rescheduling
+# reuses the pre-bound callback. Amortized growth would round to 0
+# allocs/op, so the gate also demands 0 B/op, TestHarvestRingBounded
+# checks TotalAlloc directly over MaxWindows windows of a full ring, and
+# TestStartAllocationBounded holds Start to the first 8 windows.
 bench=$(go test ./internal/metrics/ -run '^$' -bench 'BenchmarkMetricsHarvest' -benchtime 1000x)
 echo "$bench"
 if echo "$bench" | grep 'BenchmarkMetricsHarvest' | grep -qv ' 0 B/op[[:space:]]*0 allocs/op'; then

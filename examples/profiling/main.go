@@ -1,4 +1,4 @@
-// Profiling: attach the sketch-backed profiler (the paper's research
+// Profiling: attach the per-flow profiler (the paper's research
 // direction #5) and the /proc/chiplet-net telemetry view (direction #1) to
 // a mixed workload, then print a perf-style report.
 //

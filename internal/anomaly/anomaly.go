@@ -9,19 +9,19 @@
 // streaming detectors per watched instrument on each new window:
 //
 //   - an EWMA band: exponentially-weighted mean and variance of the
-//     instrument's normalized rate; a sample above mean + K·sigma (and
+//     instrument's normalized rate; a sample above mean + 6·sigma (and
 //     above the absolute MinRate floor) is anomalous. The baselines are
 //     zero-primed, so a resource that is congested from the first
 //     harvested window fires at that window — congestion present at
 //     measurement start is itself an onset.
 //   - a Page–Hinkley change-point test: cumulative deviation from the
 //     running mean minus a drift allowance; when the deviation range
-//     exceeds Lambda, a slow ramp that never leaves the adapting EWMA
-//     band is still flagged.
+//     exceeds a threshold, a slow ramp that never leaves the adapting
+//     EWMA band is still flagged.
 //
 // While an incident is open its instrument's baselines are frozen —
 // anomalous samples must not pollute the estimate of normal — and the
-// incident clears only after Clear consecutive windows back inside the
+// incident clears only after two consecutive windows back inside the
 // band (or under the floor). Incidents carry their onset/clear windows,
 // severity, and the bottleneck ranking of the onset window, so "umc0/rd
 // saturated in window 41" arrives already attributed.
@@ -45,67 +45,36 @@ import (
 
 // Config tunes a Monitor's detectors.
 type Config struct {
-	// Metrics selects which canonical metric names to watch; default
-	// {MetricWait} — the congestion signal the bottleneck attributor
-	// ranks by. Counter samples are normalized to a dimensionless rate
-	// (delta / window span, e.g. wait_ps per ps = average concurrent
-	// waiters); gauges are watched as-is.
-	Metrics []string
-	// Alpha is the EWMA smoothing factor in (0, 1]; default 0.25.
-	Alpha float64
-	// K is the EWMA band half-width in sigmas; default 6.
-	K float64
 	// MinRate is the absolute onset floor in normalized-rate units;
 	// samples at or below it are never anomalous. The default 0.05 means
-	// a resource must spend >5% of the window congested (e.g. 0.05
-	// average waiters for MetricWait) before any incident can open.
+	// a resource must spend >5% of the window congested (0.05 average
+	// waiters) before any incident can open.
 	MinRate float64
-	// PHDelta is the Page–Hinkley drift allowance per window (normalized
-	// units); default 0.01. PHLambda is the alarm threshold on the
-	// cumulative deviation range; default 0.5.
-	PHDelta  float64
-	PHLambda float64
-	// Clear is how many consecutive in-band windows close an open
-	// incident; default 2.
-	Clear int
-	// TopK is how many ranked bottlenecks each incident links from its
-	// onset window; default 5.
-	TopK int
-	// MaxIncidents bounds the recorded incident list (default 1024);
-	// further onsets are counted in IncidentsDropped but not recorded.
-	MaxIncidents int
 }
 
-func (c Config) withDefaults() Config {
-	if len(c.Metrics) == 0 {
-		c.Metrics = []string{metrics.MetricWait}
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.25
-	}
-	if c.K <= 0 {
-		c.K = 6
-	}
-	if c.MinRate <= 0 {
-		c.MinRate = 0.05
-	}
-	if c.PHDelta <= 0 {
-		c.PHDelta = 0.01
-	}
-	if c.PHLambda <= 0 {
-		c.PHLambda = 0.5
-	}
-	if c.Clear <= 0 {
-		c.Clear = 2
-	}
-	if c.TopK <= 0 {
-		c.TopK = 5
-	}
-	if c.MaxIncidents <= 0 {
-		c.MaxIncidents = 1024
-	}
-	return c
-}
+// The detectors' fixed tuning.
+const (
+	// defaultMinRate is MinRate's default.
+	defaultMinRate = 0.05
+	// alpha is the EWMA smoothing factor.
+	alpha = 0.25
+	// bandK is the EWMA band half-width in sigmas.
+	bandK = 6
+	// phDelta is the Page–Hinkley drift allowance per window and
+	// phLambda the alarm threshold on the cumulative deviation range,
+	// both in normalized-rate units.
+	phDelta  = 0.01
+	phLambda = 0.5
+	// clearWindows is how many consecutive in-band windows close an open
+	// incident.
+	clearWindows = 2
+	// topK is how many ranked bottlenecks each incident links from its
+	// onset window.
+	topK = 5
+	// maxIncidents bounds the recorded incident list; further onsets are
+	// counted in IncidentsDropped but not recorded.
+	maxIncidents = 1024
+)
 
 // Detector names an incident's triggering test.
 const (
@@ -135,7 +104,7 @@ type Incident struct {
 	OnsetStart  units.Time
 	OnsetEnd    units.Time
 	// ClearWindow is the window index where the incident cleared (the
-	// last of Clear consecutive calm windows), -1 while open. ClearEnd
+	// last of two consecutive calm windows), -1 while open. ClearEnd
 	// is that window's end stamp.
 	ClearWindow int
 	ClearEnd    units.Time
@@ -172,8 +141,6 @@ type detState struct {
 	phN     int
 	ph      float64
 	phMin   float64
-	primed  bool
-	lastX   float64
 	calmRun int // consecutive calm windows while an incident is open
 	openIdx int // incidents index + 1 of the open incident, 0 when closed
 }
@@ -182,14 +149,13 @@ type detState struct {
 // with Attach; like the registry it observes, a monitor is engine-local
 // and single-goroutine.
 type Monitor struct {
-	reg *metrics.Registry
-	cfg Config
+	reg     *metrics.Registry
+	minRate float64
 
 	states []detState // sized at the first sweep, then fixed
 
 	incidents  []Incident
 	dropped    int
-	lastWindow int // last processed window index; guards double-processing
 	onIncident func(Incident)
 }
 
@@ -202,7 +168,10 @@ func Attach(reg *metrics.Registry, cfg Config) *Monitor {
 	if reg == nil {
 		panic("anomaly: nil registry")
 	}
-	m := &Monitor{reg: reg, cfg: cfg.withDefaults(), lastWindow: -1}
+	if cfg.MinRate <= 0 {
+		cfg.MinRate = defaultMinRate
+	}
+	m := &Monitor{reg: reg, minRate: cfg.MinRate}
 	reg.OnHarvest(m.sweep)
 	return m
 }
@@ -213,34 +182,26 @@ func Attach(reg *metrics.Registry, cfg Config) *Monitor {
 // severity while open.
 func (m *Monitor) OnIncident(fn func(Incident)) { m.onIncident = fn }
 
-// watches reports whether the metric name is on the watch list.
-func (m *Monitor) watches(metric string) bool {
-	for _, w := range m.cfg.Metrics {
-		if w == metric {
-			return true
-		}
-	}
-	return false
-}
-
 // build sizes the detector state table from the registry's instrument
 // list — once, at the first harvested window, after which the sweep is
-// allocation-free.
+// allocation-free. The watch list is every MetricWait instrument: the
+// congestion signal the bottleneck attributor ranks by, which every
+// channel and pool registers as a counter.
 func (m *Monitor) build() {
 	n := 0
 	for i := 0; i < m.reg.NumInstruments(); i++ {
-		if m.watches(m.reg.Desc(i).Metric) {
+		if m.reg.Desc(i).Metric == metrics.MetricWait {
 			n++
 		}
 	}
 	m.states = make([]detState, 0, n)
 	for i := 0; i < m.reg.NumInstruments(); i++ {
 		d := m.reg.Desc(i)
-		if m.watches(d.Metric) {
+		if d.Metric == metrics.MetricWait {
 			m.states = append(m.states, detState{id: metrics.ID(i), desc: d})
 		}
 	}
-	m.incidents = make([]Incident, 0, m.cfg.MaxIncidents)
+	m.incidents = make([]Incident, 0, maxIncidents)
 }
 
 // sweep processes the newest harvested window: one detector update per
@@ -251,29 +212,17 @@ func (m *Monitor) sweep() {
 		m.build()
 	}
 	w := m.reg.Total() - 1
-	if w <= m.lastWindow {
-		return
-	}
-	m.lastWindow = w
-	span := float64(m.reg.WindowEnd(w) - m.reg.WindowStart(w))
-	if span <= 0 {
-		return
-	}
+	span := float64(m.reg.Window())
 	for i := range m.states {
 		m.update(&m.states[i], w, span)
 	}
 }
 
-// update advances one instrument's detectors over window w.
+// update advances one instrument's detectors over window w. The
+// per-window wait delta over the window span is the normalized rate: the
+// average number of concurrent waiters.
 func (m *Monitor) update(st *detState, w int, span float64) {
-	x := m.reg.Value(st.id, w)
-	if st.desc.Kind == metrics.KindCounter {
-		// Normalize the per-window delta by the actual window span, so a
-		// short window after a Stop/Start restart reads the same as a
-		// full one and cannot fake an onset or a clear.
-		x /= span
-	}
-	st.lastX = x
+	x := m.reg.Value(st.id, w) / span
 
 	if st.openIdx != 0 {
 		// Baselines frozen while open: judge calm against the frozen
@@ -284,9 +233,9 @@ func (m *Monitor) update(st *detState, w int, span float64) {
 			inc.PeakWindow = w
 			inc.PeakPS = m.reg.WindowEnd(w)
 		}
-		if x <= m.cfg.MinRate || x <= st.mean+m.cfg.K*sigma(st.variance) {
+		if x <= m.minRate || x <= st.mean+bandK*sigma(st.variance) {
 			st.calmRun++
-			if st.calmRun >= m.cfg.Clear {
+			if st.calmRun >= clearWindows {
 				m.clear(st, w)
 			}
 		} else {
@@ -296,16 +245,16 @@ func (m *Monitor) update(st *detState, w int, span float64) {
 	}
 
 	// EWMA band test against the pre-update baseline.
-	ewmaFired := x > m.cfg.MinRate && x > st.mean+m.cfg.K*sigma(st.variance)
+	ewmaFired := x > m.minRate && x > st.mean+bandK*sigma(st.variance)
 
 	// Page–Hinkley: cumulative upward deviation from the running mean.
 	st.phSum += x
 	st.phN++
-	st.ph += x - st.phSum/float64(st.phN) - m.cfg.PHDelta
+	st.ph += x - st.phSum/float64(st.phN) - phDelta
 	if st.ph < st.phMin {
 		st.phMin = st.ph
 	}
-	phFired := x > m.cfg.MinRate && st.ph-st.phMin > m.cfg.PHLambda
+	phFired := x > m.minRate && st.ph-st.phMin > phLambda
 
 	if ewmaFired || phFired {
 		m.open(st, w, x, ewmaFired, phFired)
@@ -316,8 +265,8 @@ func (m *Monitor) update(st *detState, w int, span float64) {
 	// first samples pull the baseline up from zero, which is what makes
 	// congestion-at-start an onset at window FirstWindow).
 	dev := x - st.mean
-	st.mean += m.cfg.Alpha * dev
-	st.variance = (1 - m.cfg.Alpha) * (st.variance + m.cfg.Alpha*dev*dev)
+	st.mean += alpha * dev
+	st.variance = (1 - alpha) * (st.variance + alpha*dev*dev)
 }
 
 // open records an incident onset at window w.
@@ -347,7 +296,7 @@ func (m *Monitor) open(st *detState, w int, x float64, ewmaFired, phFired bool) 
 		Severity:    x,
 		PeakWindow:  w,
 		PeakPS:      m.reg.WindowEnd(w),
-		Bottlenecks: metrics.Bottlenecks(m.reg, w, m.cfg.TopK),
+		Bottlenecks: metrics.Bottlenecks(m.reg, w, topK),
 	})
 	st.openIdx = len(m.incidents)
 	st.calmRun = 0
@@ -406,5 +355,5 @@ func (m *Monitor) OpenIncidents() []Incident {
 	return out
 }
 
-// IncidentsDropped reports onsets discarded after MaxIncidents.
+// IncidentsDropped reports onsets discarded after the first 1024.
 func (m *Monitor) IncidentsDropped() int { return m.dropped }

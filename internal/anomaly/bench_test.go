@@ -31,7 +31,8 @@ func monitoredNet() (*sim.Engine, *metrics.Registry, *anomaly.Monitor) {
 func BenchmarkDetectorSweep(b *testing.B) {
 	eng, reg, mon := monitoredNet()
 	// Warm: first sweep sizes the state table, the calendar settles, and
-	// the registry's ring grows to Cap (one-off growth, not steady state).
+	// the registry's ring grows to MaxWindows (one-off growth, not steady
+	// state).
 	for reg.DroppedWindows() == 0 {
 		eng.RunFor(metrics.DefaultWindow)
 	}

@@ -27,12 +27,12 @@ func instrumentedNet() (*sim.Engine, *metrics.Registry) {
 
 // BenchmarkMetricsHarvest measures one harvest tick over the full
 // network's instrument table. ci.sh gates it at 0 B/op and 0 allocs/op:
-// once the ring has grown to Cap and wrapped, harvesting reuses it, and
-// rescheduling reuses the pre-bound callback.
+// once the ring has grown to MaxWindows and wrapped, harvesting reuses
+// it, and rescheduling reuses the pre-bound callback.
 func BenchmarkMetricsHarvest(b *testing.B) {
 	eng, reg := instrumentedNet()
-	// Warm the calendar's overflow structures and grow the ring to Cap
-	// (its doublings are one-off growth, not the steady state).
+	// Warm the calendar's overflow structures and grow the ring to
+	// MaxWindows (its doublings are one-off growth, not the steady state).
 	for reg.DroppedWindows() == 0 {
 		eng.RunFor(metrics.DefaultWindow)
 	}
@@ -100,7 +100,7 @@ func churn(eng *sim.Engine, ch *link.Channel, reg *metrics.Registry, n int) {
 		sent++
 		if sent < n {
 			ch.Send(units.CacheLine, send)
-		} else if reg != nil && reg.Running() {
+		} else if reg != nil {
 			reg.Stop()
 		}
 	}

@@ -70,7 +70,7 @@ func (r *Registry) Dump() *Dump {
 	d := &Dump{
 		WindowPS: int64(r.window),
 		First:    first,
-		Dropped:  r.dropped,
+		Dropped:  r.DroppedWindows(),
 		StartsPS: make([]int64, n),
 		EndsPS:   make([]int64, n),
 	}

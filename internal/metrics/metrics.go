@@ -1,6 +1,6 @@
 // Package metrics is the windowed time-series layer of the chiplet
 // network's observability stack: where internal/trace answers "what
-// happened to one transaction" after a run and internal/profile sketches
+// happened to one transaction" after a run and internal/profile counts
 // "which flow moved the bytes", this package answers "what is each link,
 // queue and token pool doing right now, per harvest window" — the
 // continuously-sampled, perf-like visibility the paper's research agenda
@@ -22,10 +22,10 @@
 //     contains (ci.sh gates the enabled overhead at <5% and the harvest
 //     tick at 0 allocs/op);
 //   - no steady-state allocations: the series ring starts at 8 windows
-//     (or Cap, if smaller) and doubles while it fills, up to Cap; from
-//     then on it is reused, the oldest windows are overwritten and
-//     DroppedWindows counts them. A cell that harvests 15 windows holds
-//     16, not Cap.
+//     and doubles while it fills, up to MaxWindows; from then on it is
+//     reused, the oldest windows are overwritten and DroppedWindows
+//     counts them. A cell that harvests 15 windows holds 16, not
+//     MaxWindows.
 //
 // Harvest events ride the engine calendar but never touch the RNG and
 // never mutate component state, so enabling metrics cannot change a
@@ -135,24 +135,30 @@ type Config struct {
 	// 100 us, is the simulated counterpart of the paper's 100 ms Figure 5
 	// harvest window under the 1:1000 time substitution.
 	Window units.Time
-	// Cap bounds the retained windows per instrument (default 4096).
-	// The ring grows to Cap as windows arrive; once it holds Cap windows
-	// the oldest are overwritten and DroppedWindows counts them. Series
-	// exports cover the live windows.
-	Cap int
 }
 
 // DefaultWindow is the default harvest interval: the paper's 100 ms
 // Figure 5 window at the simulation's 1:1000 time scale.
 const DefaultWindow = 100 * units.Microsecond
 
+// MaxWindows bounds the retained windows per instrument. The ring grows
+// to MaxWindows as windows arrive; once it holds MaxWindows windows the
+// oldest are overwritten and DroppedWindows counts them. Series exports
+// cover the live windows.
+const MaxWindows = 4096
+
+// firstSlots is the ring's initial window count. Start pays only for
+// these windows of every instrument; harvest doubles the ring as windows
+// arrive, so a cell that harvests tens of windows grows it a few times
+// and holds less than twice what it recorded, never MaxWindows up front.
+const firstSlots = 8
+
 // Registry holds named instruments and harvests them into ring-buffered
 // series on a fixed sim-time window. Zero value is not usable; use New.
 // A Registry is engine-local and single-goroutine, like the tracer: one
-// per experiment cell, never shared.
+// per experiment cell, never shared. It runs once: Start, then Stop.
 type Registry struct {
 	window units.Time
-	cap    int
 
 	descs  []Desc
 	probes []func() float64
@@ -160,41 +166,26 @@ type Registry struct {
 
 	// series is the window-major sample ring: window w's sample of
 	// instrument i lives at series[(w%slots)*len(probes)+i], where slots
-	// = len(starts) grows from firstSlots to cap before the ring first
-	// wraps, so no window ever moves slot. starts/ends mirror the ring
-	// with the actual window bounds (a restart can produce one short
-	// window, so the end is recorded rather than assumed).
-	series  []float64
-	starts  []units.Time
-	ends    []units.Time
-	total   int // windows harvested ever
-	live    int // windows still in the ring (<= cap)
-	dropped int
+	// grows from firstSlots to MaxWindows before the ring first wraps, so
+	// no window ever moves slot. Window w spans
+	// [start + w*window, start + (w+1)*window).
+	series []float64
+	slots  int
+	start  units.Time
+	total  int // windows harvested ever
 
-	eng       *sim.Engine
+	eng       *sim.Engine // set by Start
 	running   bool
-	started   bool
-	pending   int        // scheduled-but-unfired harvest ticks (0 or 1)
-	lastTick  units.Time // start of the currently-accumulating window
-	harvestFn func()     // pre-bound so rescheduling never allocates
+	harvestFn func() // pre-bound so rescheduling never allocates
 	onHarvest []func()
 }
 
-// firstSlots is the ring's initial window count. Start pays only for
-// these windows of every instrument; harvest doubles the ring as windows
-// arrive, so a cell that harvests tens of windows grows it a few times
-// and holds less than twice what it recorded, never Cap up front.
-const firstSlots = 8
-
-// New builds a registry with the given window and capacity.
+// New builds a registry with the given window.
 func New(cfg Config) *Registry {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
-	if cfg.Cap <= 0 {
-		cfg.Cap = 4096
-	}
-	r := &Registry{window: cfg.Window, cap: cfg.Cap}
+	r := &Registry{window: cfg.Window}
 	r.harvestFn = r.harvest
 	return r
 }
@@ -216,7 +207,7 @@ func (r *Registry) Gauge(resource, metric, family, unit string, probe func() flo
 }
 
 func (r *Registry) register(d Desc, probe func() float64) ID {
-	if r.started {
+	if r.eng != nil {
 		panic(fmt.Sprintf("metrics: registering %s after Start", d.Name()))
 	}
 	if probe == nil {
@@ -227,84 +218,57 @@ func (r *Registry) register(d Desc, probe func() float64) ID {
 	return ID(len(r.descs) - 1)
 }
 
-// Start allocates the series ring (min(Cap, 8) windows; harvest grows
-// it to Cap), primes the counter baselines and schedules the first
-// harvest one window from now on eng's calendar.
-// Windows are counted from the Start time: window w covers
-// [start + w*Window, start + (w+1)*Window).
+// Start allocates the series ring (8 windows; harvest grows it to
+// MaxWindows), primes the counter baselines and schedules the first
+// harvest one window from now on eng's calendar. Windows are counted from
+// the Start time: window w covers [start + w*Window, start + (w+1)*Window).
+// A registry starts once; a second Start, even after Stop, panics.
 func (r *Registry) Start(eng *sim.Engine) {
 	if eng == nil {
 		panic("metrics: nil engine")
 	}
-	if r.running {
-		panic("metrics: Start while running")
+	if r.eng != nil {
+		panic("metrics: Start called twice; a registry runs once")
 	}
 	r.eng = eng
-	if !r.started {
-		r.started = true
-		r.prev = make([]float64, len(r.probes))
-		r.resize(min(r.cap, firstSlots))
-	}
+	r.prev = make([]float64, len(r.probes))
 	for i, p := range r.probes {
 		r.prev[i] = p()
 	}
-	r.lastTick = eng.Now()
+	r.resize(firstSlots)
+	r.start = eng.Now()
 	r.running = true
-	// A tick left pending by a Stop resumes the chain instead of starting
-	// a second one; its window is recorded with its actual (shorter)
-	// bounds.
-	if r.pending == 0 {
-		r.schedule()
-	}
-}
-
-func (r *Registry) schedule() {
-	r.pending++
-	r.eng.After(r.window, r.harvestFn)
+	eng.After(r.window, r.harvestFn)
 }
 
 // Stop ends harvesting after the current window; the recorded series
 // stay available. The already-scheduled harvest event fires once more as
-// a no-op. Restartable with Start (the series continue where they left
-// off, with a gap in the window start times).
+// a no-op and schedules no other.
 func (r *Registry) Stop() { r.running = false }
-
-// Running reports whether harvest ticks are active.
-func (r *Registry) Running() bool { return r.running }
 
 // resize reallocates the ring at the given window count, keeping every
 // recorded window in its slot. Only valid before the ring first wraps.
 func (r *Registry) resize(slots int) {
 	series := make([]float64, slots*len(r.probes))
 	copy(series, r.series)
-	starts := make([]units.Time, slots)
-	copy(starts, r.starts)
-	ends := make([]units.Time, slots)
-	copy(ends, r.ends)
-	r.series, r.starts, r.ends = series, starts, ends
+	r.series, r.slots = series, slots
 }
 
 // harvest is the per-window tick: sample every probe into the ring and
-// reschedule. Once the ring has grown to Cap it must not allocate —
-// ci.sh gates BenchmarkMetricsHarvest at 0 B/op — and it must never
+// reschedule. Once the ring has grown to MaxWindows it must not allocate
+// — ci.sh gates BenchmarkMetricsHarvest at 0 B/op — and it must never
 // touch the engine RNG or any component state, so metrics cannot
 // perturb simulation results.
 func (r *Registry) harvest() {
-	r.pending--
 	if !r.running {
 		return
 	}
-	slots := len(r.starts)
-	if r.total == slots && slots < r.cap {
+	if r.total == r.slots && r.slots < MaxWindows {
 		// Full but not yet wrapped: window w is still at slot w, so the
 		// doubled ring keeps every window where w%slots puts it.
-		slots = min(2*slots, r.cap)
-		r.resize(slots)
+		r.resize(min(2*r.slots, MaxWindows))
 	}
-	slot := r.total % slots
-	r.starts[slot] = r.lastTick
-	r.ends[slot] = r.eng.Now()
-	r.lastTick = r.eng.Now()
+	slot := r.total % r.slots
 	row := r.series[slot*len(r.probes) : (slot+1)*len(r.probes)]
 	for i, p := range r.probes {
 		v := p()
@@ -316,15 +280,10 @@ func (r *Registry) harvest() {
 		}
 	}
 	r.total++
-	if r.live < r.cap {
-		r.live++
-	} else {
-		r.dropped++
-	}
 	for _, fn := range r.onHarvest {
 		fn()
 	}
-	r.schedule()
+	r.eng.After(r.window, r.harvestFn)
 }
 
 // OnHarvest appends an observer invoked after each window is recorded —
@@ -356,22 +315,22 @@ func (r *Registry) Total() int { return r.total }
 
 // FirstWindow reports the oldest window index still in the ring; valid
 // window indices are [FirstWindow, Total).
-func (r *Registry) FirstWindow() int { return r.total - r.live }
+func (r *Registry) FirstWindow() int { return max(0, r.total-MaxWindows) }
 
 // DroppedWindows reports windows overwritten after the ring filled.
-func (r *Registry) DroppedWindows() int { return r.dropped }
+func (r *Registry) DroppedWindows() int { return r.FirstWindow() }
 
 // WindowStart reports the start time of window w, which must be in
 // [FirstWindow, Total).
-func (r *Registry) WindowStart(w int) units.Time { return r.starts[w%len(r.starts)] }
+func (r *Registry) WindowStart(w int) units.Time { return r.start + units.Time(w)*r.window }
 
-// WindowEnd reports the end time of window w. All windows span exactly
-// Window except, possibly, the first one after a Stop/Start restart.
-func (r *Registry) WindowEnd(w int) units.Time { return r.ends[w%len(r.ends)] }
+// WindowEnd reports the end time of window w: every window spans exactly
+// Window.
+func (r *Registry) WindowEnd(w int) units.Time { return r.WindowStart(w) + r.window }
 
 // Value reports instrument id's sample for window w: the per-window
 // delta for counters, the end-of-window sample for gauges. w must be in
 // [FirstWindow, Total).
 func (r *Registry) Value(id ID, w int) float64 {
-	return r.series[(w%len(r.starts))*len(r.probes)+int(id)]
+	return r.series[(w%r.slots)*len(r.probes)+int(id)]
 }

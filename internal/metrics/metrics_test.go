@@ -63,14 +63,16 @@ func TestCounterDeltasAndGaugeSamples(t *testing.T) {
 	}
 }
 
+// TestRingWraparound runs six windows past MaxWindows: the six oldest
+// are dropped and every retained window reads back in place.
 func TestRingWraparound(t *testing.T) {
-	f, c, _ := newFixture(t, metrics.Config{Window: win, Cap: 4})
+	f, c, _ := newFixture(t, metrics.Config{Window: win})
 	f.reg.Start(f.eng)
-	f.eng.RunUntil(10 * win)
+	f.eng.RunUntil((metrics.MaxWindows + 6) * win)
 	f.reg.Stop()
 
-	if f.reg.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", f.reg.Total())
+	if f.reg.Total() != metrics.MaxWindows+6 {
+		t.Fatalf("Total = %d, want %d", f.reg.Total(), metrics.MaxWindows+6)
 	}
 	if f.reg.FirstWindow() != 6 {
 		t.Fatalf("FirstWindow = %d, want 6", f.reg.FirstWindow())
@@ -88,59 +90,28 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
-func TestStopStartRestart(t *testing.T) {
-	f, c, _ := newFixture(t, metrics.Config{Window: win})
-	f.reg.Start(f.eng)
-	f.eng.RunUntil(2 * win)
-	f.reg.Stop()
-	// A gap with no harvesting: the pending tick fires once as a no-op.
-	f.eng.RunUntil(2*win + 25*units.Microsecond)
-	f.reg.Start(f.eng)
-	f.eng.RunUntil(2*win + 45*units.Microsecond)
-	f.reg.Stop()
-
-	// 2 windows before the gap; the stopped chain's pending tick fired as
-	// a no-op at t=30us, so the restart at t=45us schedules a fresh chain:
-	// windows at 55us and 65us.
-	if f.reg.Total() != 4 {
-		t.Fatalf("Total = %d, want 4", f.reg.Total())
-	}
-	// The restart window starts at the restart time, not a window multiple.
-	if s := f.reg.WindowStart(2); s != 2*win+25*units.Microsecond {
-		t.Errorf("restart window start = %v, want %v", s, 2*win+25*units.Microsecond)
-	}
-	if e := f.reg.WindowEnd(2); e != f.reg.WindowStart(2)+win {
-		t.Errorf("restart window end = %v, want start+%v", e, win)
-	}
-	// Counter deltas must skip the gap's accumulation cleanly: Start
-	// re-primes the baseline, so window 2 sees only its own 10 ticks.
-	if got := f.reg.Value(c, 2); got != 30 {
-		t.Errorf("post-restart counter window = %v, want 30", got)
-	}
-}
-
-func TestStopStartWithPendingTick(t *testing.T) {
-	// Restart while the stopped chain's tick is still pending: the
-	// pending tick must resume the chain (no double-chain), recording a
-	// short window from the restart time to the pending tick's due time.
-	f, _, _ := newFixture(t, metrics.Config{Window: win})
-	f.reg.Start(f.eng)
-	f.eng.RunUntil(2 * win) // windows 0,1 recorded; next tick due at 30us
-	f.reg.Stop()
-	f.eng.RunUntil(2*win + 5*units.Microsecond)
-	f.reg.Start(f.eng) // pending tick at 30us resumes the chain
-	f.eng.RunUntil(5 * win)
-	f.reg.Stop()
-
-	// Windows: [0,10) [10,20) then short [25,30) then [30,40) [40,50).
-	if f.reg.Total() != 5 {
-		t.Fatalf("Total = %d, want 5", f.reg.Total())
-	}
-	if s, e := f.reg.WindowStart(2), f.reg.WindowEnd(2); s != 25*units.Microsecond || e != 30*units.Microsecond {
-		t.Errorf("short window = [%v,%v), want [25us,30us)", s, e)
-	}
-	if s, e := f.reg.WindowStart(3), f.reg.WindowEnd(3); s != 30*units.Microsecond || e != 40*units.Microsecond {
-		t.Errorf("resumed window = [%v,%v), want [30us,40us)", s, e)
+// TestStartIsOneShot: a registry runs once. A second Start panics while
+// it is harvesting and after Stop alike.
+func TestStartIsOneShot(t *testing.T) {
+	for _, stop := range []bool{false, true} {
+		f, _, _ := newFixture(t, metrics.Config{Window: win})
+		f.reg.Start(f.eng)
+		f.eng.RunUntil(2 * win)
+		if stop {
+			f.reg.Stop()
+			f.eng.RunUntil(4 * win)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("second Start (after Stop: %v) did not panic", stop)
+				}
+			}()
+			f.reg.Start(f.eng)
+		}()
+		if f.reg.Total() != 2 {
+			t.Errorf("after Stop: %v, Total = %d, want 2", stop, f.reg.Total())
+		}
 	}
 }
 

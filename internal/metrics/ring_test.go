@@ -9,19 +9,17 @@ import (
 	"repro/internal/units"
 )
 
-// TestHarvestRingBounded harvests 2×Cap windows from a registry whose Cap
-// is not a power-of-two multiple of the initial ring, so the last growth
-// step is clipped. The growth steps must keep every window readable in
-// place; once the ring has grown to Cap and wrapped, a harvest must not
-// allocate at all and the ring must hold exactly Cap windows.
+// TestHarvestRingBounded harvests 2×MaxWindows windows. The growth steps
+// must keep every window readable in place; once the ring has grown to
+// MaxWindows and wrapped, a harvest must not allocate at all and the ring
+// must hold exactly MaxWindows windows.
 func TestHarvestRingBounded(t *testing.T) {
 	const (
-		capWindows  = 300
 		instruments = 64
 		window      = units.Microsecond
 	)
 	eng := sim.New(1)
-	r := New(Config{Window: window, Cap: capWindows})
+	r := New(Config{Window: window})
 	// Instrument i reports i*(ticks+1), with four ticks per window.
 	ticks := 0
 	for i := 0; i < instruments; i++ {
@@ -40,8 +38,8 @@ func TestHarvestRingBounded(t *testing.T) {
 	}
 	eng.After(window/8, tick)
 	r.Start(eng)
-	if got := len(r.starts); got != firstSlots {
-		t.Fatalf("ring starts at %d windows, want %d", got, firstSlots)
+	if r.slots != firstSlots {
+		t.Fatalf("ring starts at %d windows, want %d", r.slots, firstSlots)
 	}
 
 	// check reads back every retained window: counters record the
@@ -64,10 +62,10 @@ func TestHarvestRingBounded(t *testing.T) {
 		}
 	}
 
-	eng.RunFor(capWindows * window)
-	if r.Total() != capWindows || r.DroppedWindows() != 0 || len(r.starts) != capWindows {
+	eng.RunFor(MaxWindows * window)
+	if r.Total() != MaxWindows || r.DroppedWindows() != 0 || r.slots != MaxWindows {
 		t.Fatalf("after %d windows: total %d, dropped %d, ring %d slots",
-			capWindows, r.Total(), r.DroppedWindows(), len(r.starts))
+			MaxWindows, r.Total(), r.DroppedWindows(), r.slots)
 	}
 	check()
 	// TotalAlloc is process-wide. Hold one P for the measured stretch, as
@@ -76,17 +74,17 @@ func TestHarvestRingBounded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	eng.RunFor(capWindows * window)
+	eng.RunFor(MaxWindows * window)
 	runtime.ReadMemStats(&m1)
 	if grew := m1.TotalAlloc - m0.TotalAlloc; grew != 0 {
-		t.Errorf("full ring allocated %d bytes over %d more windows", grew, capWindows)
+		t.Errorf("full ring allocated %d bytes over %d more windows", grew, MaxWindows)
 	}
-	if len(r.starts) != capWindows || len(r.ends) != capWindows || len(r.series) != capWindows*instruments {
-		t.Errorf("ring grew past Cap: %d starts, %d ends, %d samples", len(r.starts), len(r.ends), len(r.series))
+	if r.slots != MaxWindows || len(r.series) != MaxWindows*instruments {
+		t.Errorf("ring grew past MaxWindows: %d slots, %d samples", r.slots, len(r.series))
 	}
-	if r.Total() != 2*capWindows || r.FirstWindow() != capWindows || r.DroppedWindows() != capWindows {
+	if r.Total() != 2*MaxWindows || r.FirstWindow() != MaxWindows || r.DroppedWindows() != MaxWindows {
 		t.Fatalf("total %d first %d dropped %d, want %d/%d/%d",
-			r.Total(), r.FirstWindow(), r.DroppedWindows(), 2*capWindows, capWindows, capWindows)
+			r.Total(), r.FirstWindow(), r.DroppedWindows(), 2*MaxWindows, MaxWindows, MaxWindows)
 	}
 	check()
 }
@@ -94,16 +92,14 @@ func TestHarvestRingBounded(t *testing.T) {
 // TestStartAllocationBounded: Start must allocate only the first
 // firstSlots windows of every instrument, plus O(instruments) for the
 // counter baselines, and harvest must then double the ring window by
-// window until it reaches a Cap that is not a power-of-two multiple of
-// firstSlots, so the last step is clipped.
+// window until it reaches MaxWindows.
 func TestStartAllocationBounded(t *testing.T) {
 	const (
-		capWindows  = 100
 		instruments = 512
 		window      = units.Microsecond
 	)
 	eng := sim.New(1)
-	r := New(Config{Window: window, Cap: capWindows})
+	r := New(Config{Window: window})
 	for i := 0; i < instruments; i++ {
 		r.Counter("res", "c", "fam", "u", func() float64 { return 1 })
 	}
@@ -120,26 +116,26 @@ func TestStartAllocationBounded(t *testing.T) {
 	}
 
 	var want []int
-	for s := firstSlots; ; s = min(2*s, capWindows) {
+	for s := firstSlots; ; s = min(2*s, MaxWindows) {
 		want = append(want, s)
-		if s == capWindows {
+		if s == MaxWindows {
 			break
 		}
 	}
-	got := []int{len(r.starts)}
-	for w := 1; w <= capWindows; w++ {
+	got := []int{r.slots}
+	for w := 1; w <= MaxWindows; w++ {
 		eng.RunFor(window)
 		if r.Total() != w {
 			t.Fatalf("after %d windows Total = %d", w, r.Total())
 		}
-		if n := len(r.starts); n != got[len(got)-1] {
+		if n := r.slots; n != got[len(got)-1] {
 			got = append(got, n)
 		}
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("ring sizes %v, want doubling %v", got, want)
 	}
-	if len(r.series) != capWindows*instruments || r.DroppedWindows() != 0 {
+	if len(r.series) != MaxWindows*instruments || r.DroppedWindows() != 0 {
 		t.Fatalf("ring holds %d samples, dropped %d", len(r.series), r.DroppedWindows())
 	}
 }

@@ -5,11 +5,14 @@
 // application-specific execution telemetry".
 //
 // A Profiler observes completed transactions (attach it to traffic flows
-// via FlowConfig.Observer, or call Observe directly). Per-flow byte and
-// operation counts live in count-min sketches — constant memory no matter
-// how many flows exist — while a bounded key set remembers which flows to
-// report on. Latency distributions are kept per operation class, the
-// "PMU" side of the design.
+// via FlowConfig.Observer, or call Observe directly). The workloads here
+// carry at most a few dozen flows, so the profiler keeps exact per-flow
+// byte and operation counts where the paper proposes sketches: smaller,
+// cheaper per transaction and reproducible from the seed. A per-flow ring
+// of recent intervals answers how fast a flow is moving now, and a
+// bounded key budget picks which flows the report lists. Latency
+// distributions are kept per operation class, the "PMU" side of the
+// design.
 package profile
 
 import (
@@ -22,30 +25,47 @@ import (
 	"repro/internal/units"
 )
 
-// FlowStat is one reported flow with its sketch-estimated totals.
+// FlowStat is one reported flow with its totals.
 type FlowStat struct {
 	Flow  string
 	Bytes units.ByteSize
 	Ops   uint64
 }
 
+// RecentRate's sliding window: recentBuckets intervals of recentInterval,
+// 80 us of history.
+const (
+	recentBuckets  = 8
+	recentInterval = 10 * units.Microsecond
+)
+
+// flowCount is one flow's exact totals and its recent-interval ring.
+type flowCount struct {
+	bytes   units.ByteSize
+	ops     uint64
+	tracked bool // within the key budget: listed by Top and Report
+	// recent[k%recentBuckets] holds the bytes of interval k, stamped
+	// with k; a slot whose stamp has fallen out of the window is stale.
+	recent [recentBuckets]struct {
+		interval int64
+		bytes    units.ByteSize
+	}
+}
+
 // Profiler distills per-flow telemetry from a transaction stream.
 type Profiler struct {
-	bytes *telemetry.CountMinSketch
-	ops   *telemetry.CountMinSketch
+	flows map[string]*flowCount
 
-	// tracked remembers up to maxKeys flow keys for reporting. Flows past
-	// the bound still count in the sketches (and in the totals), they are
-	// just not listed individually — the memory/fidelity trade sketches
-	// buy.
-	tracked  map[string]bool
+	// The first maxKeys flows seen are tracked for reporting. Flows past
+	// the budget still count (in flows and in the totals); they are just
+	// not listed individually.
+	tracked  int
 	maxKeys  int
-	overflow uint64 // observations whose key was not tracked
+	overflow uint64 // observations whose flow was not tracked
 
-	// recent is a sliding sketch (direction #5's time-series structure):
-	// per-flow bytes over the last ~80 us of simulated time, answering
-	// "how fast is this flow moving right now".
-	recent *telemetry.SlidingSketch
+	// head is the newest interval any observation completed in: the end
+	// of RecentRate's window. It never moves backwards.
+	head int64
 
 	latency   map[txn.Op]*telemetry.Histogram
 	total     telemetry.Meter
@@ -55,17 +75,13 @@ type Profiler struct {
 }
 
 // New builds a profiler tracking at most maxKeys distinct flows by name
-// (64 when non-positive). Sketch dimensions bound the byte-count
-// over-estimate at ~0.1% of total traffic with 4 rows.
+// (64 when non-positive).
 func New(maxKeys int) *Profiler {
 	if maxKeys <= 0 {
 		maxKeys = 64
 	}
 	return &Profiler{
-		bytes:   telemetry.NewCountMinSketch(2048, 4),
-		ops:     telemetry.NewCountMinSketch(2048, 4),
-		recent:  telemetry.NewSlidingSketch(2048, 4, 8, 10*units.Microsecond),
-		tracked: make(map[string]bool),
+		flows:   make(map[string]*flowCount),
 		maxKeys: maxKeys,
 		latency: make(map[txn.Op]*telemetry.Histogram),
 	}
@@ -74,16 +90,25 @@ func New(maxKeys int) *Profiler {
 // Observe folds one completed transaction into the profile.
 func (p *Profiler) Observe(t *txn.Transaction) {
 	key := t.Flow.String()
-	p.bytes.Add(key, uint64(t.Size))
-	p.ops.Add(key, 1)
-	p.recent.Add(t.Completed, key, uint64(t.Size))
-	if !p.tracked[key] {
-		if len(p.tracked) < p.maxKeys {
-			p.tracked[key] = true
-		} else {
-			p.overflow++
+	fc := p.flows[key]
+	if fc == nil {
+		fc = &flowCount{tracked: p.tracked < p.maxKeys}
+		if fc.tracked {
+			p.tracked++
 		}
+		p.flows[key] = fc
 	}
+	if !fc.tracked {
+		p.overflow++
+	}
+	fc.bytes += t.Size
+	fc.ops++
+	p.head = max(p.head, int64(t.Completed/recentInterval))
+	slot := &fc.recent[p.head%recentBuckets]
+	if slot.interval != p.head {
+		slot.interval, slot.bytes = p.head, 0
+	}
+	slot.bytes += t.Size
 	h := p.latency[t.Op]
 	if h == nil {
 		h = &telemetry.Histogram{}
@@ -100,21 +125,36 @@ func (p *Profiler) Observe(t *txn.Transaction) {
 	}
 }
 
-// FlowBytes reports the sketch-estimated bytes moved by a flow (never an
-// under-estimate).
-func (p *Profiler) FlowBytes(f txn.Flow) units.ByteSize {
-	return units.ByteSize(p.bytes.Estimate(f.String()))
+// flow reports a flow's counts, zero for a flow never observed.
+func (p *Profiler) flow(f txn.Flow) flowCount {
+	if fc := p.flows[f.String()]; fc != nil {
+		return *fc
+	}
+	return flowCount{}
 }
 
-// FlowOps reports the sketch-estimated operation count of a flow.
-func (p *Profiler) FlowOps(f txn.Flow) uint64 {
-	return p.ops.Estimate(f.String())
-}
+// FlowBytes reports the bytes moved by a flow.
+func (p *Profiler) FlowBytes(f txn.Flow) units.ByteSize { return p.flow(f).bytes }
 
-// RecentRate reports a flow's byte rate over the sliding window — the
-// "right now" view a plain sketch cannot give.
+// FlowOps reports the operation count of a flow.
+func (p *Profiler) FlowOps(f txn.Flow) uint64 { return p.flow(f).ops }
+
+// RecentRate reports a flow's byte rate over the last 80 us: the eight
+// 10 us intervals ending with the newest interval any observation
+// completed in. A flow idle that long reads 0 while its totals stay.
 func (p *Profiler) RecentRate(f txn.Flow) units.Bandwidth {
-	return p.recent.Rate(f.String())
+	return units.Rate(p.recentBytes(f), recentBuckets*recentInterval)
+}
+
+// recentBytes sums a flow's bytes over RecentRate's window.
+func (p *Profiler) recentBytes(f txn.Flow) units.ByteSize {
+	var sum units.ByteSize
+	for _, s := range p.flow(f).recent {
+		if s.interval > p.head-recentBuckets {
+			sum += s.bytes
+		}
+	}
+	return sum
 }
 
 // TotalBytes reports the exact total bytes observed.
@@ -124,23 +164,21 @@ func (p *Profiler) TotalBytes() units.ByteSize { return p.total.Bytes() }
 func (p *Profiler) TotalOps() uint64 { return p.total.Ops() }
 
 // Overflow reports how many observations belonged to flows beyond the
-// tracked-key budget (still counted in totals and sketches).
+// tracked-key budget (still counted per flow and in the totals).
 func (p *Profiler) Overflow() uint64 { return p.overflow }
 
 // Latency reports the latency histogram of one operation class, nil when
 // the class was never observed.
 func (p *Profiler) Latency(op txn.Op) *telemetry.Histogram { return p.latency[op] }
 
-// Top reports the n tracked flows with the largest estimated byte counts,
+// Top reports the n tracked flows with the largest byte counts,
 // descending.
 func (p *Profiler) Top(n int) []FlowStat {
-	stats := make([]FlowStat, 0, len(p.tracked))
-	for key := range p.tracked {
-		stats = append(stats, FlowStat{
-			Flow:  key,
-			Bytes: units.ByteSize(p.bytes.Estimate(key)),
-			Ops:   p.ops.Estimate(key),
-		})
+	stats := make([]FlowStat, 0, p.tracked)
+	for key, fc := range p.flows {
+		if fc.tracked {
+			stats = append(stats, FlowStat{Flow: key, Bytes: fc.bytes, Ops: fc.ops})
+		}
 	}
 	sort.Slice(stats, func(i, j int) bool {
 		if stats[i].Bytes != stats[j].Bytes {

@@ -34,12 +34,14 @@ func TestProfilerCounts(t *testing.T) {
 	if p.TotalOps() != 150 || p.TotalBytes() != 150*64 {
 		t.Errorf("totals: ops=%d bytes=%v", p.TotalOps(), p.TotalBytes())
 	}
-	f0 := txn.Flow{Src: txn.CoreEP(topology.CoreID{}), Dst: txn.DRAMEP(0)}
-	if got := p.FlowBytes(f0); got < 100*64 {
-		t.Errorf("FlowBytes = %v, must not under-estimate 6400", got)
+	if got := p.FlowBytes(dramFlow(0)); got != 100*64 {
+		t.Errorf("FlowBytes = %v, want 6400", got)
 	}
-	if got := p.FlowOps(f0); got < 100 {
-		t.Errorf("FlowOps = %d, must not under-estimate 100", got)
+	if got := p.FlowOps(dramFlow(0)); got != 100 {
+		t.Errorf("FlowOps = %d, want 100", got)
+	}
+	if got := p.FlowOps(dramFlow(7)); got != 0 {
+		t.Errorf("FlowOps of an unseen flow = %d, want 0", got)
 	}
 	if p.Latency(txn.Read).Count() != 100 {
 		t.Error("read latency histogram wrong")
@@ -142,15 +144,15 @@ func TestProfilerRecentRate(t *testing.T) {
 	if got := p.RecentRate(f); got != 0 {
 		t.Errorf("stale RecentRate = %v, want 0", got)
 	}
-	if p.FlowBytes(f) < 8000*64 {
+	if p.FlowBytes(f) != 8000*64 {
 		t.Error("total bytes must survive window expiry")
 	}
 }
 
 func TestProfilerOverflowFlowsStillCounted(t *testing.T) {
 	// The key budget bounds the report listing, not the measurement:
-	// flows past the budget must still land in the sketches, the sliding
-	// window, and the totals, and the report must disclose them.
+	// flows past the budget must still land in the per-flow counts, the
+	// recent window, and the totals, and the report must disclose them.
 	p := New(2)
 	for umc := 0; umc < 6; umc++ {
 		for rep := 0; rep < 3; rep++ {
@@ -169,16 +171,16 @@ func TestProfilerOverflowFlowsStillCounted(t *testing.T) {
 	if p.Overflow() != 12 {
 		t.Fatalf("tracked re-observation bumped overflow to %d", p.Overflow())
 	}
-	// An untracked flow is still measured: sketches never under-estimate.
-	f5 := txn.Flow{Src: txn.CoreEP(topology.CoreID{}), Dst: txn.DRAMEP(5)}
-	if got := p.FlowBytes(f5); got < 3*64 {
-		t.Errorf("untracked FlowBytes = %v, want >= 192", got)
+	// An untracked flow is still measured exactly.
+	f5 := dramFlow(5)
+	if got := p.FlowBytes(f5); got != 3*64 {
+		t.Errorf("untracked FlowBytes = %v, want 192", got)
 	}
-	if got := p.FlowOps(f5); got < 3 {
-		t.Errorf("untracked FlowOps = %d, want >= 3", got)
+	if got := p.FlowOps(f5); got != 3 {
+		t.Errorf("untracked FlowOps = %d, want 3", got)
 	}
-	if p.RecentRate(f5) == 0 {
-		t.Error("untracked flow missing from sliding window")
+	if p.recentBytes(f5) != 3*64 {
+		t.Error("untracked flow missing from the recent window")
 	}
 	if p.TotalOps() != 19 || p.TotalBytes() != 19*64 {
 		t.Errorf("totals dropped overflowed flows: ops=%d bytes=%v", p.TotalOps(), p.TotalBytes())
@@ -193,24 +195,17 @@ func TestProfilerOverflowFlowsStillCounted(t *testing.T) {
 	}
 }
 
-// TestSketchBoundsAdversarialFlows drives the profiler's count-min
-// sketches with an adversarial flow population: a few heavy hitters
-// buried under two thousand one-shot mouse flows, far more distinct keys
-// than the tracked-key budget. The sketch contract under that collision
-// pressure:
-//
-//   - estimates NEVER under-count (hard guarantee of the min-of-rows
-//     estimator — checked for every flow);
-//   - over-counts stay within a small multiple of total/width (the
-//     classic error bound; the multiplier leaves ~(1/16)^depth failure
-//     probability, vanishing for the seeded-by-maphash rows);
-//   - the heavy hitters still dominate Top() despite the mice.
+// TestSketchBoundsAdversarialFlows drives the profiler with an
+// adversarial flow population: a few heavy hitters buried under two
+// thousand one-shot mouse flows, far more distinct flows than the
+// tracked-key budget. Every flow's counts must be exact, the heavy
+// hitters must fill Top(), and the mice past the budget must be counted,
+// not listed.
 func TestSketchBoundsAdversarialFlows(t *testing.T) {
 	const (
 		heavies   = 16
 		heavyOps  = 1000
 		mice      = 2000
-		width     = 2048 // the profiler's sketch width
 		sizeBytes = 64
 	)
 	p := New(32)
@@ -233,45 +228,200 @@ func TestSketchBoundsAdversarialFlows(t *testing.T) {
 
 	total := uint64(heavies*heavyOps + mice)
 	if p.TotalOps() != total {
-		t.Fatalf("TotalOps = %d, want %d (meter is exact, not sketched)", p.TotalOps(), total)
-	}
-	// 16x the expected per-row collision mass total/width.
-	overBound := 16 * total / width
-
-	flowFor := func(umc int) txn.Flow {
-		return txn.Flow{Src: txn.CoreEP(topology.CoreID{}), Dst: txn.DRAMEP(umc)}
+		t.Fatalf("TotalOps = %d, want %d", p.TotalOps(), total)
 	}
 	for umc, want := range truthOps {
-		ops := p.FlowOps(flowFor(umc))
-		if ops < want {
-			t.Fatalf("FlowOps(umc%d) = %d under-estimates true %d", umc, ops, want)
+		if ops := p.FlowOps(dramFlow(umc)); ops != want {
+			t.Fatalf("FlowOps(umc%d) = %d, want %d", umc, ops, want)
 		}
-		if ops > want+overBound {
-			t.Errorf("FlowOps(umc%d) = %d exceeds %d + bound %d", umc, ops, want, overBound)
-		}
-		bytes := p.FlowBytes(flowFor(umc))
-		if bytes < units.ByteSize(want*sizeBytes) {
-			t.Fatalf("FlowBytes(umc%d) = %v under-estimates true %d", umc, bytes, want*sizeBytes)
-		}
-		if bytes > units.ByteSize((want+overBound)*sizeBytes) {
-			t.Errorf("FlowBytes(umc%d) = %v exceeds truth + bound", umc, bytes)
+		if bytes := p.FlowBytes(dramFlow(umc)); bytes != units.ByteSize(want*sizeBytes) {
+			t.Fatalf("FlowBytes(umc%d) = %v, want %d", umc, bytes, want*sizeBytes)
 		}
 	}
 
-	// The heavy hitters must all surface in Top(heavies): a mouse can
-	// only displace one if its over-count reaches heavyOps, far past the
-	// error bound.
+	// The budget admits the 16 heavy hitters and the first 16 mice; Top
+	// lists the heavy hitters first, each with its exact count.
 	top := p.Top(heavies)
 	if len(top) != heavies {
 		t.Fatalf("Top returned %d flows, want %d", len(top), heavies)
 	}
 	for _, fs := range top {
-		if fs.Ops < heavyOps {
-			t.Errorf("Top entry %s has %d ops — a mouse displaced a heavy hitter", fs.Flow, fs.Ops)
+		if fs.Ops != heavyOps || fs.Bytes != heavyOps*sizeBytes {
+			t.Errorf("Top entry %s has %d ops, %v: want a heavy hitter's %d", fs.Flow, fs.Ops, fs.Bytes, heavyOps)
 		}
 	}
+	if n := len(p.Top(0)); n != 32 {
+		t.Errorf("tracked %d flows, want the budget of 32", n)
+	}
 	// Mice past the tracked-key budget are counted, not listed.
-	if p.Overflow() == 0 {
-		t.Error("adversarial mice did not overflow the tracked-key budget")
+	if want := uint64(mice - (32 - heavies)); p.Overflow() != want {
+		t.Errorf("Overflow = %d, want %d", p.Overflow(), want)
+	}
+}
+
+func dramFlow(umc int) txn.Flow {
+	return txn.Flow{Src: txn.CoreEP(topology.CoreID{}), Dst: txn.DRAMEP(umc)}
+}
+
+// observeAt folds in one transaction of the given size on the flow to
+// umc, completing at the given time.
+func observeAt(p *Profiler, umc int, at units.Time, size units.ByteSize) {
+	tx := mkTxn(0, txn.Read, umc, 0)
+	tx.Size, tx.Issued, tx.Completed = size, at, at
+	p.Observe(tx)
+}
+
+// The recent-window tests check the counts of the flow to kUMC and move
+// the clock with the flow to padUMC. The window is eight 10 us intervals.
+const (
+	kUMC       = 0
+	padUMC     = 1
+	recentSpan = recentBuckets * recentInterval
+	tenth      = recentInterval / 10
+)
+
+// TestRecentRateWindowing: bytes within the window all count; a jump past
+// it expires them.
+func TestRecentRateWindowing(t *testing.T) {
+	p := New(8)
+	for i := 0; i < 3; i++ {
+		observeAt(p, kUMC, units.Time(i)*recentInterval+5*tenth, 100)
+	}
+	if got := p.recentBytes(dramFlow(kUMC)); got != 300 {
+		t.Errorf("recent bytes = %d, want 300 (all within the window)", got)
+	}
+	if got := p.RecentRate(dramFlow(kUMC)); got != units.Rate(300, recentSpan) {
+		t.Errorf("RecentRate = %v, want %v", got, units.Rate(300, recentSpan))
+	}
+	// 13 intervals ahead: everything expires.
+	observeAt(p, padUMC, 13*recentInterval, 1)
+	if got := p.recentBytes(dramFlow(kUMC)); got != 0 {
+		t.Errorf("expired recent bytes = %d, want 0", got)
+	}
+	if got := p.recentBytes(dramFlow(padUMC)); got != 1 {
+		t.Errorf("fresh recent bytes = %d, want 1", got)
+	}
+}
+
+// TestRecentRatePartialExpiry: moving into the ninth interval drops the
+// first interval's bytes and only those.
+func TestRecentRatePartialExpiry(t *testing.T) {
+	p := New(8)
+	for i := 0; i < recentBuckets; i++ {
+		observeAt(p, kUMC, units.Time(i)*recentInterval, units.ByteSize(10*(i+1)))
+	}
+	if got := p.recentBytes(dramFlow(kUMC)); got != 360 {
+		t.Fatalf("full-window recent bytes = %d, want 360", got)
+	}
+	observeAt(p, padUMC, recentBuckets*recentInterval, 0)
+	if got := p.recentBytes(dramFlow(kUMC)); got != 350 {
+		t.Errorf("after expiry recent bytes = %d, want 350", got)
+	}
+}
+
+// TestRecentRateExpiryBoundary: bytes in the oldest interval survive
+// until the clock has advanced by the full window, and are gone the
+// moment it has.
+func TestRecentRateExpiryBoundary(t *testing.T) {
+	p := New(8)
+	observeAt(p, kUMC, 0, 10)
+	observeAt(p, padUMC, recentSpan-recentInterval, 1)
+	if got := p.recentBytes(dramFlow(kUMC)); got != 10 {
+		t.Fatalf("within the window: recent bytes = %d, want 10", got)
+	}
+	observeAt(p, padUMC, recentSpan, 1)
+	if got := p.recentBytes(dramFlow(kUMC)); got != 0 {
+		t.Fatalf("at the window boundary: recent bytes = %d, want 0", got)
+	}
+}
+
+// TestRecentRateLongJump: a clock jump many windows ahead clears the
+// whole ring, leaving only the fresh bytes.
+func TestRecentRateLongJump(t *testing.T) {
+	p := New(8)
+	for i := 0; i < recentBuckets; i++ {
+		observeAt(p, kUMC, units.Time(i)*recentInterval, 5)
+	}
+	if got := p.recentBytes(dramFlow(kUMC)); got != 40 {
+		t.Fatalf("pre-jump recent bytes = %d, want 40", got)
+	}
+	observeAt(p, kUMC, 1000*recentInterval, 7)
+	if got := p.recentBytes(dramFlow(kUMC)); got != 7 {
+		t.Fatalf("post-jump recent bytes = %d, want exactly the fresh 7", got)
+	}
+}
+
+// TestRecentRateAlignedExpiry pins the boundary semantics of the interval
+// ring at exactly aligned timestamps: bytes completing at t = n*interval
+// land in interval n (not n-1), and an interval's bytes expire exactly
+// when the clock reaches its start plus the window, not one observation
+// later.
+func TestRecentRateAlignedExpiry(t *testing.T) {
+	type step struct {
+		at    units.Time
+		umc   int
+		add   units.ByteSize
+		wantK units.ByteSize // flow k's recent bytes after this step
+	}
+	iv := recentInterval
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{
+			name: "boundary add lands in the new window",
+			steps: []step{
+				{0, kUMC, 10, 10},
+				// Exactly at the first interval boundary: must land in
+				// interval 1, so it survives interval 0's expiry.
+				{iv, kUMC, 20, 30},
+				// One tick before the window ends: interval 0 still counts.
+				{recentSpan - 1, padUMC, 0, 30},
+				// Exactly at the window's end: interval 0 (and only it)
+				// expires.
+				{recentSpan, padUMC, 0, 20},
+				// Interval 1 expires exactly at its own start + the window.
+				{recentSpan + iv, padUMC, 0, 0},
+			},
+		},
+		{
+			name: "unaligned first add snaps down",
+			steps: []step{
+				// First add at 1.5 intervals: its interval is 1.
+				{iv + 5*tenth, kUMC, 7, 7},
+				// Still counted through the last tick before 1 + 8.
+				{recentSpan + iv - 1, padUMC, 0, 7},
+				// Expires exactly at interval 1's start + the window.
+				{recentSpan + iv, padUMC, 0, 0},
+			},
+		},
+		{
+			name: "consecutive boundaries are distinct",
+			steps: []step{
+				{0, kUMC, 1, 1},
+				{iv, kUMC, 2, 3},
+				{2 * iv, kUMC, 4, 7},
+				{3 * iv, kUMC, 8, 15},
+				{4 * iv, kUMC, 16, 31},
+				{5 * iv, kUMC, 32, 63},
+				{6 * iv, kUMC, 64, 127},
+				{7 * iv, kUMC, 128, 255},
+				// Eight intervals on: only interval 0 has expired.
+				{recentSpan, kUMC, 256, 510},
+				// Nine on: interval 1 goes too.
+				{recentSpan + iv, padUMC, 0, 508},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(8)
+			for i, st := range tc.steps {
+				observeAt(p, st.umc, st.at, st.add)
+				if got := p.recentBytes(dramFlow(kUMC)); got != st.wantK {
+					t.Errorf("step %d (t=%v): recent bytes = %d, want %d", i, st.at, got, st.wantK)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/units"
@@ -26,19 +25,6 @@ func BenchmarkHistogramPercentile(b *testing.B) {
 		sink += h.P999()
 	}
 	_ = sink
-}
-
-func BenchmarkSketchAdd(b *testing.B) {
-	s := NewCountMinSketch(2048, 4)
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("core:ccd%d/core%d -> dram:umc%d", i%12, i%7, i%12)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(keys[i%len(keys)], 64)
-	}
 }
 
 func BenchmarkTimeSeriesRecord(b *testing.B) {

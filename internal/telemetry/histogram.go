@@ -1,11 +1,10 @@
 // Package telemetry provides the measurement substrate for the chiplet
 // network: latency histograms with accurate tails, bandwidth meters,
-// fixed-interval time series, source/destination traffic matrices, and a
-// count-min sketch for per-flow accounting.
+// fixed-interval time series and source/destination traffic matrices.
 //
 // The paper (§3.1) uses latency and bandwidth as its two metrics and
-// reports average plus P999 tails; research direction #5 calls for
-// sketch-backed per-flow telemetry. This package implements all of it.
+// reports average plus P999 tails; this package implements both.
+// Per-flow accounting (research direction #5) lives in internal/profile.
 package telemetry
 
 import (

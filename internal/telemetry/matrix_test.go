@@ -33,38 +33,3 @@ func TestUnknownNamesReadZero(t *testing.T) {
 		t.Error("unknown endpoint pair should read zero bytes")
 	}
 }
-
-// TestSlidingSketchExpiryBoundary pins the exact expiry semantics: a count
-// added in the oldest window survives until the clock has advanced by the
-// full span, and is gone the moment it has.
-func TestSlidingSketchExpiryBoundary(t *testing.T) {
-	s := NewSlidingSketch(256, 3, 4, units.Microsecond) // span 4 us
-	s.Add(0, "k", 10)
-	// 3 us later the original window is the oldest live one: still counted.
-	s.Add(3*units.Microsecond, "other", 1)
-	if got := s.Estimate("k"); got < 10 {
-		t.Fatalf("within span: Estimate = %d, want >= 10", got)
-	}
-	// At exactly span (4 us) the original window rotates out.
-	s.Add(4*units.Microsecond, "other", 1)
-	if got := s.Estimate("k"); got != 0 {
-		t.Fatalf("at span boundary: Estimate = %d, want 0", got)
-	}
-}
-
-// TestSlidingSketchLongJump: a clock jump many spans ahead must clear the
-// whole ring, leaving only the fresh add.
-func TestSlidingSketchLongJump(t *testing.T) {
-	s := NewSlidingSketch(256, 3, 4, units.Microsecond)
-	for us := 0; us < 4; us++ {
-		s.Add(units.Time(us)*units.Microsecond, "k", 5)
-	}
-	if got := s.Estimate("k"); got < 20 {
-		t.Fatalf("pre-jump Estimate = %d, want >= 20", got)
-	}
-	s.Add(1000*units.Microsecond, "k", 7)
-	got := s.Estimate("k")
-	if got < 7 || got >= 12 {
-		t.Fatalf("post-jump Estimate = %d, want exactly the fresh 7 (sketch may over-estimate slightly)", got)
-	}
-}

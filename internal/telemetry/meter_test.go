@@ -107,50 +107,3 @@ func TestTrafficMatrix(t *testing.T) {
 		t.Error("String should render rows")
 	}
 }
-
-func TestCountMinSketch(t *testing.T) {
-	s := NewCountMinSketch(1024, 4)
-	s.Add("flow-a", 100)
-	s.Add("flow-b", 7)
-	s.Add("flow-a", 23)
-	if got := s.Estimate("flow-a"); got < 123 {
-		t.Errorf("Estimate(flow-a) = %d, must never under-estimate 123", got)
-	}
-	if got := s.Estimate("flow-b"); got < 7 {
-		t.Errorf("Estimate(flow-b) = %d, must never under-estimate 7", got)
-	}
-	// A never-seen key can collide but with this load must stay small.
-	if got := s.Estimate("flow-z"); got > 130 {
-		t.Errorf("Estimate(flow-z) = %d, absurdly high", got)
-	}
-	s.Reset()
-	if s.Estimate("flow-a") != 0 {
-		t.Error("Reset did not clear counters")
-	}
-}
-
-func TestCountMinSketchNeverUnderEstimates(t *testing.T) {
-	s := NewCountMinSketch(64, 3) // deliberately small to force collisions
-	truth := make(map[string]uint64)
-	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
-	for i := 0; i < 1000; i++ {
-		k := keys[i%len(keys)]
-		c := uint64(i%5 + 1)
-		s.Add(k, c)
-		truth[k] += c
-	}
-	for k, want := range truth {
-		if got := s.Estimate(k); got < want {
-			t.Errorf("Estimate(%s) = %d < true %d", k, got, want)
-		}
-	}
-}
-
-func TestCountMinSketchPanicsOnBadDims(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewCountMinSketch(0, 4)
-}

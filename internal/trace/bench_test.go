@@ -162,7 +162,7 @@ func TestEnabledTracerRecordsChurn(t *testing.T) {
 
 // spanTracer records n spans spread over three hops and every cause.
 func spanTracer(n int) *trace.Tracer {
-	tr := trace.New(trace.Config{SpanCap: n, TxnCap: 8})
+	tr := trace.New(trace.Config{SpanCap: n})
 	hops := []trace.HopID{
 		tr.RegisterHop("ccd0/gmi/out", trace.KindChannel),
 		tr.RegisterHop("umc0/rd", trace.KindChannel),

@@ -57,7 +57,8 @@ func collect[T any](each func(func(T))) []T {
 // times around the ring.
 func TestRingMatchesSliceRing(t *testing.T) {
 	for _, size := range []int{1, 3, chunkLen - 1, chunkLen, chunkLen + 1, 2*chunkLen + 5} {
-		tr := New(Config{SpanCap: size, TxnCap: size})
+		tr := New(Config{SpanCap: size})
+		tr.txns = newRing[TxnRecord](size)
 		hop := tr.RegisterHop("h", KindStage)
 		tr.Enable()
 		spans := sliceRing[Span]{buf: make([]Span, size)}
@@ -123,7 +124,7 @@ func TestSpanRingBounded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1, m2, m3 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	tr := New(Config{SpanCap: spanCap, TxnCap: 1})
+	tr := New(Config{SpanCap: spanCap})
 	runtime.ReadMemStats(&m1)
 	if built := m1.TotalAlloc - m0.TotalAlloc; built >= chunkBytes/64 {
 		t.Errorf("New allocated %d bytes: the ring is presized", built)

@@ -228,9 +228,10 @@ type Config struct {
 	// SpanCap bounds the span ring (default 1<<20). When full, the oldest
 	// spans are overwritten and Dropped counts them; counters stay exact.
 	SpanCap int
-	// TxnCap bounds the transaction-record ring (default 1<<16).
-	TxnCap int
 }
+
+// txnRingCap bounds the transaction-record ring.
+const txnRingCap = 1 << 16
 
 // Tracer is the flight recorder. Zero value is not usable; use New. A
 // fresh tracer is disabled: attach it, then Enable around the window to
@@ -263,12 +264,9 @@ func New(cfg Config) *Tracer {
 	if cfg.SpanCap <= 0 {
 		cfg.SpanCap = 1 << 20
 	}
-	if cfg.TxnCap <= 0 {
-		cfg.TxnCap = 1 << 16
-	}
 	return &Tracer{
 		spans: newRing[spanRec](cfg.SpanCap),
-		txns:  newRing[TxnRecord](cfg.TxnCap),
+		txns:  newRing[TxnRecord](txnRingCap),
 	}
 }
 

@@ -28,7 +28,7 @@ func TestCauseAndKindNamesRoundTrip(t *testing.T) {
 }
 
 func TestDisabledRecordsNothing(t *testing.T) {
-	tr := New(Config{SpanCap: 8, TxnCap: 8})
+	tr := New(Config{SpanCap: 8})
 	hop := tr.RegisterHop("link", KindChannel)
 	tr.SetActive(7)
 	tr.Enqueue(hop, units.CacheLine, 0, 1, 2, 3)
@@ -45,7 +45,7 @@ func TestDisabledRecordsNothing(t *testing.T) {
 }
 
 func TestEnqueueSpansAndCounters(t *testing.T) {
-	tr := New(Config{SpanCap: 16, TxnCap: 8})
+	tr := New(Config{SpanCap: 16})
 	hop := tr.RegisterHop("gmi", KindChannel)
 	tr.Enable()
 	tr.SetActive(42)
@@ -86,7 +86,7 @@ func TestEnqueueSpansAndCounters(t *testing.T) {
 }
 
 func TestSpanRingWrapKeepsCountersExact(t *testing.T) {
-	tr := New(Config{SpanCap: 4, TxnCap: 4})
+	tr := New(Config{SpanCap: 4})
 	hop := tr.RegisterHop("h", KindStage)
 	tr.Enable()
 	tr.SetActive(1)
@@ -114,7 +114,7 @@ func TestSpanRingWrapKeepsCountersExact(t *testing.T) {
 }
 
 func TestWaitRestoresActive(t *testing.T) {
-	tr := New(Config{SpanCap: 8, TxnCap: 8})
+	tr := New(Config{SpanCap: 8})
 	hop := tr.RegisterHop("pool", KindPool)
 	tr.Enable()
 	tr.SetActive(9) // some other transaction's release chain
@@ -131,7 +131,7 @@ func TestWaitRestoresActive(t *testing.T) {
 }
 
 func TestReconcileAndBreakdown(t *testing.T) {
-	tr := New(Config{SpanCap: 32, TxnCap: 8})
+	tr := New(Config{SpanCap: 32})
 	a := tr.RegisterHop("a", KindChannel)
 	b := tr.RegisterHop("b", KindDevice)
 	tr.Enable()
@@ -168,7 +168,7 @@ func TestReconcileAndBreakdown(t *testing.T) {
 }
 
 func TestExportRoundTrip(t *testing.T) {
-	tr := New(Config{SpanCap: 32, TxnCap: 8})
+	tr := New(Config{SpanCap: 32})
 	ch := tr.RegisterHop("ccd0/gmi/out", KindChannel)
 	dev := tr.RegisterHop("umc0/dram", KindDevice)
 	tr.Enable()
@@ -222,7 +222,7 @@ func TestExportRoundTrip(t *testing.T) {
 // spans overlapping a half-open [start, end) window — boundary-touching
 // spans belong to the window they occupy, not the one they end at.
 func TestSpansInWindow(t *testing.T) {
-	tr := New(Config{SpanCap: 16, TxnCap: 8})
+	tr := New(Config{SpanCap: 16})
 	hop := tr.RegisterHop("umc0/rd", KindChannel)
 	tr.Enable()
 	tr.SetActive(1)
@@ -263,7 +263,7 @@ func TestSpansInWindow(t *testing.T) {
 // TestLoadedSpansInWindow: the offline filter must agree with the live
 // one after a JSON round trip.
 func TestLoadedSpansInWindow(t *testing.T) {
-	tr := New(Config{SpanCap: 16, TxnCap: 8})
+	tr := New(Config{SpanCap: 16})
 	hop := tr.RegisterHop("umc0/rd", KindChannel)
 	tr.Enable()
 	tr.SetActive(9)
@@ -302,7 +302,7 @@ func TestLoadedSpansInWindow(t *testing.T) {
 // annotation track must read back with the annotations intact, the spans
 // unchanged, and no phantom hop registered for the annotation track.
 func TestAnnotatedExportRoundTrip(t *testing.T) {
-	tr := New(Config{SpanCap: 16, TxnCap: 8})
+	tr := New(Config{SpanCap: 16})
 	hop := tr.RegisterHop("umc0/rd", KindChannel)
 	tr.Enable()
 	tr.SetActive(5)
