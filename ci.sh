@@ -76,9 +76,10 @@ done
 go test -race -timeout 1800s ./internal/harness/ ./internal/core/ ./internal/metrics/ ./internal/anomaly/ ./internal/trace/
 
 # Any host shape: the orchestrator's determinism and recycling tests pin
-# Workers to 1 and 4, so run their goroutines on one core and
+# Workers to 1 and 4, and the pinned tables and A3–A5 ablations run on
+# GOMAXPROCS workers, so run their goroutines on one core and
 # oversubscribed on eight. No timing assertions belong in this leg.
-go test -count=1 -cpu 1,8 -run 'Parallel|Recycling' ./internal/harness
+go test -count=1 -cpu 1,8 -run 'Parallel|Recycling|MatchReproduceOutput' ./internal/harness
 
 # Observability overhead guards: an attached-but-disabled tracer must stay
 # within ~5% of a nil tracer on the channel hot path (judged over

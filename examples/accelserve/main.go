@@ -8,7 +8,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	"repro/internal/accel"
 	"repro/internal/core"
@@ -24,12 +23,7 @@ func serveKernels(priority bool) (dbP50, dbP99, totalP99 units.Time) {
 	prof := topology.EPYC9634()
 	eng := sim.New(21)
 	net := core.New(eng, prof)
-	cfg := accel.DefaultConfig()
-	cfg.PriorityLane = priority
-	dev, err := accel.New(net, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	dev := accel.New(net, priority)
 
 	// The bulk job: one huge input transfer (training batch load).
 	dev.Submit(topology.CoreID{Core: 6}, accel.Kernel{
@@ -58,7 +52,6 @@ func serveKernels(priority bool) (dbP50, dbP99, totalP99 units.Time) {
 }
 
 func main() {
-	log.SetFlags(0)
 	fmt.Println("An inference service shares an accelerator's device link with a")
 	fmt.Println("bulk training transfer (64 MB DMA-in) on an EPYC 9634.")
 	fmt.Println()

@@ -40,7 +40,7 @@ func TestManagedMultiTenantScenario(t *testing.T) {
 	service := mk("service", 2, units.GBps(10))
 	batch := mk("batch", 3, units.GBps(50))
 
-	mgr := trafficmgr.New(eng, 20*units.Microsecond)
+	mgr := trafficmgr.New(eng)
 	mgr.AddResource("umc0/rd", prof.UMCReadCap)
 	if err := mgr.Register(service, "umc0/rd"); err != nil {
 		t.Fatal(err)

@@ -12,8 +12,8 @@
 // plane: chunked, pipelined DMA between host DRAM and device memory,
 // crossing the die's routing fabric and the device link. Both planes share
 // links, so bulk DMA inflates doorbell and completion latency — the
-// head-of-line problem intra-host switching is meant to solve. The
-// PriorityLane option models that solution: a reserved control virtual
+// head-of-line problem intra-host switching is meant to solve. New's
+// priorityLane flag models that solution: a reserved control virtual
 // channel that keeps the signal plane at its unloaded latency regardless
 // of data-plane load.
 package accel
@@ -28,49 +28,29 @@ import (
 	"repro/internal/units"
 )
 
-// Config describes one accelerator and its attachment.
-type Config struct {
-	// Name prefixes the device's channel names.
-	Name string
-	// HostCCD is the compute chiplet running the driver (doorbells origin,
+// The one attachment modelled: a Gen4x16-class accelerator whose driver
+// runs on chiplet 0.
+const (
+	// devName prefixes the device's channel names.
+	devName = "accel0"
+	// hostCCD is the compute chiplet running the driver (doorbells origin,
 	// completions destination).
-	HostCCD int
-	// QueueDepth bounds in-flight kernels (submission queue entries).
-	QueueDepth int
-	// Link capacities and latency of the device link (P-link class).
-	LinkToDevCap  units.Bandwidth
-	LinkToHostCap units.Bandwidth
-	LinkLatency   units.Time
-	// LinkQueue bounds the to-device staging queue (the BDP boundary the
+	hostCCD = 0
+	// queueDepth bounds in-flight kernels (submission queue entries).
+	queueDepth = 64
+	// Capacities and latency of the device link (P-link class).
+	linkToDevCap  = 24 * units.Bandwidth(units.GB)
+	linkToHostCap = 24 * units.Bandwidth(units.GB)
+	linkLatency   = 12 * units.Nanosecond
+	// linkQueue bounds the to-device staging queue (the BDP boundary the
 	// signal plane queues behind).
-	LinkQueue int
-	// DMAChunk is the data-plane transfer granularity (default 4 KiB).
-	DMAChunk units.ByteSize
-	// DoorbellSize and CompletionSize are the signal-plane message sizes.
-	DoorbellSize   units.ByteSize
-	CompletionSize units.ByteSize
-	// PriorityLane gives the signal plane its own virtual channel on the
-	// device link instead of sharing the data queue — the paper's
-	// direction #4: an intra-host switching module that "provisions just
-	// enough bandwidth" for the latency-sensitive plane. A sliver of link
-	// capacity (1/16th) is reserved for it.
-	PriorityLane bool
-}
-
-// DefaultConfig attaches a Gen4x16-class accelerator to chiplet 0.
-func DefaultConfig() Config {
-	return Config{
-		Name:           "accel0",
-		QueueDepth:     64,
-		LinkToDevCap:   units.GBps(24),
-		LinkToHostCap:  units.GBps(24),
-		LinkLatency:    12 * units.Nanosecond,
-		LinkQueue:      96,
-		DMAChunk:       4 * units.KiB,
-		DoorbellSize:   16,
-		CompletionSize: 16,
-	}
-}
+	linkQueue = 96
+	// dmaChunk is the data-plane transfer granularity.
+	dmaChunk = 4 * units.KiB
+	// doorbellSize and completionSize are the signal-plane message sizes.
+	doorbellSize   units.ByteSize = 16
+	completionSize units.ByteSize = 16
+)
 
 // Kernel describes one offloaded task.
 type Kernel struct {
@@ -105,13 +85,12 @@ func (c Completion) Total() units.Time { return c.Notified - c.Submitted }
 // Accelerator is one device instance attached to a network.
 type Accelerator struct {
 	net *core.Network
-	cfg Config
 
 	toDev  *link.Channel // doorbells, DMA reads' data toward the device
 	toHost *link.Channel // completions, DMA writes' data toward host memory
 
-	// Priority virtual channels for the signal plane (nil unless
-	// Config.PriorityLane).
+	// Priority virtual channels for the signal plane (nil without the
+	// priority lane).
 	ctlToDev  *link.Channel
 	ctlToHost *link.Channel
 
@@ -121,43 +100,27 @@ type Accelerator struct {
 	totals    telemetry.Histogram
 }
 
-// New attaches an accelerator to the network. The configuration is
-// validated loudly: a silent zero capacity would masquerade as an
-// infinitely fast link.
-func New(net *core.Network, cfg Config) (*Accelerator, error) {
-	if cfg.QueueDepth <= 0 {
-		return nil, fmt.Errorf("accel: %s: non-positive queue depth", cfg.Name)
-	}
-	if cfg.LinkToDevCap <= 0 || cfg.LinkToHostCap <= 0 {
-		return nil, fmt.Errorf("accel: %s: device link needs positive capacities", cfg.Name)
-	}
-	if cfg.HostCCD < 0 || cfg.HostCCD >= net.Profile().CCDs {
-		return nil, fmt.Errorf("accel: %s: host chiplet %d out of range", cfg.Name, cfg.HostCCD)
-	}
-	if cfg.DMAChunk <= 0 {
-		cfg.DMAChunk = 4 * units.KiB
-	}
-	if cfg.DoorbellSize <= 0 {
-		cfg.DoorbellSize = 16
-	}
-	if cfg.CompletionSize <= 0 {
-		cfg.CompletionSize = 16
-	}
+// New attaches an accelerator to the network. With priorityLane the
+// signal plane gets its own virtual channel on the device link instead of
+// sharing the data queue — the paper's direction #4: an intra-host
+// switching module that "provisions just enough bandwidth" for the
+// latency-sensitive plane. A sliver of link capacity (1/16th) is reserved
+// for it.
+func New(net *core.Network, priorityLane bool) *Accelerator {
 	eng := net.Engine()
 	a := &Accelerator{
 		net:    net,
-		cfg:    cfg,
-		toDev:  link.NewChannel(eng, cfg.Name+"/todev", cfg.LinkToDevCap, cfg.LinkLatency, cfg.LinkQueue),
-		toHost: link.NewChannel(eng, cfg.Name+"/tohost", cfg.LinkToHostCap, cfg.LinkLatency, 0),
-		slots:  link.NewTokenPool(eng, cfg.Name+"/sq", cfg.QueueDepth),
+		toDev:  link.NewChannel(eng, devName+"/todev", linkToDevCap, linkLatency, linkQueue),
+		toHost: link.NewChannel(eng, devName+"/tohost", linkToHostCap, linkLatency, 0),
+		slots:  link.NewTokenPool(eng, devName+"/sq", queueDepth),
 	}
-	if cfg.PriorityLane {
-		a.ctlToDev = link.NewChannel(eng, cfg.Name+"/ctl/todev",
-			cfg.LinkToDevCap/16, cfg.LinkLatency, 0)
-		a.ctlToHost = link.NewChannel(eng, cfg.Name+"/ctl/tohost",
-			cfg.LinkToHostCap/16, cfg.LinkLatency, 0)
+	if priorityLane {
+		a.ctlToDev = link.NewChannel(eng, devName+"/ctl/todev",
+			linkToDevCap/16, linkLatency, 0)
+		a.ctlToHost = link.NewChannel(eng, devName+"/ctl/tohost",
+			linkToHostCap/16, linkLatency, 0)
 	}
-	return a, nil
+	return a
 }
 
 // signalToDev reports the channel doorbells ride.
@@ -186,15 +149,15 @@ func (a *Accelerator) Totals() *telemetry.Histogram { return &a.totals }
 // the device: switch hops, I/O hub, root complex.
 func (a *Accelerator) hubExtra() units.Time {
 	p := a.net.Profile()
-	return a.net.NoC().IOHopDelay(a.cfg.HostCCD) + p.IOHubLatency + p.RootComplexLatency
+	return a.net.NoC().IOHopDelay(hostCCD) + p.IOHubLatency + p.RootComplexLatency
 }
 
 // Submit launches one kernel from src and calls done with the phase
 // timestamps when the completion record reaches the host.
 func (a *Accelerator) Submit(src topology.CoreID, k Kernel, done func(Completion)) {
-	if src.CCD != a.cfg.HostCCD {
+	if src.CCD != hostCCD {
 		panic(fmt.Sprintf("accel: %s driven from ccd%d but attached to ccd%d",
-			a.cfg.Name, src.CCD, a.cfg.HostCCD))
+			devName, src.CCD, hostCCD))
 	}
 	eng := a.net.Engine()
 	p := a.net.Profile()
@@ -202,9 +165,9 @@ func (a *Accelerator) Submit(src topology.CoreID, k Kernel, done func(Completion
 	c.Submitted = eng.Now()
 	// Doorbell: an MMIO write across the device path (latency-sensitive —
 	// it shares every queue with the data plane).
-	a.net.SendWithRetry(a.net.GMIOut(src.CCD), a.cfg.DoorbellSize, 0, func() {
-		a.net.SendWithRetry(a.net.NoC().Write, a.cfg.DoorbellSize, a.hubExtra(), func() {
-			a.net.SendWithRetry(a.signalToDev(), a.cfg.DoorbellSize, 0, func() {
+	a.net.SendWithRetry(a.net.GMIOut(src.CCD), doorbellSize, 0, func() {
+		a.net.SendWithRetry(a.net.NoC().Write, doorbellSize, a.hubExtra(), func() {
+			a.net.SendWithRetry(a.signalToDev(), doorbellSize, 0, func() {
 				c.Accepted = eng.Now()
 				a.doorbells.Record(c.DoorbellLatency())
 				a.slots.Acquire(func() {
@@ -221,8 +184,8 @@ func (a *Accelerator) Submit(src topology.CoreID, k Kernel, done func(Completion
 							a.dmaOut(k, func() {
 								c.Drained = eng.Now()
 								// Completion record back to the host core.
-								a.signalToHost().Send(a.cfg.CompletionSize, func() {
-									a.net.NoC().Read.Send(a.cfg.CompletionSize, func() {
+								a.signalToHost().Send(completionSize, func() {
+									a.net.NoC().Read.Send(completionSize, func() {
 										a.net.GMIIn(src.CCD).Send(p.WriteAckSize, func() {
 											c.Notified = eng.Now()
 											a.slots.Release()
@@ -255,7 +218,7 @@ func (a *Accelerator) dmaOut(k Kernel, then func()) {
 }
 
 // dma streams total bytes between host channel umc and the device in
-// DMAChunk units. Chunks are pipelined: the next chunk enters the source
+// dmaChunk units. Chunks are pipelined: the next chunk enters the source
 // leg as soon as the previous one clears it, so the slowest leg sets the
 // rate and downstream queues stay occupied — which is exactly what makes
 // bulk DMA block the signal plane behind it.
@@ -266,7 +229,7 @@ func (a *Accelerator) dma(total units.ByteSize, umc int, toDevice bool, then fun
 	}
 	dram := a.net.DRAM(umc)
 	hops := a.net.NoC().HopDelay(a.net.Profile().BaseSHops)
-	chunks := int((total + a.cfg.DMAChunk - 1) / a.cfg.DMAChunk)
+	chunks := int((total + dmaChunk - 1) / dmaChunk)
 	pending := chunks
 	// inFlight bounds the pipeline: the DMA engine's scatter-gather ring
 	// holds a fixed number of outstanding descriptors. Without the bound,
@@ -288,7 +251,7 @@ func (a *Accelerator) dma(total units.ByteSize, umc int, toDevice bool, then fun
 	}
 	pump = func() {
 		for inFlight < ring && remaining > 0 {
-			chunk := a.cfg.DMAChunk
+			chunk := dmaChunk
 			if chunk > remaining {
 				chunk = remaining
 			}

@@ -4,23 +4,19 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/link"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
 
-func newAccel(t *testing.T, cfg Config) (*core.Network, *Accelerator) {
-	t.Helper()
+func newAccel(priorityLane bool) (*core.Network, *Accelerator) {
 	net := core.New(sim.New(9), topology.EPYC9634())
-	a, err := New(net, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return net, a
+	return net, New(net, priorityLane)
 }
 
 func TestUnloadedDoorbellLatency(t *testing.T) {
-	net, a := newAccel(t, DefaultConfig())
+	net, a := newAccel(false)
 	var got Completion
 	a.Submit(topology.CoreID{}, Kernel{Exec: units.Microsecond}, func(c Completion) {
 		got = c
@@ -42,7 +38,7 @@ func TestUnloadedDoorbellLatency(t *testing.T) {
 
 func TestKernelSerialization(t *testing.T) {
 	// Two kernels on the single execution engine run back to back.
-	net, a := newAccel(t, DefaultConfig())
+	net, a := newAccel(false)
 	var first, second Completion
 	a.Submit(topology.CoreID{}, Kernel{Exec: 10 * units.Microsecond}, func(c Completion) { first = c })
 	a.Submit(topology.CoreID{}, Kernel{Exec: 10 * units.Microsecond}, func(c Completion) { second = c })
@@ -55,17 +51,16 @@ func TestKernelSerialization(t *testing.T) {
 
 func TestDMABandwidthBound(t *testing.T) {
 	// A DMA-heavy kernel's input phase is bounded by the device link.
-	cfg := DefaultConfig()
-	net, a := newAccel(t, cfg)
+	net, a := newAccel(false)
 	var c Completion
 	vol := 4 * units.MB
 	a.Submit(topology.CoreID{}, Kernel{Exec: units.Nanosecond, DMAIn: vol}, func(done Completion) { c = done })
 	net.Engine().Run()
 	span := c.Started - c.Accepted
 	rate := units.Rate(vol, span)
-	max := cfg.LinkToDevCap.GBpsValue()
+	max := linkToDevCap.GBpsValue()
 	if rate.GBpsValue() > max*1.02 || rate.GBpsValue() < max*0.75 {
-		t.Errorf("DMA-in rate = %v, want close to the %v device link", rate, cfg.LinkToDevCap)
+		t.Errorf("DMA-in rate = %v, want close to the %v device link", rate, linkToDevCap)
 	}
 }
 
@@ -73,7 +68,7 @@ func TestBulkDMAInflatesSignalPlane(t *testing.T) {
 	// Direction #4's problem statement: with a bulk transfer in flight,
 	// doorbells queue behind data on the shared device path.
 	run := func(background bool) units.Time {
-		net, a := newAccel(t, DefaultConfig())
+		net, a := newAccel(false)
 		if background {
 			// A large streaming kernel occupies the data plane.
 			a.Submit(topology.CoreID{}, Kernel{Exec: units.Nanosecond, DMAIn: 8 * units.MB}, nil)
@@ -96,9 +91,7 @@ func TestPriorityLaneProtectsSignalPlane(t *testing.T) {
 	// control lane keeps doorbells out of the data plane's queue, so bulk
 	// DMA no longer inflates them.
 	run := func(priority bool) units.Time {
-		cfg := DefaultConfig()
-		cfg.PriorityLane = priority
-		net, a := newAccel(t, cfg)
+		net, a := newAccel(priority)
 		a.Submit(topology.CoreID{}, Kernel{Exec: units.Nanosecond, DMAIn: 8 * units.MB}, nil)
 		net.Engine().RunFor(20 * units.Microsecond)
 		var c Completion
@@ -117,9 +110,9 @@ func TestPriorityLaneProtectsSignalPlane(t *testing.T) {
 }
 
 func TestQueueDepthBoundsInFlight(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.QueueDepth = 2
-	net, a := newAccel(t, cfg)
+	net, a := newAccel(false)
+	// A two-entry submission queue makes the queueing visible.
+	a.slots = link.NewTokenPool(net.Engine(), devName+"/sq", 2)
 	completions := 0
 	for i := 0; i < 6; i++ {
 		a.Submit(topology.CoreID{}, Kernel{Exec: 5 * units.Microsecond}, func(Completion) { completions++ })
@@ -138,22 +131,8 @@ func TestQueueDepthBoundsInFlight(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	net := core.New(sim.New(1), topology.EPYC9634())
-	bad := []Config{
-		func() Config { c := DefaultConfig(); c.QueueDepth = 0; return c }(),
-		func() Config { c := DefaultConfig(); c.LinkToDevCap = 0; return c }(),
-		func() Config { c := DefaultConfig(); c.HostCCD = 99; return c }(),
-	}
-	for i, cfg := range bad {
-		if _, err := New(net, cfg); err == nil {
-			t.Errorf("config %d should be rejected", i)
-		}
-	}
 	// Wrong-chiplet submission panics.
-	a, err := New(net, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, a := newAccel(false)
 	defer func() {
 		if recover() == nil {
 			t.Error("cross-chiplet submit should panic")

@@ -65,7 +65,7 @@ func AblationTrafficManager(opt Options) ([]A1Result, error) {
 		if err != nil {
 			return A1Result{}, err
 		}
-		mgr := trafficmgr.New(net.Engine(), 20*units.Microsecond)
+		mgr := trafficmgr.New(net.Engine())
 		mgr.AddResource("umc0/rd", p.UMCReadCap)
 		if err := mgr.Register(fa, "umc0/rd"); err != nil {
 			return A1Result{}, err

@@ -37,8 +37,12 @@ func AblationNUMA(opt Options) ([]A3Result, error) {
 		case 0:
 			sys := opt.newSystem()
 			return a3meas{
-				localLat:  chaseLocal(sys, 1000),
-				remoteLat: chaseRemote(sys, 1000),
+				localLat: chase(sys, func(done func(*txn.Transaction)) {
+					sys.Socket(0).Issue(icore.Access{Op: txn.Read, Kind: icore.DestDRAM, UMC: 0}, nil, done)
+				}),
+				remoteLat: chase(sys, func(done func(*txn.Transaction)) {
+					sys.IssueRemote(0, topology.CoreID{}, txn.Read, 0, done)
+				}),
 			}, nil
 		case 1:
 			return a3meas{bw: socketReadBW(opt)}, nil
@@ -57,44 +61,26 @@ func AblationNUMA(opt Options) ([]A3Result, error) {
 		{Tier: "local DRAM (near)", Latency: localLat, ReadBW: localBW,
 			Ceiling: "NoC routing (" + p.NoCReadCap.String() + ")"},
 		{Tier: "remote DRAM (xGMI)", Latency: remoteLat, ReadBW: remoteBW,
-			Ceiling: "xGMI link (37GB/s)"},
+			Ceiling: "xGMI link (" + numa.XGMIReadCap.String() + ")"},
 	}, nil
 }
 
-func chaseLocal(sys *numa.System, count int) units.Time {
+// chase runs 1000 dependent loads back to back on sys's engine, each
+// issued by issue with the callback that starts the next, and reports
+// their mean latency.
+func chase(sys *numa.System, issue func(done func(*txn.Transaction))) units.Time {
+	const count = 1000
 	var h telemetry.Histogram
-	done := 0
-	var step func()
-	record := func(t *txn.Transaction) {
+	n := 0
+	var record func(*txn.Transaction)
+	record = func(t *txn.Transaction) {
 		h.Record(t.Latency())
-		done++
-		if done < count {
-			step()
+		n++
+		if n < count {
+			issue(record)
 		}
 	}
-	step = func() {
-		sys.Socket(0).Issue(icore.Access{Op: txn.Read, Kind: icore.DestDRAM, UMC: 0}, nil, record)
-	}
-	step()
-	sys.Engine().Run()
-	return h.Mean()
-}
-
-func chaseRemote(sys *numa.System, count int) units.Time {
-	var h telemetry.Histogram
-	done := 0
-	var step func()
-	record := func(t *txn.Transaction) {
-		h.Record(t.Latency())
-		done++
-		if done < count {
-			step()
-		}
-	}
-	step = func() {
-		sys.IssueRemote(0, topology.CoreID{}, txn.Read, 0, record)
-	}
-	step()
+	issue(record)
 	sys.Engine().Run()
 	return h.Mean()
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -37,23 +36,11 @@ type A5Result struct {
 // takes for the I/O die. If the abstraction is sound, the two produce the
 // same achieved bandwidth and the same latency knee across the sweep.
 func AblationNoCModel(opt Options) (*A5Result, error) {
-	cfg := router.Config{
-		Width: 4, Height: 2,
-		LinkCapacity: units.GBps(32),
-		HopLatency:   7 * units.Nanosecond,
-		QueueDepth:   16,
-	}
 	window := opt.scale(30 * units.Microsecond)
 
 	// Step 1: the mesh's ceiling and unloaded latency.
-	satBW, _, err := driveRouter(cfg, units.GBps(500), window, opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-	_, unloaded, err := driveRouter(cfg, units.GBps(5), window, opt.Seed)
-	if err != nil {
-		return nil, err
-	}
+	satBW, _ := driveRouter(units.GBps(500), window, opt.Seed)
+	_, unloaded := driveRouter(units.GBps(5), window, opt.Seed)
 	res := &A5Result{Saturation: satBW, Unloaded: unloaded}
 
 	// Step 2: sweep both models over the same offered loads — one cell per
@@ -61,10 +48,7 @@ func AblationNoCModel(opt Options) (*A5Result, error) {
 	fracs := []float64{0.2, 0.4, 0.6, 0.8, 0.9, 1.0}
 	points, err := runCells(opt, len(fracs), func(i int) (A5Point, error) {
 		offered := units.Bandwidth(float64(satBW) * fracs[i])
-		rBW, rAvg, err := driveRouter(cfg, offered, window, opt.Seed)
-		if err != nil {
-			return A5Point{}, err
-		}
+		rBW, rAvg := driveRouter(offered, window, opt.Seed)
 		aBW, aAvg := driveAggregate(satBW, unloaded, offered, window, opt.Seed)
 		return A5Point{
 			Offered:  offered,
@@ -79,41 +63,10 @@ func AblationNoCModel(opt Options) (*A5Result, error) {
 	return res, nil
 }
 
-// driveRouter injects Poisson uniform-random cacheline traffic at the
-// offered load and reports achieved bandwidth and mean latency.
-func driveRouter(cfg router.Config, offered units.Bandwidth, window units.Time, seed uint64) (units.Bandwidth, units.Time, error) {
-	eng := sim.New(seed)
-	m := router.New(eng, cfg)
-	rng := sim.NewRNG(seed + 1)
-	gap := units.Interval(units.CacheLine, offered)
-	inFlight := 0
-	done := func() { inFlight-- }
-	var inject func()
-	inject = func() {
-		if inFlight >= 512 {
-			eng.After(50*units.Nanosecond, inject)
-			return
-		}
-		src := topology.Coord{X: rng.Intn(cfg.Width), Y: rng.Intn(cfg.Height)}
-		dst := topology.Coord{X: rng.Intn(cfg.Width), Y: rng.Intn(cfg.Height)}
-		for dst == src {
-			dst = topology.Coord{X: rng.Intn(cfg.Width), Y: rng.Intn(cfg.Height)}
-		}
-		inFlight++
-		m.Route(src, dst, units.CacheLine, done)
-		d := units.Time(math.Round(float64(gap) * rng.ExpFloat64()))
-		if d < units.Picosecond {
-			d = units.Picosecond
-		}
-		eng.After(d, inject)
-	}
-	eng.After(0, inject)
-	eng.RunFor(window / 3)
-	m.ResetStats()
-	start := eng.Now()
-	eng.RunFor(window)
-	achieved := units.Rate(units.ByteSize(m.Delivered())*units.CacheLine, eng.Now()-start)
-	return achieved, m.Latency().Mean(), nil
+// driveRouter runs router.Drive on a fresh engine seeded with seed, its
+// pair stream seeded with seed+1.
+func driveRouter(offered units.Bandwidth, window units.Time, seed uint64) (units.Bandwidth, units.Time) {
+	return router.Drive(sim.New(seed), sim.NewRNG(seed+1), offered, window)
 }
 
 // driveAggregate runs the same arrival process through the abstraction:

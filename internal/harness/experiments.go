@@ -91,6 +91,12 @@ func runAblations(opt Options, w io.Writer) error {
 		}
 		fmt.Fprintln(w, RenderA2(a2))
 	}
+	return runAblationTail(opt, w)
+}
+
+// runAblationTail prints A3–A5, the ablations the numa and router models
+// feed.
+func runAblationTail(opt Options, w io.Writer) error {
 	a3, err := AblationNUMA(opt)
 	if err != nil {
 		return err

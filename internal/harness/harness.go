@@ -59,7 +59,7 @@ func (o Options) newNet(p *topology.Profile) *core.Network {
 // newSystem builds the dual-socket testbed on a fresh engine, applying the
 // options to both sockets as newNet does to its one network.
 func (o Options) newSystem() *numa.System {
-	sys := numa.NewSystem(sim.New(o.Seed), numa.DefaultDual7302())
+	sys := numa.NewSystem(sim.New(o.Seed))
 	o.apply(sys.Socket(0))
 	o.apply(sys.Socket(1))
 	return sys

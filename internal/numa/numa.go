@@ -21,38 +21,25 @@ import (
 	"repro/internal/units"
 )
 
-// Config sizes the two-socket system.
-type Config struct {
-	// Profile is the per-socket platform (sockets are homogeneous).
-	Profile *topology.Profile
-	// XGMILatency is the one-way socket-to-socket crossing time. On 2P
-	// Zen 2 servers, remote DRAM sits ~70-80 ns above local (~195 ns vs
-	// 124 ns); with the die-walk legs modelled separately this leaves
-	// ~28 ns per xGMI crossing.
-	XGMILatency units.Time
-	// XGMIReadCap/XGMIWriteCap bound each direction of each socket pair's
-	// xGMI bundle (Zen 2: ~37 GB/s per direction of a 16-lane link pair).
-	XGMIReadCap  units.Bandwidth
-	XGMIWriteCap units.Bandwidth
-	// XGMIQueue bounds each direction's staging queue.
-	XGMIQueue int
-}
+// The xGMI link between the two sockets. On 2P Zen 2 servers, remote
+// DRAM sits ~70-80 ns above local (~195 ns vs 124 ns); with the die-walk
+// legs modelled separately this leaves ~28 ns per one-way crossing. Each
+// direction of the 16-lane link pair carries ~37 GB/s.
+const (
+	xgmiLatency = 28 * units.Nanosecond
+	// XGMIReadCap bounds the read-data direction: the ceiling of every
+	// remote-read workload.
+	XGMIReadCap  = 37 * units.Bandwidth(units.GB)
+	xgmiWriteCap = 37 * units.Bandwidth(units.GB)
+	// xgmiQueue bounds the request direction's staging queue.
+	xgmiQueue = 160
+)
 
-// DefaultDual7302 is the Dell 7525 testbed: two EPYC 7302 packages.
-func DefaultDual7302() Config {
-	return Config{
-		Profile:      topology.EPYC7302(),
-		XGMILatency:  28 * units.Nanosecond,
-		XGMIReadCap:  units.GBps(37),
-		XGMIWriteCap: units.GBps(37),
-		XGMIQueue:    160,
-	}
-}
-
-// System is a two-socket chiplet server.
+// System is a two-socket chiplet server: the Dell 7525 testbed, two EPYC
+// 7302 packages.
 type System struct {
 	eng  *sim.Engine
-	cfg  Config
+	p    *topology.Profile // both sockets' platform
 	nets [2]*core.Network
 	// xgmi*[s] carry socket s's side of the link to its one peer; the
 	// request/data direction split mirrors the GMI modelling.
@@ -62,17 +49,14 @@ type System struct {
 }
 
 // NewSystem builds both sockets and their xGMI link on one engine.
-func NewSystem(eng *sim.Engine, cfg Config) *System {
-	if cfg.Profile == nil {
-		panic("numa: nil profile")
-	}
-	s := &System{eng: eng, cfg: cfg}
+func NewSystem(eng *sim.Engine) *System {
+	s := &System{eng: eng, p: topology.EPYC7302()}
 	for i := range s.nets {
-		s.nets[i] = core.New(eng, cfg.Profile)
+		s.nets[i] = core.New(eng, s.p)
 		s.xgmiOut[i] = link.NewChannel(eng,
-			fmt.Sprintf("socket%d/xgmi/out", i), cfg.XGMIWriteCap, cfg.XGMILatency, cfg.XGMIQueue)
+			fmt.Sprintf("socket%d/xgmi/out", i), xgmiWriteCap, xgmiLatency, xgmiQueue)
 		s.xgmiIn[i] = link.NewChannel(eng,
-			fmt.Sprintf("socket%d/xgmi/in", i), cfg.XGMIReadCap, cfg.XGMILatency, 0)
+			fmt.Sprintf("socket%d/xgmi/in", i), XGMIReadCap, xgmiLatency, 0)
 	}
 	return s
 }
@@ -98,7 +82,7 @@ func (s *System) peer(i int) int { return 1 - i }
 func (s *System) IssueRemote(srcSocket int, src topology.CoreID, op txn.Op, umc int, done func(*txn.Transaction)) {
 	local := s.nets[srcSocket]
 	remote := s.nets[s.peer(srcSocket)]
-	p := s.cfg.Profile
+	p := s.p
 
 	s.nextID++
 	t := &txn.Transaction{

@@ -13,7 +13,7 @@ import (
 
 func newSystem(t *testing.T) *System {
 	t.Helper()
-	return NewSystem(sim.New(5), DefaultDual7302())
+	return NewSystem(sim.New(5))
 }
 
 // chaseRemote runs a single-outstanding remote pointer chase.
@@ -138,25 +138,6 @@ func TestLocalTrafficUnaffectedBySecondSocket(t *testing.T) {
 	want := 124 * units.Nanosecond
 	if h.Mean() < want-4*units.Nanosecond || h.Mean() > want+4*units.Nanosecond {
 		t.Errorf("local latency on socket 1 = %v, want ~124ns", h.Mean())
-	}
-}
-
-func TestSystemValidation(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"nil profile": func() {
-			cfg := DefaultDual7302()
-			cfg.Profile = nil
-			NewSystem(sim.New(1), cfg)
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
 	}
 }
 

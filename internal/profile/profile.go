@@ -54,7 +54,7 @@ type flowCount struct {
 
 // Profiler distills per-flow telemetry from a transaction stream.
 type Profiler struct {
-	flows map[string]*flowCount
+	flows map[txn.Flow]*flowCount
 
 	// The first maxKeys flows seen are tracked for reporting. Flows past
 	// the budget still count (in flows and in the totals); they are just
@@ -74,14 +74,14 @@ type Profiler struct {
 	seen      bool
 }
 
-// New builds a profiler tracking at most maxKeys distinct flows by name
-// (64 when non-positive).
+// New builds a profiler tracking at most maxKeys distinct flows (64 when
+// non-positive).
 func New(maxKeys int) *Profiler {
 	if maxKeys <= 0 {
 		maxKeys = 64
 	}
 	return &Profiler{
-		flows:   make(map[string]*flowCount),
+		flows:   make(map[txn.Flow]*flowCount),
 		maxKeys: maxKeys,
 		latency: make(map[txn.Op]*telemetry.Histogram),
 	}
@@ -89,14 +89,13 @@ func New(maxKeys int) *Profiler {
 
 // Observe folds one completed transaction into the profile.
 func (p *Profiler) Observe(t *txn.Transaction) {
-	key := t.Flow.String()
-	fc := p.flows[key]
+	fc := p.flows[t.Flow]
 	if fc == nil {
 		fc = &flowCount{tracked: p.tracked < p.maxKeys}
 		if fc.tracked {
 			p.tracked++
 		}
-		p.flows[key] = fc
+		p.flows[t.Flow] = fc
 	}
 	if !fc.tracked {
 		p.overflow++
@@ -127,7 +126,7 @@ func (p *Profiler) Observe(t *txn.Transaction) {
 
 // flow reports a flow's counts, zero for a flow never observed.
 func (p *Profiler) flow(f txn.Flow) flowCount {
-	if fc := p.flows[f.String()]; fc != nil {
+	if fc := p.flows[f]; fc != nil {
 		return *fc
 	}
 	return flowCount{}
@@ -175,9 +174,9 @@ func (p *Profiler) Latency(op txn.Op) *telemetry.Histogram { return p.latency[op
 // descending.
 func (p *Profiler) Top(n int) []FlowStat {
 	stats := make([]FlowStat, 0, p.tracked)
-	for key, fc := range p.flows {
+	for f, fc := range p.flows {
 		if fc.tracked {
-			stats = append(stats, FlowStat{Flow: key, Bytes: fc.bytes, Ops: fc.ops})
+			stats = append(stats, FlowStat{Flow: f.String(), Bytes: fc.bytes, Ops: fc.ops})
 		}
 	}
 	sort.Slice(stats, func(i, j int) bool {

@@ -425,3 +425,14 @@ func TestRecentRateAlignedExpiry(t *testing.T) {
 		})
 	}
 }
+
+func TestObserveSeenFlowAllocatesNothing(t *testing.T) {
+	// Flows are keyed by the comparable txn.Flow, not by their rendered
+	// name: observing a flow and op already seen allocates nothing.
+	p := New(8)
+	tx := mkTxn(1, txn.Read, 0, 124*units.Nanosecond)
+	p.Observe(tx)
+	if n := testing.AllocsPerRun(100, func() { p.Observe(tx) }); n != 0 {
+		t.Errorf("repeat Observe allocates %.0f times, want 0", n)
+	}
+}

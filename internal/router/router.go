@@ -15,6 +15,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/link"
 	"repro/internal/sim"
@@ -23,21 +24,19 @@ import (
 	"repro/internal/units"
 )
 
-// Config sizes a mesh.
-type Config struct {
-	Width, Height int
-	// LinkCapacity is each directed edge's bandwidth.
-	LinkCapacity units.Bandwidth
-	// HopLatency is each edge's propagation delay.
-	HopLatency units.Time
-	// QueueDepth bounds each edge's staging queue (default 8).
-	QueueDepth int
-}
+// The one mesh modelled: 4x2 routers joined by Infinity-Fabric-class
+// edges. Every directed edge carries linkCapacity with hopLatency
+// propagation and stages at most queueDepth messages.
+const (
+	width, height = 4, 2
+	linkCapacity  = 32 * units.Bandwidth(units.GB)
+	hopLatency    = 7 * units.Nanosecond
+	queueDepth    = 16
+)
 
 // Mesh is a running router network.
 type Mesh struct {
 	eng *sim.Engine
-	cfg Config
 	// ports[node(c)] lists c's outgoing edges in fixed direction order
 	// (+X, -X, +Y, -Y).
 	ports [][]port
@@ -59,38 +58,27 @@ type port struct {
 var directions = [4]topology.Coord{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}
 
 // node is c's index in ports: column-major, the order edges are built in.
-func (m *Mesh) node(c topology.Coord) int { return c.X*m.cfg.Height + c.Y }
+func node(c topology.Coord) int { return c.X*height + c.Y }
 
 // onMesh reports whether c is one of the mesh's routers.
-func (m *Mesh) onMesh(c topology.Coord) bool {
-	return c.X >= 0 && c.X < m.cfg.Width && c.Y >= 0 && c.Y < m.cfg.Height
+func onMesh(c topology.Coord) bool {
+	return c.X >= 0 && c.X < width && c.Y >= 0 && c.Y < height
 }
 
-// New builds the mesh. Dimensions must be positive; capacity must be
-// positive (an infinite-capacity mesh would validate nothing).
-func New(eng *sim.Engine, cfg Config) *Mesh {
-	if cfg.Width <= 0 || cfg.Height <= 0 {
-		panic(fmt.Sprintf("router: bad mesh %dx%d", cfg.Width, cfg.Height))
-	}
-	if cfg.LinkCapacity <= 0 {
-		panic("router: non-positive link capacity")
-	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 8
-	}
-	m := &Mesh{eng: eng, cfg: cfg, rng: eng.Rand(), ports: make([][]port, cfg.Width*cfg.Height)}
-	for x := 0; x < cfg.Width; x++ {
-		for y := 0; y < cfg.Height; y++ {
+// New builds the mesh on eng.
+func New(eng *sim.Engine) *Mesh {
+	m := &Mesh{eng: eng, rng: eng.Rand(), ports: make([][]port, width*height)}
+	for x := 0; x < width; x++ {
+		for y := 0; y < height; y++ {
 			at := topology.Coord{X: x, Y: y}
 			for _, d := range directions {
 				nb := topology.Coord{X: x + d.X, Y: y + d.Y}
-				if !m.onMesh(nb) {
+				if !onMesh(nb) {
 					continue
 				}
 				name := fmt.Sprintf("edge%v->%v", at, nb)
-				ch := link.NewChannel(eng, name, cfg.LinkCapacity, cfg.HopLatency, depth)
-				m.ports[m.node(at)] = append(m.ports[m.node(at)], port{to: nb, ch: ch})
+				ch := link.NewChannel(eng, name, linkCapacity, hopLatency, queueDepth)
+				m.ports[node(at)] = append(m.ports[node(at)], port{to: nb, ch: ch})
 			}
 		}
 	}
@@ -99,7 +87,7 @@ func New(eng *sim.Engine, cfg Config) *Mesh {
 
 // edge reports the channel from at to its neighbour nb.
 func (m *Mesh) edge(at, nb topology.Coord) *link.Channel {
-	for _, p := range m.ports[m.node(at)] {
+	for _, p := range m.ports[node(at)] {
 		if p.to == nb {
 			return p.ch
 		}
@@ -156,7 +144,7 @@ func (m *Mesh) getFrame() *frame {
 // Route injects a message at src and delivers it at dst, walking the mesh
 // hop by hop. deliver runs on arrival (may be nil).
 func (m *Mesh) Route(src, dst topology.Coord, size units.ByteSize, deliver func()) {
-	if !m.onMesh(src) || !m.onMesh(dst) {
+	if !onMesh(src) || !onMesh(dst) {
 		panic(fmt.Sprintf("router: route %v->%v off the mesh", src, dst))
 	}
 	f := m.getFrame()
@@ -195,7 +183,7 @@ func (f *frame) walk() {
 		return
 	}
 	// Wait for the wanted port, jittered around one serialization quantum.
-	q := m.cfg.LinkCapacity.TimeToSend(f.size)
+	q := linkCapacity.TimeToSend(f.size)
 	if q <= 0 {
 		q = units.Nanosecond
 	}
@@ -218,10 +206,43 @@ func (m *Mesh) ResetStats() {
 	m.latency.Reset()
 }
 
-// BisectionBandwidth reports the mesh's theoretical bisection limit: the
-// capacity crossing the narrower middle cut, both directions, a standard
-// upper bound on uniform-random throughput. The cut across the longer
-// dimension crosses min(Width, Height) links each way.
-func (m *Mesh) BisectionBandwidth() units.Bandwidth {
-	return units.Bandwidth(2*min(m.cfg.Width, m.cfg.Height)) * m.cfg.LinkCapacity
+// Drive builds a mesh on eng and injects Poisson uniform-random cacheline
+// traffic at the offered load, drawing pairs and gaps from rng. It warms
+// the mesh for window/3, then measures for window and reports the
+// achieved bandwidth and mean delivery latency.
+func Drive(eng *sim.Engine, rng *sim.RNG, offered units.Bandwidth, window units.Time) (units.Bandwidth, units.Time) {
+	m := New(eng)
+	gap := units.Interval(units.CacheLine, offered)
+	inFlight := 0
+	done := func() { inFlight-- }
+	var inject func()
+	inject = func() {
+		// Bound in-flight messages: an open loop at over-saturating load
+		// would otherwise accumulate work (and events) without limit.
+		// Saturated, pause injection instead of spinning the event
+		// calendar at the (tiny) inter-arrival gap.
+		if inFlight >= 512 {
+			eng.After(50*units.Nanosecond, inject)
+			return
+		}
+		src := topology.Coord{X: rng.Intn(width), Y: rng.Intn(height)}
+		dst := topology.Coord{X: rng.Intn(width), Y: rng.Intn(height)}
+		for dst == src {
+			dst = topology.Coord{X: rng.Intn(width), Y: rng.Intn(height)}
+		}
+		inFlight++
+		m.Route(src, dst, units.CacheLine, done)
+		d := units.Time(math.Round(float64(gap) * rng.ExpFloat64()))
+		if d < units.Picosecond {
+			d = units.Picosecond
+		}
+		eng.After(d, inject)
+	}
+	eng.After(0, inject)
+	eng.RunFor(window / 3)
+	m.ResetStats()
+	start := eng.Now()
+	eng.RunFor(window)
+	achieved := units.Rate(units.ByteSize(m.Delivered())*units.CacheLine, eng.Now()-start)
+	return achieved, m.Latency().Mean()
 }

@@ -137,11 +137,14 @@ func Allocate(flows []FlowSpec, resources []units.Bandwidth) []units.Bandwidth {
 	return alloc
 }
 
+// epoch is the management period: the manager re-reads demands and
+// re-allocates every 20 us.
+const epoch = 20 * units.Microsecond
+
 // Manager is the runtime: it owns resources and registrations and
 // re-allocates every epoch.
 type Manager struct {
-	eng   *sim.Engine
-	epoch units.Time
+	eng *sim.Engine
 
 	resourceIdx map[string]int
 	resources   []units.Bandwidth
@@ -158,17 +161,11 @@ type registration struct {
 }
 
 // New builds a manager re-allocating every epoch.
-func New(eng *sim.Engine, epoch units.Time) *Manager {
+func New(eng *sim.Engine) *Manager {
 	if eng == nil {
 		panic("trafficmgr: nil engine")
 	}
-	if epoch <= 0 {
-		panic("trafficmgr: non-positive epoch")
-	}
-	return &Manager{
-		eng: eng, epoch: epoch,
-		resourceIdx: make(map[string]int),
-	}
+	return &Manager{eng: eng, resourceIdx: make(map[string]int)}
 }
 
 // AddResource declares a shared resource (a link direction) and its
@@ -217,7 +214,7 @@ func (m *Manager) Start() {
 			return
 		}
 		m.Apply()
-		m.eng.After(m.epoch, tick)
+		m.eng.After(epoch, tick)
 	}
 	tick()
 }
