@@ -23,7 +23,8 @@ go test ./...
 
 # Smoke-run every reproduce observer mode on one cell and read each file
 # back: chiplettrace and chipletstat exit non-zero on malformed input.
-# Bad -cell names and non-positive -stats-window must be refused.
+# Bad -cell names, a non-positive -stats-window, -scale or -trace-spans
+# and a negative -workers must be refused.
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
 go build -o "$smoke/" ./cmd/reproduce ./cmd/chiplettrace ./cmd/chipletstat ./cmd/chipletbench
@@ -55,7 +56,7 @@ for fmt in openmetrics csv; do
     "$smoke/chipletstat" -in "$smoke/s4.json" -format $fmt -o "$smoke/s4.$fmt"
     test -s "$smoke/s4.$fmt"
 done
-for bad in "-cell fig4:5:0" "-stats-window 0"; do
+for bad in "-cell fig4:5:0" "-stats-window 0" "-scale 0" "-workers -1" "-trace-spans 0"; do
     if $run -stats "$smoke/bad.json" $bad 2> /dev/null; then
         echo "reproduce accepted $bad" >&2
         exit 1

@@ -61,6 +61,9 @@ func main() {
 		}
 	}()
 
+	if err := checkFlags(*mode, *duration, *demand); err != nil {
+		log.Fatal(err)
+	}
 	prof, ok := topology.ProfileByName(*platform)
 	if !ok {
 		log.Fatalf("unknown platform %q (want 7302 or 9634)", *platform)
@@ -118,7 +121,7 @@ func main() {
 	h := f.Latency()
 	fmt.Printf("platform   %s\n", prof.Name)
 	fmt.Printf("workload   %v -> %v, %d core(s), demand %s\n",
-		opv, kind, *cores, demandString(*demand))
+		opv, kind, len(cfg.Cores), demandString(*demand))
 	fmt.Printf("achieved   %v over %v (%d ops)\n", f.Achieved(), window, h.Count())
 	fmt.Printf("latency    mean=%v p50=%v p99=%v p999=%v max=%v\n",
 		h.Mean(), h.P50(), h.P99(), h.P999(), h.Max())
@@ -179,6 +182,23 @@ func runChase(net *core.Network, prof *topology.Profile, ws units.ByteSize, nps 
 	fmt.Printf("chase      ws=%v %s, %v\n", ws, nps, kind)
 	fmt.Printf("latency    mean=%v p50=%v p99=%v p999=%v\n",
 		h.Mean(), h.P50(), h.P99(), h.P999())
+}
+
+// checkFlags refuses an unknown -mode, a non-positive -duration and a
+// negative or NaN -demand, which would otherwise run as something else.
+func checkFlags(mode string, duration int, demand float64) error {
+	switch mode {
+	case "chase", "latency", "bandwidth":
+	default:
+		return fmt.Errorf("unknown -mode %q (want chase, latency or bandwidth)", mode)
+	}
+	if duration <= 0 {
+		return fmt.Errorf("-duration %d must be positive", duration)
+	}
+	if !(demand >= 0) {
+		return fmt.Errorf("-demand %v must be a non-negative rate", demand)
+	}
+	return nil
 }
 
 func parseOp(s string) (txn.Op, error) {

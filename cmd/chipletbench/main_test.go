@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -28,6 +29,42 @@ func TestParseSize(t *testing.T) {
 	for _, in := range []string{"1.5GiB", "16KiBx", "GiB", "", "B", "0", "-4KiB", "16 KiB", "1e3", "99999999999GiB"} {
 		if got, err := parseSize(in); err == nil {
 			t.Errorf("parseSize(%q) = %v, want an error", in, got)
+		}
+	}
+}
+
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		mode     string
+		duration int
+		demand   float64
+		ok       bool
+	}{
+		{"bandwidth", 100, 0, true},
+		{"latency", 100, 25, true},
+		{"chase", 1, 0, true},
+		{"bogus", 100, 0, false},
+		{"", 100, 0, false},
+		{"bandwidth", 0, 0, false},
+		{"bandwidth", -5, 0, false},
+		{"bandwidth", 100, -1, false},
+		{"latency", 100, math.NaN(), false},
+	}
+	for _, c := range cases {
+		err := checkFlags(c.mode, c.duration, c.demand)
+		if (err == nil) != c.ok {
+			t.Errorf("checkFlags(%q, %d, %v) = %v, want ok=%v", c.mode, c.duration, c.demand, err, c.ok)
+		}
+	}
+}
+
+// TestCoreListClamps: -cores outside [1, Cores] runs the clamped count,
+// which the workload line reports.
+func TestCoreListClamps(t *testing.T) {
+	p := topology.EPYC7302()
+	for n, want := range map[int]int{-3: 1, 0: 1, 5: 5, p.Cores: p.Cores, p.Cores + 1: p.Cores} {
+		if got := len(coreList(p, n)); got != want {
+			t.Errorf("coreList(%d) has %d cores, want %d", n, got, want)
 		}
 	}
 }

@@ -73,6 +73,14 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile (post-GC heap) to this file")
 	flag.Parse()
+	switch {
+	case *scale < 1:
+		log.Fatalf("-scale %d must be at least 1", *scale)
+	case *workers < 0:
+		log.Fatalf("-workers %d must not be negative", *workers)
+	case *traceSpans < 1:
+		log.Fatalf("-trace-spans %d must be positive", *traceSpans)
+	}
 
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {

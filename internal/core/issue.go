@@ -28,9 +28,13 @@ const (
 	// DestLLCInter targets another compute chiplet's LLC through the I/O
 	// die (Fig 3-c traffic).
 	DestLLCInter
+	// DestRemoteDRAM targets a DDR channel on the peer socket (see Join).
+	// It holds DestDRAM's tokens; a temporal write runs as its
+	// read-for-ownership, with no writeback.
+	DestRemoteDRAM
 )
 
-var destKindNames = [...]string{"dram", "cxl", "llc-intra", "llc-inter"}
+var destKindNames = [...]string{"dram", "cxl", "llc-intra", "llc-inter", "remote-dram"}
 
 func (k DestKind) String() string {
 	if k < 0 || int(k) >= len(destKindNames) {
@@ -44,7 +48,7 @@ type Access struct {
 	Src    topology.CoreID
 	Op     txn.Op
 	Kind   DestKind
-	UMC    int // DestDRAM: target memory channel
+	UMC    int // DestDRAM, DestRemoteDRAM: target memory channel
 	Module int // DestCXL: target module
 	DstCCD int // DestLLCInter: target chiplet
 }
@@ -52,7 +56,7 @@ type Access struct {
 // destEndpoint resolves the transaction-layer endpoint of an access.
 func (a Access) destEndpoint(p *topology.Profile) txn.Endpoint {
 	switch a.Kind {
-	case DestDRAM:
+	case DestDRAM, DestRemoteDRAM:
 		return txn.DRAMEP(a.UMC)
 	case DestCXL:
 		return txn.CXLEP(a.Module)
@@ -113,7 +117,7 @@ func (n *Network) Issue(a Access, extraTokens []*link.TokenPool, done func(*txn.
 func (n *Network) WindowFor(op txn.Op, kind DestKind) int {
 	p := n.prof
 	switch kind {
-	case DestDRAM:
+	case DestDRAM, DestRemoteDRAM:
 		if op == txn.NTWrite {
 			return p.CoreWriteWCBs
 		}
@@ -204,10 +208,10 @@ func (n *Network) admit(m *admission, id uint64, then, retry func()) {
 // service quantum when backpressured. The retry cadence is what makes
 // admission arrival-proportional: a sender that wants more bandwidth has
 // more messages in the retry pool, so it wins more freed slots — the
-// sender-driven aggressive partitioning of §3.5. Exported so composing
-// subsystems (the NUMA fabric, accelerator models) inherit the same
-// admission behaviour; they issue no core transactions, so their traffic
-// is traced as infrastructure (transaction id 0).
+// sender-driven aggressive partitioning of §3.5. Exported so the
+// accelerator model's DMA and doorbell chains inherit the same admission
+// behaviour; they issue no core transactions, so their traffic is traced
+// as infrastructure (transaction id 0).
 func (n *Network) SendWithRetry(ch *link.Channel, size units.ByteSize, extra units.Time, then func()) {
 	m := &admission{ch: ch, size: size, extra: extra, blocked: -1}
 	var retry func()

@@ -14,7 +14,7 @@ func TestDestKindString(t *testing.T) {
 	cases := map[DestKind]string{
 		DestDRAM: "dram", DestCXL: "cxl",
 		DestLLCIntra: "llc-intra", DestLLCInter: "llc-inter",
-		DestKind(9): "dest(9)",
+		DestRemoteDRAM: "remote-dram", DestKind(9): "dest(9)",
 	}
 	for k, want := range cases {
 		if k.String() != want {
@@ -209,6 +209,15 @@ func TestNewRejectsBrokenProfile(t *testing.T) {
 		}
 	}()
 	newNet(p)
+}
+
+func TestJoinNeedsOneEngine(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "one engine") {
+			t.Errorf("join across engines: panic = %v", r)
+		}
+	}()
+	newNet(topology.EPYC7302()).Join(newNet(topology.EPYC7302()), nil, nil)
 }
 
 func TestCCDTokensAbsentOn9634(t *testing.T) {

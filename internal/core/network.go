@@ -96,6 +96,11 @@ type Network struct {
 	llcHops  []trace.HopID // per CCD: remote LLC lookup
 	ifHops   []trace.HopID // per CCD: intra-chiplet fabric slack
 	interHop trace.HopID   // inter-chiplet fabric slack through the I/O die
+
+	// The peer socket and this socket's side of the xGMI link pair (out:
+	// requests and write data; in: read data and acks), set by Join.
+	peer            *Network
+	xgmiOut, xgmiIn *link.Channel
 }
 
 // New assembles a network for the profile on eng. It panics if the
@@ -164,13 +169,27 @@ func interHopBase(p *topology.Profile) units.Time {
 	return base
 }
 
+// Join makes n one socket of a two-socket system: DestRemoteDRAM accesses
+// issued on n reach peer's memory over n's side of the xGMI pair.
+func (n *Network) Join(peer *Network, out, in *link.Channel) {
+	if peer.eng != n.eng {
+		panic("core: joined sockets must share one engine")
+	}
+	n.peer, n.xgmiOut, n.xgmiIn = peer, out, in
+}
+
 // numPoolSets is the pool-set slots per core: four destination kinds times
-// two operation classes (demand read/RFO vs. non-temporal write).
+// two operation classes (demand read/RFO vs. non-temporal write). Remote
+// DRAM shares DRAM's slots: it holds the same tokens.
 const numPoolSets = 8
 
 // poolSetIndex selects an access's slot within a core's pool-set block.
 func poolSetIndex(a Access) int {
-	i := int(a.Kind) * 2
+	kind := a.Kind
+	if kind == DestRemoteDRAM {
+		kind = DestDRAM
+	}
+	i := int(kind) * 2
 	if a.Op == txn.NTWrite {
 		i++
 	}

@@ -18,8 +18,9 @@ import (
 // Every off-chiplet path has Fig 2's shape: cache miss and CCM, out
 // through the source GMI, across the I/O-die NoC, a destination-specific
 // far end, then back over the NoC and into the source GMI. The walker runs
-// that skeleton once for every destination; only the far end (farEnd)
-// differs. Each state is one event callback. The event order, the tracer
+// that skeleton once for every destination, the peer socket's memory
+// included; only the far end (farEnd) differs. Each state is one event
+// callback. The event order, the tracer
 // attributions and the random draws are part of seeded replay: changing
 // the sequence changes every result. Every hop is one channel send whose
 // delivery is the next calendar event; the channel elides only its own
@@ -53,20 +54,19 @@ type walker struct {
 }
 
 // Walker states, one per event callback. A walker acquires its flow
-// windows and hardware tokens, then walks the shared skeleton; sFar..sFar+2
-// are the far end, and sIntra is the whole on-chiplet LLC path.
+// windows and hardware tokens, then walks the shared skeleton; sFar and
+// the states above it are the far end, and sIntra is the whole
+// on-chiplet LLC path.
 const (
-	sExtra = iota // acquire flow windows
-	sHW           // acquire hardware tokens
-	sCCM          // cache-miss handling elapsed: enter the source GMI
-	sNoC          // out of the source GMI: enter the NoC write direction
-	sFar          // NoC delivered at the far end (up to three states)
-	_
-	_
-	sReturn // response onto the NoC read direction
-	sGMIIn  // into the source GMI
-	sIntra  // over the intra-chiplet fabric and back
-	sDone   // response delivered
+	sExtra  = iota // acquire flow windows
+	sHW            // acquire hardware tokens
+	sCCM           // cache-miss handling elapsed: enter the source GMI
+	sNoC           // out of the source GMI: enter the NoC write direction
+	sReturn        // response onto the NoC read direction
+	sGMIIn         // into the source GMI
+	sIntra         // over the intra-chiplet fabric and back
+	sDone          // response delivered
+	sFar           // NoC delivered at the far end: sFar+k is its step k
 )
 
 // getWalker pops a recycled walker from the free list or builds a fresh
@@ -163,8 +163,6 @@ func (w *walker) step() {
 		n.trSet(w.id)
 		w.state = sFar
 		w.pushTo(n.noc.Write, w.req, w.hopExtra)
-	case sFar, sFar + 1, sFar + 2:
-		w.farEnd()
 	case sReturn:
 		n.trSet(w.id)
 		w.state = sGMIIn
@@ -183,6 +181,8 @@ func (w *walker) step() {
 			n.startWriteback(w.a, w.hopExtra)
 		}
 		w.finish()
+	default:
+		w.farEnd()
 	}
 }
 
@@ -197,6 +197,10 @@ func (w *walker) enterPath() {
 	switch a.Kind {
 	case DestDRAM:
 		w.hopExtra = n.noc.MemoryHopDelay(a.Src.CCD, a.UMC) + p.CSLatency
+	case DestRemoteDRAM:
+		// Each die is crossed at its xGMI port with the base switch-hop
+		// walk: the choice of remote channel already sets the UMC.
+		w.hopExtra = n.noc.HopDelay(p.BaseSHops)
 	case DestCXL:
 		w.hopExtra = n.noc.IOHopDelay(a.Src.CCD) + p.IOHubLatency + p.RootComplexLatency
 	case DestLLCInter:
@@ -214,10 +218,14 @@ func (w *walker) enterPath() {
 }
 
 // farEnd runs the destination's part of the path, from the NoC write
-// delivery to the response entering the return leg: at most three events.
+// delivery to the response entering the return leg; its last step sets
+// sReturn.
 //
 //   - DRAM: CS -> UMC -> DRAM. Write data enters the UMC before the
 //     access; read data leaves it after.
+//   - Remote DRAM: xGMI out, the peer die's NoC (base switch-hop walk
+//     and CS), the peer UMC as for DRAM, peer NoC read, xGMI in. These
+//     legs attribute no stages: no caller traces a two-socket system.
 //   - CXL: I/O hub -> root complex -> P link -> CXL module, cachelines
 //     riding 68 B flits (§3.2's device path; Table 2's 243 ns row).
 //   - Inter-chiplet LLC: into the target chiplet's GMI, the remote LLC
@@ -236,22 +244,26 @@ func (w *walker) farEnd() {
 		n.drams[a.UMC].Write.Send(units.CacheLine, nil)
 		n.putWalker(w)
 	case a.Kind == DestDRAM:
-		dram := n.drams[a.UMC]
-		nt := a.Op == txn.NTWrite
 		if step == 0 {
 			w.trMeshHops(p.CSLatency)
-			if nt {
-				w.xsend(dram.Write, w.req, 0)
-			} else {
-				w.serve(dram.ServiceHop(), dram.AccessTime())
-			}
-			return
-		}
-		w.state = sReturn
-		if nt {
-			w.serve(dram.ServiceHop(), dram.AccessTime())
 		} else {
-			w.xsend(dram.Read, w.resp, 0)
+			w.state = sReturn
+		}
+		w.dramLeg(n.drams[a.UMC], step)
+	case a.Kind == DestRemoteDRAM:
+		peer := n.peer
+		switch step {
+		case 0:
+			w.pushTo(n.xgmiOut, w.req, 0)
+		case 1:
+			w.pushTo(peer.noc.Write, w.req, peer.noc.HopDelay(p.BaseSHops)+p.CSLatency)
+		case 2, 3:
+			w.dramLeg(peer.drams[a.UMC], step-2)
+		case 4:
+			w.xsend(peer.noc.Read, w.resp, 0)
+		case 5:
+			w.state = sReturn
+			w.xsend(n.xgmiIn, w.resp, 0)
 		}
 	case a.Kind == DestCXL:
 		mod := n.cxls[a.Module]
@@ -263,6 +275,7 @@ func (w *walker) farEnd() {
 			w.trBefore(mod.PLinkHop(), trace.CausePropagating, p.PLinkLatency)
 			w.serve(mod.ServiceHop(), mod.AccessTime())
 		case 2:
+			w.state = sReturn
 			w.xsend(mod.Read, flitted(mod, w.resp), 0)
 		}
 	case a.Kind == DestLLCInter:
@@ -275,8 +288,26 @@ func (w *walker) farEnd() {
 			w.trAfter(stageHop(n.llcHops, dst), trace.CauseProcessing, p.L3Latency)
 			w.after(p.L3Latency)
 		case 2:
+			w.state = sReturn
 			w.xsend(n.gmiOut[dst], w.resp, 0)
 		}
+	}
+}
+
+// dramLeg runs step 0 or 1 of a DRAM access on dram: write data enters
+// the UMC before the access, read data leaves it after. Only a local
+// access attributes the access to the channel's service hop.
+func (w *walker) dramLeg(dram *memsys.DRAMChannel, step int) {
+	nt := w.a.Op == txn.NTWrite
+	switch {
+	case step == 0 && nt:
+		w.xsend(dram.Write, w.req, 0)
+	case step == 1 && !nt:
+		w.xsend(dram.Read, w.resp, 0)
+	case w.a.Kind == DestDRAM:
+		w.serve(dram.ServiceHop(), dram.AccessTime())
+	default:
+		w.after(dram.AccessTime())
 	}
 }
 

@@ -41,7 +41,7 @@ func AblationNUMA(opt Options) ([]A3Result, error) {
 					sys.Socket(0).Issue(icore.Access{Op: txn.Read, Kind: icore.DestDRAM, UMC: 0}, nil, done)
 				}),
 				remoteLat: chase(sys, func(done func(*txn.Transaction)) {
-					sys.IssueRemote(0, topology.CoreID{}, txn.Read, 0, done)
+					sys.Socket(0).Issue(icore.Access{Op: txn.Read, Kind: icore.DestRemoteDRAM, UMC: 0}, nil, done)
 				}),
 			}, nil
 		case 1:
@@ -115,7 +115,8 @@ func remoteReadBW(opt Options) units.Bandwidth {
 			issue()
 		}
 		issue = func() {
-			sys.IssueRemote(0, src, txn.Read, umcs[n%len(umcs)], record)
+			a := icore.Access{Src: src, Op: txn.Read, Kind: icore.DestRemoteDRAM, UMC: umcs[n%len(umcs)]}
+			sys.Socket(0).Issue(a, nil, record)
 		}
 		issue()
 	}

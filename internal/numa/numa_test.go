@@ -1,9 +1,12 @@
 package numa
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/link"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -16,6 +19,12 @@ func newSystem(t *testing.T) *System {
 	return NewSystem(sim.New(5))
 }
 
+// issueRemote issues one access from a core on socket 0 to memory channel
+// umc on socket 1.
+func issueRemote(s *System, src topology.CoreID, op txn.Op, umc int, done func(*txn.Transaction)) {
+	s.Socket(0).Issue(core.Access{Src: src, Op: op, Kind: core.DestRemoteDRAM, UMC: umc}, nil, done)
+}
+
 // chaseRemote runs a single-outstanding remote pointer chase.
 func chaseRemote(t *testing.T, s *System, op txn.Op, count int) *telemetry.Histogram {
 	t.Helper()
@@ -23,7 +32,7 @@ func chaseRemote(t *testing.T, s *System, op txn.Op, count int) *telemetry.Histo
 	done := 0
 	var step func()
 	step = func() {
-		s.IssueRemote(0, topology.CoreID{}, op, 0, func(tx *txn.Transaction) {
+		issueRemote(s, topology.CoreID{}, op, 0, func(tx *txn.Transaction) {
 			h.Record(tx.Latency())
 			done++
 			if done < count {
@@ -94,7 +103,7 @@ func TestRemoteBandwidthXGMIBound(t *testing.T) {
 	n := 0
 	var loop func(src topology.CoreID, umc int)
 	loop = func(src topology.CoreID, umc int) {
-		s.IssueRemote(0, src, txn.Read, umc, func(tx *txn.Transaction) {
+		issueRemote(s, src, txn.Read, umc, func(tx *txn.Transaction) {
 			meter.Record(tx.Size)
 			loop(src, umcs[n%len(umcs)])
 			n++
@@ -146,12 +155,68 @@ func TestAccessors(t *testing.T) {
 	if s.Socket(0) == s.Socket(1) {
 		t.Error("sockets must be distinct networks")
 	}
-	if s.XGMIOut(0).Name() != "socket0/xgmi/out" {
-		t.Errorf("xgmi name = %q", s.XGMIOut(0).Name())
+	if s.xgmiOut[0].Name() != "socket0/xgmi/out" {
+		t.Errorf("xgmi name = %q", s.xgmiOut[0].Name())
 	}
 }
 
 // localAccess is a near-channel read on the issuing socket.
 func localAccess() core.Access {
 	return core.Access{Op: txn.Read, Kind: core.DestDRAM, UMC: 0}
+}
+
+// TestRemoteLegsPinned runs one unloaded remote read and one remote
+// non-temporal write from chiplet 1 of socket 0 to UMC 3 of socket 1 and
+// pins every channel they cross: the message and byte counts on each
+// socket's channels, in Channels() order, and on both sockets' xGMI
+// directions, and the transaction's latency.
+func TestRemoteLegsPinned(t *testing.T) {
+	want := map[txn.Op]string{
+		txn.Read: "194.795ns: s0/noc/rd=1x64 s0/noc/wr=1x16 s0/ccd1/gmi/in=1x64 s0/ccd1/gmi/out=1x16 " +
+			"s1/noc/rd=1x64 s1/noc/wr=1x16 s1/umc3/rd=1x64 " +
+			"socket0/xgmi/out=1x16 socket0/xgmi/in=1x64 socket1/xgmi/out=0x0 socket1/xgmi/in=0x0",
+		txn.NTWrite: "195.805ns: s0/noc/rd=1x8 s0/noc/wr=1x64 s0/ccd1/gmi/in=1x8 s0/ccd1/gmi/out=1x64 " +
+			"s1/noc/rd=1x8 s1/noc/wr=1x64 s1/umc3/wr=1x64 " +
+			"socket0/xgmi/out=1x64 socket0/xgmi/in=1x8 socket1/xgmi/out=0x0 socket1/xgmi/in=0x0",
+	}
+	for op, w := range want {
+		s := newSystem(t)
+		var got strings.Builder
+		issueRemote(s, topology.CoreID{CCD: 1}, op, 3, func(tx *txn.Transaction) {
+			fmt.Fprintf(&got, "%v:", tx.Latency())
+		})
+		s.Engine().Run()
+		for i := range s.nets {
+			for _, ch := range s.Socket(i).Channels() {
+				if st := ch.Stats(); st.Messages > 0 {
+					fmt.Fprintf(&got, " s%d/%s=%dx%d", i, st.Name, st.Messages, st.Bytes)
+				}
+			}
+		}
+		for i := range s.nets {
+			for _, ch := range []*link.Channel{s.xgmiOut[i], s.xgmiIn[i]} {
+				st := ch.Stats()
+				fmt.Fprintf(&got, " %s=%dx%d", st.Name, st.Messages, st.Bytes)
+			}
+		}
+		if got.String() != w {
+			t.Errorf("%v:\n got %q\nwant %q", op, got.String(), w)
+		}
+	}
+}
+
+// TestRemoteIssueAllocs: a warm remote access rides the pooled walker
+// frame and transaction, so it allocates nothing.
+func TestRemoteIssueAllocs(t *testing.T) {
+	for _, op := range []txn.Op{txn.Read, txn.NTWrite} {
+		s := newSystem(t)
+		run := func() {
+			issueRemote(s, topology.CoreID{}, op, 0, nil)
+			s.Engine().Run()
+		}
+		run()
+		if n := testing.AllocsPerRun(100, run); n != 0 {
+			t.Errorf("remote %v allocates %v times per access, want 0", op, n)
+		}
+	}
 }

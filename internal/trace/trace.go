@@ -34,9 +34,10 @@
 // Attribution relies on the "active transaction" register: the simulation
 // is one callback chain at a time, so the issuing layer (internal/core)
 // sets the register at the top of every event callback and the hooks read
-// it. Traffic that never sets the register (writebacks, accelerator DMA
-// driven through SendWithRetry) records under transaction id 0: counted in
-// the per-hop registry, excluded from per-transaction attribution.
+// it. Traffic that never sets the register (writebacks, the accelerator's
+// doorbell and DMA chains driven through SendWithRetry) records under
+// transaction id 0: counted in the per-hop registry, excluded from
+// per-transaction attribution.
 package trace
 
 import (
