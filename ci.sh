@@ -174,6 +174,30 @@ if [ -z "$newbytes" ] || [ "$newbytes" -gt 36864 ]; then
     exit 1
 fi
 
+# Building a platform costs a fixed handful of allocations, not one per
+# channel, pool and name: core.New keeps each component kind in one slab
+# and every name in one string. Hold it to 64 allocs/op on either profile
+# and to the bytes of the one-object-per-component build it replaced
+# (26,804 B for the 7302, 144,961 B for the 9634); TestNewAllocs checks
+# the same bounds in plain go test.
+bench=$(go test ./internal/core/ -run '^$' -bench 'BenchmarkNew$' -benchtime 200x)
+echo "$bench"
+echo "$bench" | awk '
+    /^BenchmarkNew\/EPYC7302/ { max = 26804 }
+    /^BenchmarkNew\/EPYC9634/ { max = 144961 }
+    /^BenchmarkNew\// {
+        for (i = 2; i <= NF; i++) {
+            if ($i == "B/op") bytes = $(i-1)
+            if ($i == "allocs/op") allocs = $(i-1)
+        }
+        seen++
+        if (allocs > 64 || bytes > max) {
+            print "core.New on " $1 " makes " allocs " allocs/op, " bytes " B/op" > "/dev/stderr"
+            bad = 1
+        }
+    }
+    END { exit (bad || seen != 2) }'
+
 # The whole transaction pipeline must be allocation-free in steady state:
 # every DestKind x Op case, unloaded and loaded.
 bench=$(go test ./internal/core/ -run '^$' -bench 'BenchmarkNetworkIssue' -benchtime 5000x)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -59,5 +60,20 @@ func BenchmarkNetworkIssue(b *testing.B) {
 				benchIssueCase(b, a, true)
 			})
 		}
+	}
+}
+
+// BenchmarkNew times building each platform's network on an existing
+// engine: the construction every experiment cell pays. ci.sh holds it to
+// at most 64 allocs/op and the bytes TestNewAllocs allows.
+func BenchmarkNew(b *testing.B) {
+	for _, p := range topology.Profiles() {
+		b.Run(strings.ReplaceAll(p.Name, " ", ""), func(b *testing.B) {
+			eng := sim.New(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				New(eng, p)
+			}
+		})
 	}
 }

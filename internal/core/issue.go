@@ -103,7 +103,7 @@ func (n *Network) Issue(a Access, extraTokens []*link.TokenPool, done func(*txn.
 	w.a = a
 	w.done = done
 	w.extra = extraTokens
-	w.hw = n.poolSets[idx*numPoolSets+poolSetIndex(a)]
+	w.hw = n.poolSet(idx, poolSetIndex(a))
 	w.id = t.ID
 	w.wb = false
 	w.state = sExtra

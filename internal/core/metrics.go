@@ -37,20 +37,20 @@ func (n *Network) AttachMetrics(reg *metrics.Registry) {
 	trackChannel(reg, "mesh", n.noc.Read)
 	trackChannel(reg, "mesh", n.noc.Write)
 	for c := 0; c < n.prof.CCDs; c++ {
-		trackChannel(reg, "link", n.gmiIn[c])
-		trackChannel(reg, "link", n.gmiOut[c])
-		trackChannel(reg, "link", n.intraIn[c])
-		trackChannel(reg, "link", n.intraOut[c])
+		trackChannel(reg, "link", &n.gmiIn[c])
+		trackChannel(reg, "link", &n.gmiOut[c])
+		trackChannel(reg, "link", &n.intraIn[c])
+		trackChannel(reg, "link", &n.intraOut[c])
 	}
-	for _, d := range n.drams {
-		d := d
+	for i := range n.drams {
+		d := &n.drams[i]
 		trackChannel(reg, "memsys", d.Read)
 		trackChannel(reg, "memsys", d.Write)
 		reg.Counter(fmt.Sprintf("umc%d/dram", d.Index), metrics.MetricService, "memsys", "ps",
 			func() float64 { return float64(d.ServiceBusy()) })
 	}
-	for _, m := range n.cxls {
-		m := m
+	for i := range n.cxls {
+		m := &n.cxls[i]
 		trackChannel(reg, "memsys", m.Read)
 		trackChannel(reg, "memsys", m.Write)
 		reg.Counter(fmt.Sprintf("cxl%d/dev", m.Index), metrics.MetricService, "memsys", "ps",

@@ -28,7 +28,8 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/link"
 	"repro/internal/memsys"
@@ -41,6 +42,13 @@ import (
 )
 
 // Network is one chiplet server SoC's intra-host network.
+//
+// New builds it in a fixed handful of allocations: every component kind
+// lives in one slab (the per-chiplet channels, the UMC and CXL devices
+// with their channels inline, all token pools), the fields below are
+// views over those slabs, and every name is a substring of one string.
+// Components are addressed in place and never copied: channels and pools
+// are handed out as pointers into the slabs.
 type Network struct {
 	eng  *sim.Engine
 	prof *topology.Profile
@@ -48,42 +56,48 @@ type Network struct {
 	// llcJitter perturbs cache-to-cache transfers: snoop collisions and
 	// coherence-directory variance give the IF latency distribution its
 	// tail (Fig 3-a reports a 490 ns P999 at a 144.5 ns average).
-	llcJitter *memsys.Jitter
+	llcJitter memsys.Jitter
 
 	// Free lists for the per-transaction objects, and the id counter.
 	txns   txn.Pool
 	freeW  []*walker
 	nextID uint64
 
-	noc   *mesh.NoC
-	drams []*memsys.DRAMChannel
-	cxls  []*memsys.CXLModule
+	noc   mesh.NoC
+	drams []memsys.DRAMChannel
+	cxls  []memsys.CXLModule
 
-	// Per-CCD link bundles. "In" carries data toward the cores (read
-	// responses, write acks), "Out" carries data away (write data, read
-	// requests).
-	gmiIn    []*link.Channel
-	gmiOut   []*link.Channel
-	intraIn  []*link.Channel
-	intraOut []*link.Channel
+	// Per-CCD link bundles, views over one channel slab. "In" carries
+	// data toward the cores (read responses, write acks), "Out" carries
+	// data away (write data, read requests).
+	gmiIn    []link.Channel
+	gmiOut   []link.Channel
+	intraIn  []link.Channel
+	intraOut []link.Channel
 
-	// Hardware traffic-control pools (§3.2).
-	ccxTokens []*link.TokenPool // per CCX: index ccd*CCXPerCCD+ccx
-	ccdTokens []*link.TokenPool // per CCD; nil when the profile has none
-	devRead   []*link.TokenPool // per CCD, device-bound read credits
-	devWrite  []*link.TokenPool // per CCD, device-bound write credits
+	// pools is every hardware traffic-control pool (§3.2) in the order
+	// Pools lists them; the groups below are views over its runs.
+	pools     []link.TokenPool
+	ccxTokens []link.TokenPool // per CCX: index ccd*CCXPerCCD+ccx
+	ccdTokens []link.TokenPool // per CCD; empty when the profile has none
+	devRead   []link.TokenPool // per CCD, device-bound read credits
+	devWrite  []link.TokenPool // per CCD, device-bound write credits
 
 	// Per-core MSHR/WCB windows, indexed by linear core id.
-	readMSHRs []*link.TokenPool
-	writeWCBs []*link.TokenPool
-	llcWindow []*link.TokenPool
-	cxlReads  []*link.TokenPool
-	cxlWrites []*link.TokenPool
+	readMSHRs []link.TokenPool
+	writeWCBs []link.TokenPool
+	llcWindow []link.TokenPool
+	cxlReads  []link.TokenPool
+	cxlWrites []link.TokenPool
 
 	// Hot-path flyweight, built once at construction: the hardware token
-	// pool-set per (core, DestKind, Op-class) in acquisition order. Issue
-	// never formats a string or appends a slice.
-	poolSets [][]*link.TokenPool // core*numPoolSets + poolSetIndex
+	// pool-set per (core, DestKind, Op-class) in acquisition order. Core
+	// idx's sets fill setPools[idx*setStride:][:setStride], slot s of it
+	// at the span setSlots[s], the same for every core. Issue never
+	// formats a string or appends a slice.
+	setPools  []*link.TokenPool
+	setStride int
+	setSlots  [numPoolSets]poolSpan
 
 	// recycle is the free-list switch the determinism guard flips off to
 	// prove pooling is invisible to results.
@@ -103,6 +117,9 @@ type Network struct {
 	xgmiOut, xgmiIn *link.Channel
 }
 
+// poolSpan locates one pool-set within a core's block of setPools.
+type poolSpan struct{ off, end int }
+
 // New assembles a network for the profile on eng. It panics if the
 // profile fails validation — a network built from a broken profile would
 // silently produce garbage measurements.
@@ -113,50 +130,107 @@ func New(eng *sim.Engine, p *topology.Profile) *Network {
 	n := &Network{eng: eng, prof: p, recycle: true}
 	n.llcJitter = memsys.NewJitter(eng.Rand(), p.DRAMJitterMean,
 		p.TailSpikeProb, p.TailSpikeDelay)
-	n.noc = mesh.New(eng, p)
-	for u := 0; u < p.UMCChannels; u++ {
-		n.drams = append(n.drams, memsys.NewDRAMChannel(eng, p, u))
+	n.noc.Init(eng, p)
+
+	// Groups absent from a platform get no pools: the 9634 has no CCD
+	// stage, the 7302 no CXL credits.
+	ccdPools, devPools, corePools := 0, 0, 0
+	if p.CCDTokens > 0 {
+		ccdPools = p.CCDs
 	}
-	for m := 0; m < p.CXLModules; m++ {
-		n.cxls = append(n.cxls, memsys.NewCXLModule(eng, p, m))
+	if p.CXLModules > 0 {
+		devPools, corePools = p.CCDs, p.Cores
 	}
-	for c := 0; c < p.CCDs; c++ {
-		name := fmt.Sprintf("ccd%d", c)
-		n.gmiIn = append(n.gmiIn, link.NewChannel(eng, name+"/gmi/in",
-			p.GMIReadCap, 0, 0))
-		n.gmiOut = append(n.gmiOut, link.NewChannel(eng, name+"/gmi/out",
-			p.GMIWriteCap, p.GMILinkLatency, p.GMIWriteQueue))
-		n.intraIn = append(n.intraIn, link.NewChannel(eng, name+"/if/in",
-			p.IntraCCReadCap, 0, 0))
-		n.intraOut = append(n.intraOut, link.NewChannel(eng, name+"/if/out",
-			p.IntraCCWriteCap, 0, p.IntraCCWriteQueue))
-		if p.CCDTokens > 0 {
-			n.ccdTokens = append(n.ccdTokens, link.NewTokenPool(eng,
-				name+"/tokens", p.CCDTokens))
+	pools := [...]struct {
+		view           *[]link.TokenPool
+		prefix, suffix string
+		count, tokens  int
+	}{
+		{&n.ccxTokens, "ccx", "/tokens", p.CCXs, p.CCXTokens},
+		{&n.ccdTokens, "ccd", "/tokens", ccdPools, p.CCDTokens},
+		{&n.devRead, "ccd", "/devcrd/rd", devPools, p.CCDDevReadCrd},
+		{&n.devWrite, "ccd", "/devcrd/wr", devPools, p.CCDDevWriteCrd},
+		{&n.readMSHRs, "core", "/mshr", p.Cores, p.CoreReadMSHRs},
+		{&n.writeWCBs, "core", "/wcb", p.Cores, p.CoreWriteWCBs},
+		{&n.llcWindow, "core", "/llcwin", p.Cores, p.CoreLLCWindow},
+		{&n.cxlReads, "core", "/cxlrd", corePools, p.CoreCXLReads},
+		{&n.cxlWrites, "core", "/cxlwr", corePools, p.CoreCXLWrites},
+	}
+	links := [...]struct {
+		view     *[]link.Channel
+		suffix   string
+		capacity units.Bandwidth
+		latency  units.Time
+		depth    int
+	}{
+		{&n.gmiIn, "/gmi/in", p.GMIReadCap, 0, 0},
+		{&n.gmiOut, "/gmi/out", p.GMIWriteCap, p.GMILinkLatency, p.GMIWriteQueue},
+		{&n.intraIn, "/if/in", p.IntraCCReadCap, 0, 0},
+		{&n.intraOut, "/if/out", p.IntraCCWriteCap, 0, p.IntraCCWriteQueue},
+	}
+
+	// Reserve room for every name first, so they all land in one string.
+	var names strings.Builder
+	size, npools := 0, 0
+	for _, g := range pools {
+		size += nameBytes(g.prefix, g.count, g.suffix)
+		npools += g.count
+	}
+	for _, g := range links {
+		size += nameBytes("ccd", p.CCDs, g.suffix)
+	}
+	size += nameBytes("umc", p.UMCChannels, "/rd") + nameBytes("umc", p.UMCChannels, "/wr") +
+		nameBytes("cxl", p.CXLModules, "/rd") + nameBytes("cxl", p.CXLModules, "/wr")
+	names.Grow(size)
+
+	n.drams = make([]memsys.DRAMChannel, p.UMCChannels)
+	for u := range n.drams {
+		n.drams[u].Init(eng, p, u, name(&names, "umc", u, "/rd"), name(&names, "umc", u, "/wr"))
+	}
+	n.cxls = make([]memsys.CXLModule, p.CXLModules)
+	for m := range n.cxls {
+		n.cxls[m].Init(eng, p, m, name(&names, "cxl", m, "/rd"), name(&names, "cxl", m, "/wr"))
+	}
+	chs := make([]link.Channel, len(links)*p.CCDs)
+	for i, g := range links {
+		*g.view = chs[i*p.CCDs : (i+1)*p.CCDs]
+		for c := range *g.view {
+			(*g.view)[c].Init(eng, name(&names, "ccd", c, g.suffix), g.capacity, g.latency, g.depth)
 		}
-		if p.CXLModules > 0 {
-			n.devRead = append(n.devRead, link.NewTokenPool(eng,
-				name+"/devcrd/rd", p.CCDDevReadCrd))
-			n.devWrite = append(n.devWrite, link.NewTokenPool(eng,
-				name+"/devcrd/wr", p.CCDDevWriteCrd))
-		}
 	}
-	for x := 0; x < p.CCXs; x++ {
-		n.ccxTokens = append(n.ccxTokens, link.NewTokenPool(eng,
-			fmt.Sprintf("ccx%d/tokens", x), p.CCXTokens))
-	}
-	for c := 0; c < p.Cores; c++ {
-		name := fmt.Sprintf("core%d", c)
-		n.readMSHRs = append(n.readMSHRs, link.NewTokenPool(eng, name+"/mshr", p.CoreReadMSHRs))
-		n.writeWCBs = append(n.writeWCBs, link.NewTokenPool(eng, name+"/wcb", p.CoreWriteWCBs))
-		n.llcWindow = append(n.llcWindow, link.NewTokenPool(eng, name+"/llcwin", p.CoreLLCWindow))
-		if p.CXLModules > 0 {
-			n.cxlReads = append(n.cxlReads, link.NewTokenPool(eng, name+"/cxlrd", p.CoreCXLReads))
-			n.cxlWrites = append(n.cxlWrites, link.NewTokenPool(eng, name+"/cxlwr", p.CoreCXLWrites))
+	n.pools = make([]link.TokenPool, npools)
+	at := 0
+	for _, g := range pools {
+		*g.view = n.pools[at : at+g.count]
+		at += g.count
+		for i := range *g.view {
+			(*g.view)[i].Init(eng, name(&names, g.prefix, i, g.suffix), g.tokens)
 		}
 	}
 	n.buildPoolSets()
 	return n
+}
+
+// nameBytes bounds the bytes of the count names prefix+i+suffix, i <
+// count.
+func nameBytes(prefix string, count int, suffix string) int {
+	digits := 1
+	for c := count; c >= 10; c /= 10 {
+		digits++
+	}
+	return count * (len(prefix) + digits + len(suffix))
+}
+
+// name appends prefix+i+suffix to b and returns it as a substring of b's
+// string: b never rewrites bytes it holds, and with its room reserved
+// every name shares one allocation.
+func name(b *strings.Builder, prefix string, i int, suffix string) string {
+	start := b.Len()
+	var digits [20]byte
+	b.WriteString(prefix)
+	b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	b.WriteString(suffix)
+	return b.String()[start:]
 }
 
 // interHopBase is the inter-CC path's deterministic latency beyond the
@@ -199,36 +273,60 @@ func poolSetIndex(a Access) int {
 // buildPoolSets precomputes, per (core, kind, op-class), the hardware token
 // pools an access must hold in the global acquisition order (core window,
 // CCX, CCD, device credits) that keeps the token graph deadlock-free.
+// Every core's block has the same layout; the two op-classes of an LLC
+// access share one set.
 func (n *Network) buildPoolSets() {
 	p := n.prof
-	n.poolSets = make([][]*link.TokenPool, p.Cores*numPoolSets)
+	hasCCD, hasCXL := len(n.ccdTokens) > 0, len(n.cxlReads) > 0
+	at := 0
+	span := func(k int) poolSpan {
+		at += k
+		return poolSpan{at - k, at}
+	}
+	dram := 2
+	if hasCCD {
+		dram = 3
+	}
+	n.setSlots[int(DestDRAM)*2] = span(dram)
+	n.setSlots[int(DestDRAM)*2+1] = span(dram)
+	if hasCXL {
+		n.setSlots[int(DestCXL)*2] = span(2)
+		n.setSlots[int(DestCXL)*2+1] = span(2)
+	}
+	intra, inter := span(1), span(2)
+	n.setSlots[int(DestLLCIntra)*2], n.setSlots[int(DestLLCIntra)*2+1] = intra, intra
+	n.setSlots[int(DestLLCInter)*2], n.setSlots[int(DestLLCInter)*2+1] = inter, inter
+	n.setStride = at
+
+	n.setPools = make([]*link.TokenPool, p.Cores*n.setStride)
 	for ccd := 0; ccd < p.CCDs; ccd++ {
 		for ccx := 0; ccx < p.CCXPerCCD(); ccx++ {
 			for c := 0; c < p.CoresPerCCX(); c++ {
 				idx := n.coreIndex(topology.CoreID{CCD: ccd, CCX: ccx, Core: c})
-				ccxPool := n.ccxTokens[ccd*p.CCXPerCCD()+ccx]
-				base := idx * numPoolSets
-				dramRW := []*link.TokenPool{n.readMSHRs[idx], ccxPool}
-				dramNT := []*link.TokenPool{n.writeWCBs[idx], ccxPool}
-				if n.ccdTokens != nil {
-					dramRW = append(dramRW, n.ccdTokens[ccd])
-					dramNT = append(dramNT, n.ccdTokens[ccd])
+				ccxPool := &n.ccxTokens[ccd*p.CCXPerCCD()+ccx]
+				set := func(slot int) []*link.TokenPool { return n.poolSet(idx, slot) }
+				dramRW, dramNT := set(int(DestDRAM)*2), set(int(DestDRAM)*2+1)
+				dramRW[0], dramRW[1] = &n.readMSHRs[idx], ccxPool
+				dramNT[0], dramNT[1] = &n.writeWCBs[idx], ccxPool
+				if hasCCD {
+					dramRW[2], dramNT[2] = &n.ccdTokens[ccd], &n.ccdTokens[ccd]
 				}
-				n.poolSets[base+int(DestDRAM)*2] = dramRW
-				n.poolSets[base+int(DestDRAM)*2+1] = dramNT
-				if p.CXLModules > 0 {
-					n.poolSets[base+int(DestCXL)*2] = []*link.TokenPool{n.cxlReads[idx], n.devRead[ccd]}
-					n.poolSets[base+int(DestCXL)*2+1] = []*link.TokenPool{n.cxlWrites[idx], n.devWrite[ccd]}
+				if hasCXL {
+					copy(set(int(DestCXL)*2), []*link.TokenPool{&n.cxlReads[idx], &n.devRead[ccd]})
+					copy(set(int(DestCXL)*2+1), []*link.TokenPool{&n.cxlWrites[idx], &n.devWrite[ccd]})
 				}
-				intra := []*link.TokenPool{n.llcWindow[idx]}
-				n.poolSets[base+int(DestLLCIntra)*2] = intra
-				n.poolSets[base+int(DestLLCIntra)*2+1] = intra
-				inter := []*link.TokenPool{n.llcWindow[idx], ccxPool}
-				n.poolSets[base+int(DestLLCInter)*2] = inter
-				n.poolSets[base+int(DestLLCInter)*2+1] = inter
+				set(int(DestLLCIntra) * 2)[0] = &n.llcWindow[idx]
+				copy(set(int(DestLLCInter)*2), []*link.TokenPool{&n.llcWindow[idx], ccxPool})
 			}
 		}
 	}
+}
+
+// poolSet reports core idx's pool-set in slot (see poolSetIndex).
+func (n *Network) poolSet(idx, slot int) []*link.TokenPool {
+	s := n.setSlots[slot]
+	base := idx * n.setStride
+	return n.setPools[base+s.off : base+s.end]
 }
 
 // SetRecycling toggles the transaction and walker free lists. Recycling is
@@ -263,30 +361,30 @@ func (n *Network) EventsFused() uint64 { return n.eng.Fused() }
 func (n *Network) Profile() *topology.Profile { return n.prof }
 
 // DRAM reports memory channel umc.
-func (n *Network) DRAM(umc int) *memsys.DRAMChannel { return n.drams[umc] }
+func (n *Network) DRAM(umc int) *memsys.DRAMChannel { return &n.drams[umc] }
 
 // CXLModule reports CXL module m.
-func (n *Network) CXLModule(m int) *memsys.CXLModule { return n.cxls[m] }
+func (n *Network) CXLModule(m int) *memsys.CXLModule { return &n.cxls[m] }
 
 // NoC reports the I/O die routing fabric.
-func (n *Network) NoC() *mesh.NoC { return n.noc }
+func (n *Network) NoC() *mesh.NoC { return &n.noc }
 
 // GMIIn and GMIOut report the per-chiplet GMI channel directions.
-func (n *Network) GMIIn(ccd int) *link.Channel  { return n.gmiIn[ccd] }
-func (n *Network) GMIOut(ccd int) *link.Channel { return n.gmiOut[ccd] }
+func (n *Network) GMIIn(ccd int) *link.Channel  { return &n.gmiIn[ccd] }
+func (n *Network) GMIOut(ccd int) *link.Channel { return &n.gmiOut[ccd] }
 
 // CCXTokens reports the token pool of a core complex.
 func (n *Network) CCXTokens(id topology.CCXID) *link.TokenPool {
-	return n.ccxTokens[id.CCD*n.prof.CCXPerCCD()+id.CCX]
+	return &n.ccxTokens[id.CCD*n.prof.CCXPerCCD()+id.CCX]
 }
 
 // CCDTokens reports the per-chiplet token pool, nil when the platform has
 // no second token stage (EPYC 9634).
 func (n *Network) CCDTokens(ccd int) *link.TokenPool {
-	if n.ccdTokens == nil {
+	if len(n.ccdTokens) == 0 {
 		return nil
 	}
-	return n.ccdTokens[ccd]
+	return &n.ccdTokens[ccd]
 }
 
 // coreIndex flattens a CoreID to a linear index.
@@ -296,27 +394,27 @@ func (n *Network) coreIndex(id topology.CoreID) int {
 
 // ReadMSHRs reports a core's demand-read window pool.
 func (n *Network) ReadMSHRs(id topology.CoreID) *link.TokenPool {
-	return n.readMSHRs[n.coreIndex(id)]
+	return &n.readMSHRs[n.coreIndex(id)]
 }
 
 // WriteWCBs reports a core's write-combining buffer pool.
 func (n *Network) WriteWCBs(id topology.CoreID) *link.TokenPool {
-	return n.writeWCBs[n.coreIndex(id)]
+	return &n.writeWCBs[n.coreIndex(id)]
 }
 
 // Channels returns every directional channel in the network, for
 // telemetry export (the /proc/chiplet-net view of research direction #1).
 func (n *Network) Channels() []*link.Channel {
-	var chs []*link.Channel
+	chs := make([]*link.Channel, 0, 2+4*len(n.gmiIn)+2*len(n.drams)+2*len(n.cxls))
 	chs = append(chs, n.noc.Read, n.noc.Write)
-	for c := 0; c < n.prof.CCDs; c++ {
-		chs = append(chs, n.gmiIn[c], n.gmiOut[c], n.intraIn[c], n.intraOut[c])
+	for c := range n.gmiIn {
+		chs = append(chs, &n.gmiIn[c], &n.gmiOut[c], &n.intraIn[c], &n.intraOut[c])
 	}
-	for _, d := range n.drams {
-		chs = append(chs, d.Read, d.Write)
+	for i := range n.drams {
+		chs = append(chs, n.drams[i].Read, n.drams[i].Write)
 	}
-	for _, m := range n.cxls {
-		chs = append(chs, m.Read, m.Write)
+	for i := range n.cxls {
+		chs = append(chs, n.cxls[i].Read, n.cxls[i].Write)
 	}
 	return chs
 }
@@ -327,9 +425,7 @@ func (n *Network) ResetStats() {
 	for _, ch := range n.Channels() {
 		ch.ResetStats()
 	}
-	for _, ps := range n.poolGroups() {
-		for _, p := range ps {
-			p.ResetStats()
-		}
+	for i := range n.pools {
+		n.pools[i].ResetStats()
 	}
 }

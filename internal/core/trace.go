@@ -36,11 +36,11 @@ func (n *Network) AttachTracer(tr *trace.Tracer) {
 		n.intraIn[c].SetTracer(tr)
 		n.intraOut[c].SetTracer(tr)
 	}
-	for _, d := range n.drams {
-		d.AttachTracer(tr)
+	for i := range n.drams {
+		n.drams[i].AttachTracer(tr)
 	}
-	for _, m := range n.cxls {
-		m.AttachTracer(tr)
+	for i := range n.cxls {
+		n.cxls[i].AttachTracer(tr)
 	}
 	for _, p := range n.Pools() {
 		p.SetTracer(tr)
@@ -130,19 +130,12 @@ func (w *walker) trHubHops(hub, rc units.Time) {
 }
 
 // Pools returns every hardware token pool in the network — the per-queue
-// half of the counter registry, alongside Channels.
+// half of the counter registry, alongside Channels — in a fixed order:
+// CCX, CCD and device-credit pools, then the per-core windows by kind.
 func (n *Network) Pools() []*link.TokenPool {
-	var out []*link.TokenPool
-	for _, ps := range n.poolGroups() {
-		out = append(out, ps...)
+	out := make([]*link.TokenPool, len(n.pools))
+	for i := range n.pools {
+		out[i] = &n.pools[i]
 	}
 	return out
-}
-
-// poolGroups lists the pool slices in deterministic order.
-func (n *Network) poolGroups() [][]*link.TokenPool {
-	return [][]*link.TokenPool{
-		n.ccxTokens, n.ccdTokens, n.devRead, n.devWrite,
-		n.readMSHRs, n.writeWCBs, n.llcWindow, n.cxlReads, n.cxlWrites,
-	}
 }

@@ -158,7 +158,7 @@ func (w *walker) step() {
 		n.trSet(w.id)
 		w.trBefore(stageHop(n.ccmHops, src), trace.CauseProcessing, n.prof.CacheMissBase)
 		w.state = sNoC
-		w.pushTo(n.gmiOut[src], w.req, 0)
+		w.pushTo(&n.gmiOut[src], w.req, 0)
 	case sNoC:
 		n.trSet(w.id)
 		w.state = sFar
@@ -170,12 +170,12 @@ func (w *walker) step() {
 	case sGMIIn:
 		n.trSet(w.id)
 		w.state = sDone
-		w.xsend(n.gmiIn[src], w.resp, 0)
+		w.xsend(&n.gmiIn[src], w.resp, 0)
 	case sIntra:
 		n.trSet(w.id)
 		w.trBefore(stageHop(n.ifHops, src), trace.CausePropagating, w.hopExtra)
 		w.state = sDone
-		w.xsend(n.intraIn[src], w.resp, 0)
+		w.xsend(&n.intraIn[src], w.resp, 0)
 	case sDone:
 		if w.a.Kind == DestDRAM && w.a.Op == txn.Write {
 			n.startWriteback(w.a, w.hopExtra)
@@ -211,7 +211,7 @@ func (w *walker) enterPath() {
 	case DestLLCIntra:
 		w.hopExtra = p.IntraCCLatency + n.llcJitter.Sample()
 		w.state = sIntra
-		w.pushTo(n.intraOut[a.Src.CCD], w.req, w.hopExtra)
+		w.pushTo(&n.intraOut[a.Src.CCD], w.req, w.hopExtra)
 		return
 	}
 	w.after(p.CacheMissBase)
@@ -249,7 +249,7 @@ func (w *walker) farEnd() {
 		} else {
 			w.state = sReturn
 		}
-		w.dramLeg(n.drams[a.UMC], step)
+		w.dramLeg(&n.drams[a.UMC], step)
 	case a.Kind == DestRemoteDRAM:
 		peer := n.peer
 		switch step {
@@ -258,7 +258,7 @@ func (w *walker) farEnd() {
 		case 1:
 			w.pushTo(peer.noc.Write, w.req, peer.noc.HopDelay(p.BaseSHops)+p.CSLatency)
 		case 2, 3:
-			w.dramLeg(peer.drams[a.UMC], step-2)
+			w.dramLeg(&peer.drams[a.UMC], step-2)
 		case 4:
 			w.xsend(peer.noc.Read, w.resp, 0)
 		case 5:
@@ -266,7 +266,7 @@ func (w *walker) farEnd() {
 			w.xsend(n.xgmiIn, w.resp, 0)
 		}
 	case a.Kind == DestCXL:
-		mod := n.cxls[a.Module]
+		mod := &n.cxls[a.Module]
 		switch step {
 		case 0:
 			w.trHubHops(p.IOHubLatency, p.RootComplexLatency)
@@ -283,13 +283,13 @@ func (w *walker) farEnd() {
 		switch step {
 		case 0:
 			w.trBefore(n.interHop, trace.CausePropagating, w.hopExtra)
-			w.xsend(n.gmiIn[dst], w.req, 0)
+			w.xsend(&n.gmiIn[dst], w.req, 0)
 		case 1:
 			w.trAfter(stageHop(n.llcHops, dst), trace.CauseProcessing, p.L3Latency)
 			w.after(p.L3Latency)
 		case 2:
 			w.state = sReturn
-			w.xsend(n.gmiOut[dst], w.resp, 0)
+			w.xsend(&n.gmiOut[dst], w.resp, 0)
 		}
 	}
 }
@@ -334,7 +334,7 @@ func (n *Network) startWriteback(a Access, hopExtra units.Time) {
 	w.hopExtra = hopExtra
 	w.req = units.CacheLine
 	w.state = sNoC
-	w.pushTo(n.gmiOut[a.Src.CCD], units.CacheLine, 0)
+	w.pushTo(&n.gmiOut[a.Src.CCD], units.CacheLine, 0)
 }
 
 // after resumes the walker d from now.

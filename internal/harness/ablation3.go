@@ -86,17 +86,23 @@ func driveAggregate(capacity units.Bandwidth, base units.Time, offered units.Ban
 	gap := units.Interval(units.CacheLine, offered)
 	var hist telemetry.Histogram
 	var meter telemetry.Meter
-	inFlight := 0
+	// The channel is unbounded with fixed propagation and serializes
+	// FIFO, so messages arrive in send order: one pre-bound delivery pops
+	// the oldest send stamp from a ring of the at most 512 in flight.
+	var sent [512]units.Time
+	head, inFlight := 0, 0
+	deliver := func() {
+		hist.Record(eng.Now() - sent[head])
+		meter.Record(units.CacheLine)
+		head = (head + 1) % len(sent)
+		inFlight--
+	}
 	var inject func()
 	inject = func() {
-		if inFlight < 512 {
+		if inFlight < len(sent) {
+			sent[(head+inFlight)%len(sent)] = eng.Now()
 			inFlight++
-			sent := eng.Now()
-			ch.Send(units.CacheLine, func() {
-				hist.Record(eng.Now() - sent)
-				meter.Record(units.CacheLine)
-				inFlight--
-			})
+			ch.Send(units.CacheLine, deliver)
 		}
 		d := units.Time(math.Round(float64(gap) * rng.ExpFloat64()))
 		if d < units.Picosecond {

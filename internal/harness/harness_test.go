@@ -422,3 +422,20 @@ func TestAblationNoCModel(t *testing.T) {
 		t.Error("render missing title")
 	}
 }
+
+// TestAggregateAllocsFlat: A5's aggregate model delivers every message
+// through one pre-bound callback, so a window carrying four times the
+// messages allocates no more than the amortized growth of the calendar,
+// the departure ring and the histogram.
+func TestAggregateAllocsFlat(t *testing.T) {
+	allocs := func(window units.Time) float64 {
+		return testing.AllocsPerRun(3, func() {
+			driveAggregate(units.GBps(100), 40*units.Nanosecond, units.GBps(80), window, 42)
+		})
+	}
+	short, long := allocs(5*units.Microsecond), allocs(20*units.Microsecond)
+	t.Logf("allocs: %.0f at 5us, %.0f at 20us", short, long)
+	if long > short+16 {
+		t.Errorf("allocations grow with the message count: %.0f at 5us, %.0f at 20us", short, long)
+	}
+}

@@ -85,13 +85,21 @@ type Channel struct {
 // NewChannel builds a channel. name appears in telemetry and the device
 // tree; capacity 0 means infinitely fast; depth 0 means unbounded.
 func NewChannel(eng *sim.Engine, name string, capacity units.Bandwidth, latency units.Time, depth int) *Channel {
+	c := new(Channel)
+	c.Init(eng, name, capacity, latency, depth)
+	return c
+}
+
+// Init makes c a fresh channel in place, as NewChannel would build it:
+// platforms allocate their channels in one slab and initialize each slot.
+func (c *Channel) Init(eng *sim.Engine, name string, capacity units.Bandwidth, latency units.Time, depth int) {
 	if eng == nil {
 		panic("link: nil engine")
 	}
 	if depth < 0 {
 		panic(fmt.Sprintf("link: %s: negative queue depth", name))
 	}
-	return &Channel{eng: eng, name: name, capacity: capacity, latency: latency, depth: depth}
+	*c = Channel{eng: eng, name: name, capacity: capacity, latency: latency, depth: depth}
 }
 
 // timeToSend is capacity.TimeToSend behind the one-entry memo.

@@ -48,13 +48,21 @@ type waiter struct {
 // NewTokenPool builds a pool with the given capacity. Capacity must be
 // positive.
 func NewTokenPool(eng *sim.Engine, name string, capacity int) *TokenPool {
+	p := new(TokenPool)
+	p.Init(eng, name, capacity)
+	return p
+}
+
+// Init makes p a fresh pool in place, as NewTokenPool would build it:
+// platforms allocate their pools in one slab and initialize each slot.
+func (p *TokenPool) Init(eng *sim.Engine, name string, capacity int) {
 	if eng == nil {
 		panic("link: nil engine")
 	}
 	if capacity <= 0 {
 		panic(fmt.Sprintf("link: %s: non-positive token capacity", name))
 	}
-	return &TokenPool{eng: eng, name: name, capacity: capacity}
+	*p = TokenPool{eng: eng, name: name, capacity: capacity}
 }
 
 // Name reports the pool's telemetry name.

@@ -26,12 +26,18 @@ type Jitter struct {
 	spike units.Time
 }
 
-// NewJitter builds a jitter source from profile constants.
-func NewJitter(rng *sim.RNG, mean units.Time, spikeProb float64, spike units.Time) *Jitter {
+// NewJitter builds a jitter source from profile constants. It returns a
+// value so that devices can hold their jitter inline.
+func NewJitter(rng *sim.RNG, mean units.Time, spikeProb float64, spike units.Time) Jitter {
 	if rng == nil {
 		panic("memsys: nil RNG")
 	}
-	return &Jitter{rng: rng, mean: mean, prob: spikeProb, spike: spike}
+	return Jitter{rng: rng, mean: mean, prob: spikeProb, spike: spike}
+}
+
+// profileJitter is the service jitter every memory device of p samples.
+func profileJitter(eng *sim.Engine, p *topology.Profile) Jitter {
+	return NewJitter(eng.Rand(), p.DRAMJitterMean, p.TailSpikeProb, p.TailSpikeDelay)
 }
 
 // Sample draws one service-time perturbation.
@@ -54,8 +60,9 @@ type DRAMChannel struct {
 	Read  *link.Channel // data return toward the cores
 	Write *link.Channel // data in from the cores
 
+	dirs        [2]link.Channel // Read and Write point here
 	base        units.Time
-	jitter      *Jitter
+	jitter      Jitter
 	serviceBusy units.Time  // cumulative sampled array service time
 	serviceHop  trace.HopID // DRAM array service stage (after AttachTracer)
 }
@@ -72,17 +79,15 @@ func (d *DRAMChannel) AttachTracer(tr *trace.Tracer) {
 // AttachTracer).
 func (d *DRAMChannel) ServiceHop() trace.HopID { return d.serviceHop }
 
-// NewDRAMChannel builds UMC index for the given profile.
-func NewDRAMChannel(eng *sim.Engine, p *topology.Profile, index int) *DRAMChannel {
-	name := fmt.Sprintf("umc%d", index)
-	return &DRAMChannel{
-		Index: index,
-		Read:  link.NewChannel(eng, name+"/rd", p.UMCReadCap, 0, 0),
-		Write: link.NewChannel(eng, name+"/wr", p.UMCWriteCap, 0, 0),
-		base:  p.DRAMLatency,
-		jitter: NewJitter(eng.Rand(), p.DRAMJitterMean,
-			p.TailSpikeProb, p.TailSpikeDelay),
-	}
+// Init makes d UMC index of profile p in place, its directions named rd
+// and wr. A platform keeps its UMCs in one slab, their channels inline;
+// a DRAMChannel is not copied after Init, since Read and Write point into
+// it.
+func (d *DRAMChannel) Init(eng *sim.Engine, p *topology.Profile, index int, rd, wr string) {
+	*d = DRAMChannel{Index: index, base: p.DRAMLatency, jitter: profileJitter(eng, p)}
+	d.Read, d.Write = &d.dirs[0], &d.dirs[1]
+	d.Read.Init(eng, rd, p.UMCReadCap, 0, 0)
+	d.Write.Init(eng, wr, p.UMCWriteCap, 0, 0)
 }
 
 // AccessTime samples the DRAM array access latency for one request.
@@ -105,9 +110,10 @@ type CXLModule struct {
 	Read  *link.Channel // P link + CXL lanes toward the cores
 	Write *link.Channel
 
+	dirs        [2]link.Channel // Read and Write point here
 	flit        units.ByteSize
 	base        units.Time
-	jitter      *Jitter
+	jitter      Jitter
 	serviceBusy units.Time  // cumulative sampled module service time
 	serviceHop  trace.HopID // module-internal service stage (after AttachTracer)
 	plinkHop    trace.HopID // P-link propagation stage (after AttachTracer)
@@ -131,22 +137,18 @@ func (m *CXLModule) ServiceHop() trace.HopID { return m.serviceHop }
 // AttachTracer).
 func (m *CXLModule) PLinkHop() trace.HopID { return m.plinkHop }
 
-// NewCXLModule builds CXL module index for the given profile. The profile
-// must actually have CXL modules.
-func NewCXLModule(eng *sim.Engine, p *topology.Profile, index int) *CXLModule {
+// Init makes m CXL module index of profile p in place, its directions
+// named rd and wr; like a DRAMChannel, m is not copied afterwards. The
+// profile must actually have CXL modules.
+func (m *CXLModule) Init(eng *sim.Engine, p *topology.Profile, index int, rd, wr string) {
 	if p.CXLModules == 0 {
 		panic(fmt.Sprintf("memsys: profile %s has no CXL modules", p.Name))
 	}
-	name := fmt.Sprintf("cxl%d", index)
-	return &CXLModule{
-		Index: index,
-		Read:  link.NewChannel(eng, name+"/rd", p.PLinkReadCap, 0, 0),
-		Write: link.NewChannel(eng, name+"/wr", p.PLinkWriteCap, 0, 0),
-		flit:  p.CXLFlitSize,
-		base:  p.CXLDeviceLatency,
-		jitter: NewJitter(eng.Rand(), p.DRAMJitterMean,
-			p.TailSpikeProb, p.TailSpikeDelay),
-	}
+	*m = CXLModule{Index: index, flit: p.CXLFlitSize, base: p.CXLDeviceLatency,
+		jitter: profileJitter(eng, p)}
+	m.Read, m.Write = &m.dirs[0], &m.dirs[1]
+	m.Read.Init(eng, rd, p.PLinkReadCap, 0, 0)
+	m.Write.Init(eng, wr, p.PLinkWriteCap, 0, 0)
 }
 
 // FlitSize reports the wire size of a payload: full CXL flits, rounded up

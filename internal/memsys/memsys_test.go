@@ -48,7 +48,8 @@ func TestJitterZeroConfig(t *testing.T) {
 func TestDRAMChannelCaps(t *testing.T) {
 	eng := sim.New(1)
 	p := topology.EPYC9634()
-	d := NewDRAMChannel(eng, p, 3)
+	var d DRAMChannel
+	d.Init(eng, p, 3, "umc3/rd", "umc3/wr")
 	if d.Read.Capacity() != p.UMCReadCap || d.Write.Capacity() != p.UMCWriteCap {
 		t.Error("channel capacities do not match the profile")
 	}
@@ -64,7 +65,8 @@ func TestDRAMChannelCaps(t *testing.T) {
 func TestCXLModule(t *testing.T) {
 	eng := sim.New(1)
 	p := topology.EPYC9634()
-	m := NewCXLModule(eng, p, 0)
+	var m CXLModule
+	m.Init(eng, p, 0, "cxl0/rd", "cxl0/wr")
 	if m.FlitSize(units.CacheLine) != 68 {
 		t.Errorf("FlitSize(64) = %v, want 68", m.FlitSize(units.CacheLine))
 	}
@@ -88,7 +90,8 @@ func TestCXLModulePanicsWithoutCXL(t *testing.T) {
 			t.Fatal("expected panic: 7302 has no CXL")
 		}
 	}()
-	NewCXLModule(sim.New(1), topology.EPYC7302(), 0)
+	var m CXLModule
+	m.Init(sim.New(1), topology.EPYC7302(), 0, "cxl0/rd", "cxl0/wr")
 }
 
 func TestInterleaverRoundRobin(t *testing.T) {

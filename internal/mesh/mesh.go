@@ -27,10 +27,11 @@ import (
 type NoC struct {
 	prof *topology.Profile
 
-	// memHops[ccd][umc] and ioHops[ccd] are the switch-hop delays from
-	// each chiplet to each memory channel and to the I/O hub, built once so
-	// the per-transaction lookups skip the node geometry.
-	memHops [][]units.Time
+	// memHops[ccd*UMCChannels+umc] and ioHops[ccd] are the switch-hop
+	// delays from each chiplet to each memory channel and to the I/O hub,
+	// built once (in one table) so the per-transaction lookups skip the
+	// node geometry.
+	memHops []units.Time
 	ioHops  []units.Time
 
 	// Read is the data-return direction (toward cores); Write the
@@ -38,6 +39,7 @@ type NoC struct {
 	// plateaus: the die's total routing capacity per direction.
 	Read  *link.Channel
 	Write *link.Channel
+	dirs  [2]link.Channel // Read and Write point here
 
 	// Trace hops for the fixed path stages the aggregate channels do not
 	// see (valid only after AttachTracer): switch-hop runs, coherent
@@ -70,23 +72,21 @@ func (n *NoC) IOHubHop() trace.HopID { return n.iohubHop }
 // RootHop reports the root complex stage's trace hop.
 func (n *NoC) RootHop() trace.HopID { return n.rootHop }
 
-// New builds the NoC for a profile.
-func New(eng *sim.Engine, p *topology.Profile) *NoC {
-	n := &NoC{
-		prof:    p,
-		memHops: make([][]units.Time, p.CCDs),
-		ioHops:  make([]units.Time, p.CCDs),
-		Read:    link.NewChannel(eng, "noc/rd", p.NoCReadCap, 0, p.NoCReadQueue),
-		Write:   link.NewChannel(eng, "noc/wr", p.NoCWriteCap, 0, p.NoCWriteQueue),
-	}
+// Init makes n the NoC of a profile in place. A NoC lives inside its
+// platform's network and is not copied after Init: Read and Write point
+// into it.
+func (n *NoC) Init(eng *sim.Engine, p *topology.Profile) {
+	hops := make([]units.Time, p.CCDs*(p.UMCChannels+1))
+	*n = NoC{prof: p, memHops: hops[:p.CCDs*p.UMCChannels], ioHops: hops[p.CCDs*p.UMCChannels:]}
+	n.Read, n.Write = &n.dirs[0], &n.dirs[1]
+	n.Read.Init(eng, "noc/rd", p.NoCReadCap, 0, p.NoCReadQueue)
+	n.Write.Init(eng, "noc/wr", p.NoCWriteCap, 0, p.NoCWriteQueue)
 	for ccd := 0; ccd < p.CCDs; ccd++ {
-		n.memHops[ccd] = make([]units.Time, p.UMCChannels)
-		for umc := range n.memHops[ccd] {
-			n.memHops[ccd][umc] = n.HopDelay(p.MemoryHops(ccd, umc))
+		for umc := 0; umc < p.UMCChannels; umc++ {
+			n.memHops[ccd*p.UMCChannels+umc] = n.HopDelay(p.MemoryHops(ccd, umc))
 		}
 		n.ioHops[ccd] = n.HopDelay(p.IOHubHops(ccd))
 	}
-	return n
 }
 
 // HopDelay reports the deterministic latency of traversing the given
@@ -98,7 +98,7 @@ func (n *NoC) HopDelay(hops int) units.Time {
 // MemoryHopDelay reports the switch-hop latency from chiplet ccd to memory
 // channel umc.
 func (n *NoC) MemoryHopDelay(ccd, umc int) units.Time {
-	return n.memHops[ccd][umc]
+	return n.memHops[ccd*n.prof.UMCChannels+umc]
 }
 
 // IOHopDelay reports the switch-hop latency from chiplet ccd to the I/O

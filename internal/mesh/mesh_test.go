@@ -77,7 +77,8 @@ func TestRouteString(t *testing.T) {
 func TestHopDelays(t *testing.T) {
 	eng := sim.New(1)
 	p := topology.EPYC7302()
-	n := New(eng, p)
+	n := new(NoC)
+	n.Init(eng, p)
 	if n.HopDelay(3) != 21*units.Nanosecond {
 		t.Errorf("HopDelay(3) = %v", n.HopDelay(3))
 	}
@@ -90,11 +91,12 @@ func TestHopDelays(t *testing.T) {
 	}
 }
 
-// TestHopTablesMatchProfile: every entry of the hop tables New builds must
+// TestHopTablesMatchProfile: every entry of the hop tables Init builds must
 // equal the delay of the profile's own hop count, on both platforms.
 func TestHopTablesMatchProfile(t *testing.T) {
 	for _, p := range []*topology.Profile{topology.EPYC7302(), topology.EPYC9634()} {
-		n := New(sim.New(1), p)
+		n := new(NoC)
+		n.Init(sim.New(1), p)
 		for ccd := 0; ccd < p.CCDs; ccd++ {
 			for umc := 0; umc < p.UMCChannels; umc++ {
 				if got, want := n.MemoryHopDelay(ccd, umc), n.HopDelay(p.MemoryHops(ccd, umc)); got != want {
@@ -111,7 +113,8 @@ func TestHopTablesMatchProfile(t *testing.T) {
 func TestNoCCapacities(t *testing.T) {
 	eng := sim.New(1)
 	p := topology.EPYC9634()
-	n := New(eng, p)
+	n := new(NoC)
+	n.Init(eng, p)
 	if n.Read.Capacity() != p.NoCReadCap || n.Write.Capacity() != p.NoCWriteCap {
 		t.Error("NoC channel capacities do not match profile")
 	}

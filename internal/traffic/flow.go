@@ -10,6 +10,7 @@ package traffic
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/link"
@@ -117,6 +118,18 @@ func NewFlow(net *core.Network, cfg FlowConfig) (*Flow, error) {
 	case core.DestLLCInter:
 		if cfg.DstCCD < 0 || cfg.DstCCD >= net.Profile().CCDs {
 			return nil, fmt.Errorf("traffic: flow %q inter-CC target ccd%d out of range", cfg.Name, cfg.DstCCD)
+		}
+		// A core on the target chiplet would leave and re-enter its own
+		// GMI: that is not inter-CC traffic.
+		var clash []string
+		for _, c := range cfg.Cores {
+			if c.CCD == cfg.DstCCD {
+				clash = append(clash, c.String())
+			}
+		}
+		if len(clash) > 0 {
+			return nil, fmt.Errorf("traffic: flow %q inter-CC target ccd%d is the chiplet of source cores %s",
+				cfg.Name, cfg.DstCCD, strings.Join(clash, ", "))
 		}
 	default:
 		return nil, fmt.Errorf("traffic: flow %q has unknown destination kind %d", cfg.Name, int(cfg.Kind))

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -172,6 +173,8 @@ func TestNewFlowValidation(t *testing.T) {
 		"no umcs":      {Name: "x", Cores: coresOf(p, 1), Kind: core.DestDRAM},
 		"no modules":   {Name: "x", Cores: coresOf(p, 1), Kind: core.DestCXL},
 		"bad interccd": {Name: "x", Cores: coresOf(p, 1), Kind: core.DestLLCInter, DstCCD: 99},
+		"interccd own": {Name: "x", Cores: coresOf(p, 1), Kind: core.DestLLCInter, DstCCD: 0},
+		"interccd mix": {Name: "x", Cores: coresOf(p, 8), Kind: core.DestLLCInter, DstCCD: 1},
 		"adaptive w=0": {Name: "x", Cores: coresOf(p, 1), Kind: core.DestDRAM, UMCs: []int{0}, Adaptive: true},
 		"bad kind":     {Name: "x", Cores: coresOf(p, 1), Kind: core.DestKind(9)},
 	}
@@ -179,6 +182,17 @@ func TestNewFlowValidation(t *testing.T) {
 		if _, err := NewFlow(net, cfg); err == nil {
 			t.Errorf("%s: NewFlow accepted an invalid config", name)
 		}
+	}
+	// The 7302's first eight cores in CCD-major order span ccd0 and ccd1:
+	// the error names the four on the target.
+	_, err := NewFlow(net, FlowConfig{Name: "x", Cores: coresOf(p, 8), Kind: core.DestLLCInter, DstCCD: 1})
+	want := "ccd1/ccx0/core0, ccd1/ccx0/core1, ccd1/ccx1/core0, ccd1/ccx1/core1"
+	if err == nil || !strings.HasSuffix(err.Error(), "source cores "+want) {
+		t.Errorf("same-chiplet inter-CC error = %v, want it to name %s", err, want)
+	}
+	// Cores on the other chiplets are accepted.
+	if _, err := NewFlow(net, FlowConfig{Name: "x", Cores: coresOf(p, 4), Kind: core.DestLLCInter, DstCCD: 1}); err != nil {
+		t.Errorf("ccd0 -> ccd1 rejected: %v", err)
 	}
 	// CXL flow on a CXL-less platform.
 	if _, err := NewFlow(net, FlowConfig{
