@@ -24,7 +24,8 @@ go test ./...
 # Smoke-run every reproduce observer mode on one cell and read each file
 # back: chiplettrace and chipletstat exit non-zero on malformed input.
 # Bad -cell names, a non-positive -stats-window, -scale or -trace-spans
-# and a negative -workers must be refused.
+# and a negative -workers or -stats-top must be refused, as must a
+# negative -top in chiplettrace and chipletstat.
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
 go build -o "$smoke/" ./cmd/reproduce ./cmd/chiplettrace ./cmd/chipletstat ./cmd/chipletbench
@@ -56,9 +57,15 @@ for fmt in openmetrics csv; do
     "$smoke/chipletstat" -in "$smoke/s4.json" -format $fmt -o "$smoke/s4.$fmt"
     test -s "$smoke/s4.$fmt"
 done
-for bad in "-cell fig4:5:0" "-stats-window 0" "-scale 0" "-workers -1" "-trace-spans 0"; do
+for bad in "-cell fig4:5:0" "-stats-window 0" "-scale 0" "-workers -1" "-trace-spans 0" "-stats-top -1"; do
     if $run -stats "$smoke/bad.json" $bad 2> /dev/null; then
         echo "reproduce accepted $bad" >&2
+        exit 1
+    fi
+done
+for bad in "chiplettrace -in $smoke/t.json" "chipletstat -in $smoke/s4.json"; do
+    if "$smoke/"$bad -top -1 > /dev/null 2>&1; then
+        echo "$bad accepted -top -1" >&2
         exit 1
     fi
 done
@@ -197,6 +204,24 @@ echo "$bench" | awk '
         }
     }
     END { exit (bad || seen != 2) }'
+
+# Attaching an observer costs a fixed handful of allocations, not one per
+# instrument, hop or name: AttachMetrics and AttachTracer size their
+# tables once, register pointer-typed probes and build their names in one
+# string. Hold each to 16 allocs/op on either profile; TestAttachAllocs
+# checks the same bound in plain go test.
+bench=$(go test ./internal/core/ -run '^$' -bench 'BenchmarkAttach$' -benchtime 200x)
+echo "$bench"
+echo "$bench" | awk '
+    /^BenchmarkAttach\// {
+        for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i-1)
+        seen++
+        if (allocs > 16) {
+            print $1 " makes " allocs " allocs/op" > "/dev/stderr"
+            bad = 1
+        }
+    }
+    END { exit (bad || seen != 4) }'
 
 # The whole transaction pipeline must be allocation-free in steady state:
 # every DestKind x Op case, unloaded and loaded.

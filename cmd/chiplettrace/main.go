@@ -45,6 +45,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *top < 0 {
+		log.Fatalf("-top %d must not be negative", *top)
+	}
 	f, err := os.Open(*in)
 	if err != nil {
 		log.Fatal(err)

@@ -80,6 +80,8 @@ func main() {
 		log.Fatalf("-workers %d must not be negative", *workers)
 	case *traceSpans < 1:
 		log.Fatalf("-trace-spans %d must be positive", *traceSpans)
+	case *statsTop < 0:
+		log.Fatalf("-stats-top %d must not be negative", *statsTop)
 	}
 
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)

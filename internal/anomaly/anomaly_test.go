@@ -25,7 +25,7 @@ type fixture struct {
 func newFixture(cfg metrics.Config) *fixture {
 	f := &fixture{eng: sim.New(1), reg: metrics.New(cfg)}
 	f.reg.Counter("umc0/rd", metrics.MetricWait, "memsys", "ps",
-		func() float64 { return f.cum })
+		metrics.ProbeFunc(func() float64 { return f.cum }))
 	return f
 }
 

@@ -77,3 +77,23 @@ func BenchmarkNew(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAttach times attaching each observer to a freshly built
+// network of each platform; building the network and the observer is not
+// timed. ci.sh holds it to the allocations TestAttachAllocs allows.
+func BenchmarkAttach(b *testing.B) {
+	for _, a := range attaches {
+		for _, p := range topology.Profiles() {
+			b.Run(a.name+"/"+strings.ReplaceAll(p.Name, " ", ""), func(b *testing.B) {
+				eng := sim.New(1)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					attach := a.attach(New(eng, p))
+					b.StartTimer()
+					attach()
+				}
+			})
+		}
+	}
+}

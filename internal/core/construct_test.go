@@ -107,3 +107,45 @@ func TestNewAllocs(t *testing.T) {
 		}
 	}
 }
+
+// attaches lists the observer attaches, each split into building its
+// observer and the call that attaches it to n.
+var attaches = []struct {
+	name   string
+	attach func(n *Network) func()
+}{
+	{"Metrics", func(n *Network) func() {
+		reg := metrics.New(metrics.Config{})
+		return func() { n.AttachMetrics(reg) }
+	}},
+	{"Tracer", func(n *Network) func() {
+		tr := trace.New(trace.Config{SpanCap: 16})
+		return func() { n.AttachTracer(tr) }
+	}},
+}
+
+// maxAttachAllocs bounds each attach: the registry's or tracer's tables
+// sized once, one string of names and the tracer's stage-hop table.
+const maxAttachAllocs = 16
+
+// TestAttachAllocs holds AttachMetrics and AttachTracer to a fixed
+// handful of allocations on both platforms, not one per instrument, hop
+// or name. Networks and observers are built beforehand, so only the
+// attach is counted. ci.sh gates BenchmarkAttach the same way.
+func TestAttachAllocs(t *testing.T) {
+	const runs = 20
+	for _, p := range topology.Profiles() {
+		eng := sim.New(1)
+		for _, a := range attaches {
+			calls := make([]func(), runs+1) // AllocsPerRun makes one warm-up call
+			for i := range calls {
+				calls[i] = a.attach(New(eng, p))
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(runs, func() { calls[i](); i++ })
+			if allocs > maxAttachAllocs {
+				t.Errorf("%s: Attach%s makes %.0f allocations, want at most %d", p.Name, a.name, allocs, maxAttachAllocs)
+			}
+		}
+	}
+}

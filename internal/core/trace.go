@@ -14,7 +14,7 @@
 package core
 
 import (
-	"fmt"
+	"strings"
 
 	"repro/internal/link"
 	"repro/internal/trace"
@@ -23,35 +23,48 @@ import (
 
 // AttachTracer wires the flight recorder into every channel, token pool,
 // device and path stage of the network. Attach at most once per network,
-// before running traffic; the tracer records nothing until Enable.
+// before running traffic; the tracer records nothing until Enable. It
+// sizes the tracer's hop registry once and builds the stage and device
+// hop names in one string.
 func (n *Network) AttachTracer(tr *trace.Tracer) {
 	if tr == nil {
 		panic("core: nil tracer")
 	}
+	ccds, umcs, cxls := n.prof.CCDs, len(n.drams), len(n.cxls)
+	// The NoC's two directions and four stages, four channels and three
+	// stages per CCD, three hops per UMC, four per CXL module, the pools
+	// and the inter-CC stage.
+	tr.Reserve(6 + 7*ccds + 3*umcs + 4*cxls + len(n.pools) + 1)
+	var names strings.Builder
+	names.Grow(nameBytes("umc", umcs, "/dram") + nameBytes("cxl", cxls, "/dev") +
+		nameBytes("cxl", cxls, "/plink") + nameBytes("ccd", ccds, "/ccm") +
+		nameBytes("ccd", ccds, "/llc") + nameBytes("ccd", ccds, "/if/fabric"))
+
 	n.tracer = tr
 	n.noc.AttachTracer(tr)
-	for c := 0; c < n.prof.CCDs; c++ {
+	for c := 0; c < ccds; c++ {
 		n.gmiIn[c].SetTracer(tr)
 		n.gmiOut[c].SetTracer(tr)
 		n.intraIn[c].SetTracer(tr)
 		n.intraOut[c].SetTracer(tr)
 	}
 	for i := range n.drams {
-		n.drams[i].AttachTracer(tr)
+		d := &n.drams[i]
+		d.AttachTracer(tr, name(&names, "umc", d.Index, "/dram"))
 	}
 	for i := range n.cxls {
-		n.cxls[i].AttachTracer(tr)
+		m := &n.cxls[i]
+		m.AttachTracer(tr, name(&names, "cxl", m.Index, "/dev"), name(&names, "cxl", m.Index, "/plink"))
 	}
-	for _, p := range n.Pools() {
-		p.SetTracer(tr)
+	for i := range n.pools {
+		n.pools[i].SetTracer(tr)
 	}
-	for c := 0; c < n.prof.CCDs; c++ {
-		n.ccmHops = append(n.ccmHops,
-			tr.RegisterHop(fmt.Sprintf("ccd%d/ccm", c), trace.KindStage))
-		n.llcHops = append(n.llcHops,
-			tr.RegisterHop(fmt.Sprintf("ccd%d/llc", c), trace.KindStage))
-		n.ifHops = append(n.ifHops,
-			tr.RegisterHop(fmt.Sprintf("ccd%d/if/fabric", c), trace.KindStage))
+	stages := make([]trace.HopID, 3*ccds)
+	n.ccmHops, n.llcHops, n.ifHops = stages[:ccds], stages[ccds:2*ccds], stages[2*ccds:]
+	for c := 0; c < ccds; c++ {
+		n.ccmHops[c] = tr.RegisterHop(name(&names, "ccd", c, "/ccm"), trace.KindStage)
+		n.llcHops[c] = tr.RegisterHop(name(&names, "ccd", c, "/llc"), trace.KindStage)
+		n.ifHops[c] = tr.RegisterHop(name(&names, "ccd", c, "/if/fabric"), trace.KindStage)
 	}
 	n.interHop = tr.RegisterHop("noc/intercc", trace.KindStage)
 }

@@ -68,11 +68,12 @@ type DRAMChannel struct {
 }
 
 // AttachTracer attaches the flight recorder to both UMC directions and
-// registers the DRAM array itself as a service hop.
-func (d *DRAMChannel) AttachTracer(tr *trace.Tracer) {
+// registers the DRAM array itself as a service hop named service
+// ("umcN/dram").
+func (d *DRAMChannel) AttachTracer(tr *trace.Tracer, service string) {
 	d.Read.SetTracer(tr)
 	d.Write.SetTracer(tr)
-	d.serviceHop = tr.RegisterHop(fmt.Sprintf("umc%d/dram", d.Index), trace.KindDevice)
+	d.serviceHop = tr.RegisterHop(service, trace.KindDevice)
 }
 
 // ServiceHop reports the DRAM array's trace hop (valid only after
@@ -121,12 +122,12 @@ type CXLModule struct {
 
 // AttachTracer attaches the flight recorder to both module directions and
 // registers the module's internal service and the P-link propagation as
-// trace hops.
-func (m *CXLModule) AttachTracer(tr *trace.Tracer) {
+// trace hops named service and plink ("cxlN/dev", "cxlN/plink").
+func (m *CXLModule) AttachTracer(tr *trace.Tracer, service, plink string) {
 	m.Read.SetTracer(tr)
 	m.Write.SetTracer(tr)
-	m.serviceHop = tr.RegisterHop(fmt.Sprintf("cxl%d/dev", m.Index), trace.KindDevice)
-	m.plinkHop = tr.RegisterHop(fmt.Sprintf("cxl%d/plink", m.Index), trace.KindStage)
+	m.serviceHop = tr.RegisterHop(service, trace.KindDevice)
+	m.plinkHop = tr.RegisterHop(plink, trace.KindStage)
 }
 
 // ServiceHop reports the module's internal-service trace hop (valid only

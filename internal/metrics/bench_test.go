@@ -63,12 +63,12 @@ func TestHarvestAllocs(t *testing.T) {
 // trackBench registers the channel probe set the core wiring uses,
 // giving the churn fixture real instruments to harvest.
 func trackBench(reg *metrics.Registry, ch *link.Channel) {
-	reg.Counter(ch.Name(), metrics.MetricBytes, "link", "bytes", func() float64 { return float64(ch.Bytes()) })
-	reg.Counter(ch.Name(), metrics.MetricMsgs, "link", "msgs", func() float64 { return float64(ch.Messages()) })
-	reg.Counter(ch.Name(), metrics.MetricBusy, "link", "ps", func() float64 { return float64(ch.BusyTime()) })
-	reg.Counter(ch.Name(), metrics.MetricWait, "link", "ps", func() float64 { return float64(ch.QueueWaitTotal()) })
-	reg.Counter(ch.Name(), metrics.MetricRefused, "link", "msgs", func() float64 { return float64(ch.Refused()) })
-	reg.Gauge(ch.Name(), metrics.MetricDepth, "link", "msgs", func() float64 { return float64(ch.Queued()) })
+	reg.Counter(ch.Name(), metrics.MetricBytes, "link", "bytes", metrics.ProbeFunc(func() float64 { return float64(ch.Bytes()) }))
+	reg.Counter(ch.Name(), metrics.MetricMsgs, "link", "msgs", metrics.ProbeFunc(func() float64 { return float64(ch.Messages()) }))
+	reg.Counter(ch.Name(), metrics.MetricBusy, "link", "ps", metrics.ProbeFunc(func() float64 { return float64(ch.BusyTime()) }))
+	reg.Counter(ch.Name(), metrics.MetricWait, "link", "ps", metrics.ProbeFunc(func() float64 { return float64(ch.QueueWaitTotal()) }))
+	reg.Counter(ch.Name(), metrics.MetricRefused, "link", "msgs", metrics.ProbeFunc(func() float64 { return float64(ch.Refused()) }))
+	reg.Gauge(ch.Name(), metrics.MetricDepth, "link", "msgs", metrics.ProbeFunc(func() float64 { return float64(ch.Queued()) }))
 }
 
 // churnChannel builds the event-churn fixture from the tracer benchmarks:

@@ -9,10 +9,12 @@
 // the 1:1000 substitution).
 //
 // The design is pull-based: components are never touched on the
-// per-message hot path. Instruments are probes — closures bound at attach
-// time that read counters the simulation already maintains (channel busy
-// time, queue depth, token occupancy, cumulative queue-wait totals) — and
-// a single harvest event on the internal/sim wheel samples every probe
+// per-message hot path. An instrument is a Desc plus a Probe, a value
+// whose Sample reads a counter the simulation already maintains (channel
+// busy time, queue depth, token occupancy, cumulative queue-wait totals).
+// A component viewed through a named probe type is its own probe, so
+// registering one allocates nothing; ProbeFunc adapts a plain function.
+// A single harvest event on the internal/sim wheel samples every probe
 // once per window into ring-buffered series. The costs are therefore:
 //
 //   - zero when no registry is attached or Start was never called: there
@@ -41,6 +43,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -129,6 +132,18 @@ func (d Desc) Name() string { return d.Resource + "/" + d.Metric }
 // ID indexes a registered instrument.
 type ID int32
 
+// Probe reads one instrument's current value: the cumulative total for a
+// counter, the instantaneous level for a gauge.
+type Probe interface {
+	Sample() float64
+}
+
+// ProbeFunc adapts a function to a Probe.
+type ProbeFunc func() float64
+
+// Sample calls f.
+func (f ProbeFunc) Sample() float64 { return f() }
+
 // Config sizes a Registry.
 type Config struct {
 	// Window is the harvest interval in simulated time. The default,
@@ -161,7 +176,7 @@ type Registry struct {
 	window units.Time
 
 	descs  []Desc
-	probes []func() float64
+	probes []Probe
 	prev   []float64 // last cumulative sample per instrument (counters)
 
 	// series is the window-major sample ring: window w's sample of
@@ -193,20 +208,28 @@ func New(cfg Config) *Registry {
 // Window reports the harvest interval.
 func (r *Registry) Window() units.Time { return r.window }
 
+// Reserve grows the instrument tables to take n more registrations
+// without reallocating, so an attach that knows its instrument count
+// sizes them once.
+func (r *Registry) Reserve(n int) {
+	r.descs = slices.Grow(r.descs, n)
+	r.probes = slices.Grow(r.probes, n)
+}
+
 // Counter registers a cumulative instrument. probe must report a
 // monotonically non-decreasing value; the series records per-window
 // deltas. Register before Start; registering later panics.
-func (r *Registry) Counter(resource, metric, family, unit string, probe func() float64) ID {
+func (r *Registry) Counter(resource, metric, family, unit string, probe Probe) ID {
 	return r.register(Desc{Resource: resource, Metric: metric, Family: family, Unit: unit, Kind: KindCounter}, probe)
 }
 
 // Gauge registers an instantaneous instrument sampled at each harvest
 // tick. Register before Start; registering later panics.
-func (r *Registry) Gauge(resource, metric, family, unit string, probe func() float64) ID {
+func (r *Registry) Gauge(resource, metric, family, unit string, probe Probe) ID {
 	return r.register(Desc{Resource: resource, Metric: metric, Family: family, Unit: unit, Kind: KindGauge}, probe)
 }
 
-func (r *Registry) register(d Desc, probe func() float64) ID {
+func (r *Registry) register(d Desc, probe Probe) ID {
 	if r.eng != nil {
 		panic(fmt.Sprintf("metrics: registering %s after Start", d.Name()))
 	}
@@ -233,7 +256,7 @@ func (r *Registry) Start(eng *sim.Engine) {
 	r.eng = eng
 	r.prev = make([]float64, len(r.probes))
 	for i, p := range r.probes {
-		r.prev[i] = p()
+		r.prev[i] = p.Sample()
 	}
 	r.resize(firstSlots)
 	r.start = eng.Now()
@@ -271,7 +294,7 @@ func (r *Registry) harvest() {
 	slot := r.total % r.slots
 	row := r.series[slot*len(r.probes) : (slot+1)*len(r.probes)]
 	for i, p := range r.probes {
-		v := p()
+		v := p.Sample()
 		if r.descs[i].Kind == KindCounter {
 			row[i] = v - r.prev[i]
 			r.prev[i] = v

@@ -26,8 +26,8 @@ type fixture struct {
 func newFixture(t *testing.T, cfg metrics.Config) (*fixture, metrics.ID, metrics.ID) {
 	t.Helper()
 	f := &fixture{eng: sim.New(1), reg: metrics.New(cfg)}
-	c := f.reg.Counter("res0", metrics.MetricBytes, "fam", "bytes", func() float64 { return f.cum })
-	g := f.reg.Gauge("res0", metrics.MetricDepth, "fam", "msgs", func() float64 { return f.ticks })
+	c := f.reg.Counter("res0", metrics.MetricBytes, "fam", "bytes", metrics.ProbeFunc(func() float64 { return f.cum }))
+	g := f.reg.Gauge("res0", metrics.MetricDepth, "fam", "msgs", metrics.ProbeFunc(func() float64 { return f.ticks }))
 	var tick func()
 	tick = func() {
 		f.cum += 3
@@ -135,7 +135,7 @@ func TestRegisterAfterStartPanics(t *testing.T) {
 			t.Fatal("registering after Start did not panic")
 		}
 	}()
-	f.reg.Counter("late", metrics.MetricBytes, "fam", "bytes", func() float64 { return 0 })
+	f.reg.Counter("late", metrics.MetricBytes, "fam", "bytes", metrics.ProbeFunc(func() float64 { return 0 }))
 }
 
 func TestLookupAndDescs(t *testing.T) {
@@ -225,7 +225,7 @@ func TestWriteOpenMetrics(t *testing.T) {
 	f, _, _ := newFixture(t, metrics.Config{Window: win})
 	// A second bytes counter registered after the depth gauge: its
 	// samples must join the chiplet_bytes family, not reopen it.
-	f.reg.Counter("res1", metrics.MetricBytes, "fam", "bytes", func() float64 { return 2 * f.cum })
+	f.reg.Counter("res1", metrics.MetricBytes, "fam", "bytes", metrics.ProbeFunc(func() float64 { return 2 * f.cum }))
 	f.reg.Start(f.eng)
 	f.eng.RunUntil(3 * win)
 	f.reg.Stop()

@@ -17,12 +17,12 @@ func synthetic(t *testing.T) *metrics.Registry {
 	eng := sim.New(1)
 	reg := metrics.New(metrics.Config{Window: 10 * units.Microsecond})
 	var hotWait, warmWait, hotBusy, edgeRefused, hotDepth float64
-	reg.Counter("hot", metrics.MetricWait, "link", "ps", func() float64 { return hotWait })
-	reg.Counter("hot", metrics.MetricBusy, "link", "ps", func() float64 { return hotBusy })
-	reg.Gauge("hot", metrics.MetricDepth, "link", "msgs", func() float64 { return hotDepth })
-	reg.Counter("warm", metrics.MetricWait, "pool", "ps", func() float64 { return warmWait })
-	reg.Counter("edge", metrics.MetricRefused, "link", "msgs", func() float64 { return edgeRefused })
-	reg.Counter("cold", metrics.MetricWait, "link", "ps", func() float64 { return 0 })
+	reg.Counter("hot", metrics.MetricWait, "link", "ps", metrics.ProbeFunc(func() float64 { return hotWait }))
+	reg.Counter("hot", metrics.MetricBusy, "link", "ps", metrics.ProbeFunc(func() float64 { return hotBusy }))
+	reg.Gauge("hot", metrics.MetricDepth, "link", "msgs", metrics.ProbeFunc(func() float64 { return hotDepth }))
+	reg.Counter("warm", metrics.MetricWait, "pool", "ps", metrics.ProbeFunc(func() float64 { return warmWait }))
+	reg.Counter("edge", metrics.MetricRefused, "link", "msgs", metrics.ProbeFunc(func() float64 { return edgeRefused }))
+	reg.Counter("cold", metrics.MetricWait, "link", "ps", metrics.ProbeFunc(func() float64 { return 0 }))
 	reg.Start(eng)
 	eng.After(5*units.Microsecond, func() {
 		hotWait = 8000

@@ -24,7 +24,7 @@ func TestHarvestRingBounded(t *testing.T) {
 	ticks := 0
 	for i := 0; i < instruments; i++ {
 		i := float64(i)
-		probe := func() float64 { return i * float64(ticks+1) }
+		probe := ProbeFunc(func() float64 { return i * float64(ticks+1) })
 		if int(i)%2 == 0 {
 			r.Counter("res", "c", "fam", "u", probe)
 		} else {
@@ -101,7 +101,7 @@ func TestStartAllocationBounded(t *testing.T) {
 	eng := sim.New(1)
 	r := New(Config{Window: window})
 	for i := 0; i < instruments; i++ {
-		r.Counter("res", "c", "fam", "u", func() float64 { return 1 })
+		r.Counter("res", "c", "fam", "u", ProbeFunc(func() float64 { return 1 }))
 	}
 	// TotalAlloc is process-wide; hold one P as TestHarvestRingBounded does.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -74,8 +74,10 @@ func pct(part, total units.Time) float64 {
 // end-to-end latency of the traced transactions divides across causes,
 // the busiest hop×cause cells, and the slowest individual transactions
 // with their own attribution ("txn 812: 38% serializing ccd2/gmi/out").
-// top bounds both the hop×cause and slowest-transaction lists.
+// top bounds both the hop×cause and slowest-transaction lists; a
+// negative top counts as 0.
 func (t *Tracer) BreakdownReport(top int) string {
+	top = max(top, 0)
 	var b strings.Builder
 	fmt.Fprintf(&b, "latency breakdown — %d transactions, %d spans", t.txnSeen, t.spans.n)
 	if t.spanDropped > 0 {
@@ -216,8 +218,10 @@ func (t *Tracer) Reconcile() []TxnBreakdown {
 
 // Report renders the offline analysis of a loaded trace: extent, per-hop
 // and per-cause totals, and the slowest transactions — the chiplettrace
-// default view.
+// default view. top bounds the per-hop and slowest-transaction lists; a
+// negative top counts as 0.
 func (l *Loaded) Report(top int) string {
+	top = max(top, 0)
 	var b strings.Builder
 	if len(l.Spans) == 0 {
 		return "empty trace\n"

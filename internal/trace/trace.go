@@ -42,6 +42,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -279,6 +280,13 @@ func (t *Tracer) RegisterHop(name string, kind Kind) HopID {
 	t.hops = append(t.hops, Hop{Name: name, Kind: kind})
 	t.counters = append(t.counters, Counters{})
 	return id
+}
+
+// Reserve grows the hop registry to take n more hops without
+// reallocating, so an attach that knows its hop count sizes it once.
+func (t *Tracer) Reserve(n int) {
+	t.hops = slices.Grow(t.hops, n)
+	t.counters = slices.Grow(t.counters, n)
 }
 
 // hopID turns the registry index of a new hop into its id, panicking past

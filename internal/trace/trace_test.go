@@ -210,6 +210,13 @@ func TestExportRoundTrip(t *testing.T) {
 	if rep := ld.Report(5); !strings.Contains(rep, "umc0/dram") {
 		t.Fatalf("loaded report missing hop name:\n%s", rep)
 	}
+	// A negative row count lists no rows, as 0 does.
+	if neg, zero := ld.Report(-1), ld.Report(0); neg != zero || strings.Contains(neg, "slowest") {
+		t.Fatalf("Report(-1) differs from Report(0):\n%s\nvs\n%s", neg, zero)
+	}
+	if neg, zero := tr.BreakdownReport(-1), tr.BreakdownReport(0); neg != zero {
+		t.Fatalf("BreakdownReport(-1) differs from BreakdownReport(0):\n%s\nvs\n%s", neg, zero)
+	}
 	if det := ld.TxnDetail(3); !strings.Contains(det, "service") {
 		t.Fatalf("txn detail missing span:\n%s", det)
 	}
