@@ -223,6 +223,23 @@ echo "$bench" | awk '
     }
     END { exit (bad || seen != 4) }'
 
+# A warm accelerator kernel, doorbell to completion record, must not
+# allocate: every message rides a recycled walker and the kernel's phases
+# a recycled frame. Hold both rows (no DMA, 64 KiB each way) to 0
+# allocs/op; TestSubmitAllocs checks the same in plain go test.
+bench=$(go test ./internal/accel/ -run '^$' -bench 'BenchmarkSubmit$' -benchtime 2000x)
+echo "$bench"
+echo "$bench" | awk '
+    /^BenchmarkSubmit\// {
+        for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i-1)
+        seen++
+        if (allocs != 0) {
+            print $1 " makes " allocs " allocs/op" > "/dev/stderr"
+            bad = 1
+        }
+    }
+    END { exit (bad || seen != 2) }'
+
 # The whole transaction pipeline must be allocation-free in steady state:
 # every DestKind x Op case, unloaded and loaded.
 bench=$(go test ./internal/core/ -run '^$' -bench 'BenchmarkNetworkIssue' -benchtime 5000x)

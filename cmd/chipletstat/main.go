@@ -28,7 +28,7 @@ func main() {
 	in := flag.String("in", "", "metrics dump to inspect (JSON from reproduce -stats; required)")
 	window := flag.Int("window", -1, "render this window's top view instead of the summary")
 	all := flag.Bool("all", false, "render every recorded window's top view")
-	top := flag.Int("top", 5, "rows per window in the top views and bottleneck report")
+	top := flag.Int("top", 5, "rows per window in the top views and bottleneck report (0 lists none)")
 	format := flag.String("format", "", "re-export the series as openmetrics, csv or json instead of reporting")
 	out := flag.String("o", "", "output file for -format (default stdout)")
 	flag.Parse()

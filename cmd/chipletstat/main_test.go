@@ -54,3 +54,23 @@ func TestSummaryLastWindow(t *testing.T) {
 		t.Errorf("summary's last block is not window 4's render:\n%s", out)
 	}
 }
+
+// TestTopZeroListsNoResources: -top 0 prints the summary with no resource
+// rows, as chiplettrace -top 0 prints no hop rows; -top 1 names the most
+// congested resource once in the bottleneck table and once in the last
+// window's view.
+func TestTopZeroListsNoResources(t *testing.T) {
+	d := readDump(t, `{"window_ps":10000000,"first_window":0,"dropped_windows":0,
+		"starts_ps":[0],"ends_ps":[10000000],
+		"instruments":[
+		 {"resource":"umc0/rd","metric":"wait_ps","family":"memsys","unit":"ps","kind":"counter","samples":[5000000]},
+		 {"resource":"umc1/rd","metric":"wait_ps","family":"memsys","unit":"ps","kind":"counter","samples":[3000000]}]}`)
+	for top, rows := range map[int]int{0: 0, 1: 2} {
+		var buf bytes.Buffer
+		summary(&buf, d, top)
+		out := buf.String()
+		if got := strings.Count(out, "umc0/rd") + strings.Count(out, "umc1/rd"); got != rows {
+			t.Errorf("-top %d names resources %d times, want %d:\n%s", top, got, rows, out)
+		}
+	}
+}

@@ -7,15 +7,16 @@
 // bus, I/O hub, and I/O chiplet, which embody performance idiosyncrasies."
 //
 // An Accelerator hangs a device link off the I/O hub (the same path class
-// as a P-link slot). Kernel submissions ride the signal plane: a doorbell
-// MMIO write out, a completion record back. Kernel data rides the data
-// plane: chunked, pipelined DMA between host DRAM and device memory,
-// crossing the die's routing fabric and the device link. Both planes share
-// links, so bulk DMA inflates doorbell and completion latency — the
-// head-of-line problem intra-host switching is meant to solve. New's
-// priorityLane flag models that solution: a reserved control virtual
-// channel that keeps the signal plane at its unloaded latency regardless
-// of data-plane load.
+// as a P-link slot; core.Network.AttachDevice), and every message it sends
+// rides the network's transaction walker. Kernel submissions ride the
+// signal plane: a core.DestDevice doorbell out, a completion record
+// (Network.Notify) back. Kernel data rides the data plane: chunked,
+// pipelined DMA (Network.DMA) between host DRAM and device memory, crossing
+// the die's routing fabric and the device link. Both planes share links,
+// so bulk DMA inflates doorbell and completion latency — the head-of-line
+// problem intra-host switching is meant to solve. New's priorityLane flag
+// models that solution: a reserved control virtual channel that keeps the
+// signal plane at its unloaded latency regardless of data-plane load.
 package accel
 
 import (
@@ -25,6 +26,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
+	"repro/internal/txn"
 	"repro/internal/units"
 )
 
@@ -47,9 +49,10 @@ const (
 	linkQueue = 96
 	// dmaChunk is the data-plane transfer granularity.
 	dmaChunk = 4 * units.KiB
-	// doorbellSize and completionSize are the signal-plane message sizes.
-	doorbellSize   units.ByteSize = 16
-	completionSize units.ByteSize = 16
+	// dmaRing bounds a DMA phase's chunks in flight, as the DMA engine's
+	// scatter-gather ring does: without it a fast source leg would pile the
+	// whole transfer into the slowest link's backlog.
+	dmaRing = 16
 )
 
 // Kernel describes one offloaded task.
@@ -98,6 +101,8 @@ type Accelerator struct {
 	execFree  units.Time      // the single execution engine's availability
 	doorbells telemetry.Histogram
 	totals    telemetry.Histogram
+
+	free []*kernel // recycled kernel frames
 }
 
 // New attaches an accelerator to the network. With priorityLane the
@@ -120,23 +125,8 @@ func New(net *core.Network, priorityLane bool) *Accelerator {
 		a.ctlToHost = link.NewChannel(eng, devName+"/ctl/tohost",
 			linkToHostCap/16, linkLatency, 0)
 	}
+	net.AttachDevice(a.toDev, a.toHost, a.ctlToDev, a.ctlToHost)
 	return a
-}
-
-// signalToDev reports the channel doorbells ride.
-func (a *Accelerator) signalToDev() *link.Channel {
-	if a.ctlToDev != nil {
-		return a.ctlToDev
-	}
-	return a.toDev
-}
-
-// signalToHost reports the channel completion records ride.
-func (a *Accelerator) signalToHost() *link.Channel {
-	if a.ctlToHost != nil {
-		return a.ctlToHost
-	}
-	return a.toHost
 }
 
 // Doorbells reports the observed doorbell-latency histogram.
@@ -145,13 +135,6 @@ func (a *Accelerator) Doorbells() *telemetry.Histogram { return &a.doorbells }
 // Totals reports the observed submit-to-notify histogram.
 func (a *Accelerator) Totals() *telemetry.Histogram { return &a.totals }
 
-// hubExtra is the deterministic walk from the host chiplet's GMI port to
-// the device: switch hops, I/O hub, root complex.
-func (a *Accelerator) hubExtra() units.Time {
-	p := a.net.Profile()
-	return a.net.NoC().IOHopDelay(hostCCD) + p.IOHubLatency + p.RootComplexLatency
-}
-
 // Submit launches one kernel from src and calls done with the phase
 // timestamps when the completion record reaches the host.
 func (a *Accelerator) Submit(src topology.CoreID, k Kernel, done func(Completion)) {
@@ -159,121 +142,106 @@ func (a *Accelerator) Submit(src topology.CoreID, k Kernel, done func(Completion
 		panic(fmt.Sprintf("accel: %s driven from ccd%d but attached to ccd%d",
 			devName, src.CCD, hostCCD))
 	}
+	var f *kernel
+	if n := len(a.free); n > 0 {
+		f, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		f = &kernel{a: a}
+		f.stepFn, f.rungFn = f.step, f.rung
+	}
+	f.k, f.done = k, done
+	f.c = Completion{Submitted: a.net.Engine().Now()}
+	f.state = kSlot
+	// The doorbell: latency-sensitive, and without the priority lane it
+	// shares every queue with the data plane.
+	a.net.Issue(core.Access{Src: src, Op: txn.NTWrite, Kind: core.DestDevice}, nil, f.rungFn)
+}
+
+// kernel is one submitted kernel's frame. Its phases (queue slot, DMA in,
+// execution, DMA out, completion record) run as one bound step that every
+// slot grant, DMA chunk delivery, execution timer and completion record
+// resumes. Frames are recycled, so a warm Submit allocates nothing.
+type kernel struct {
+	a     *Accelerator
+	k     Kernel
+	c     Completion
+	done  func(Completion)
+	state int
+
+	// The DMA phase in progress: bytes not yet issued, chunks in flight.
+	remaining units.ByteSize
+	inFlight  int
+
+	stepFn func()                 // bound step
+	rungFn func(*txn.Transaction) // bound rung: the doorbell's done
+}
+
+// Kernel phases: the state a frame's next step runs in.
+const (
+	kSlot     = iota // doorbell accepted: waiting for a queue slot
+	kDMAIn           // slot held: input chunks in flight
+	kExecuted        // inputs resident: on the execution engine
+	kDMAOut          // executed: output chunks in flight
+	kNotified        // outputs drained: completion record in flight
+)
+
+// rung runs when the doorbell reaches the device: the kernel is accepted
+// and queues for a submission slot.
+func (f *kernel) rung(t *txn.Transaction) {
+	f.c.Accepted = t.Completed
+	f.a.doorbells.Record(f.c.DoorbellLatency())
+	f.a.slots.Acquire(f.stepFn)
+}
+
+// step advances the kernel. A DMA phase streams its volume in dmaChunk
+// chunks, pipelined: each delivery launches the next chunk, so the slowest
+// leg sets the rate and downstream queues stay occupied — which is exactly
+// what makes bulk DMA block the signal plane behind it.
+func (f *kernel) step() {
+	a := f.a
 	eng := a.net.Engine()
-	p := a.net.Profile()
-	var c Completion
-	c.Submitted = eng.Now()
-	// Doorbell: an MMIO write across the device path (latency-sensitive —
-	// it shares every queue with the data plane).
-	a.net.SendWithRetry(a.net.GMIOut(src.CCD), doorbellSize, 0, func() {
-		a.net.SendWithRetry(a.net.NoC().Write, doorbellSize, a.hubExtra(), func() {
-			a.net.SendWithRetry(a.signalToDev(), doorbellSize, 0, func() {
-				c.Accepted = eng.Now()
-				a.doorbells.Record(c.DoorbellLatency())
-				a.slots.Acquire(func() {
-					a.dmaIn(k, func() {
-						// Execute on the single engine, FIFO.
-						start := eng.Now()
-						if a.execFree > start {
-							start = a.execFree
-						}
-						c.Started = start
-						a.execFree = start + k.Exec
-						eng.At(a.execFree, func() {
-							c.Executed = eng.Now()
-							a.dmaOut(k, func() {
-								c.Drained = eng.Now()
-								// Completion record back to the host core.
-								a.signalToHost().Send(completionSize, func() {
-									a.net.NoC().Read.Send(completionSize, func() {
-										a.net.GMIIn(src.CCD).Send(p.WriteAckSize, func() {
-											c.Notified = eng.Now()
-											a.slots.Release()
-											a.totals.Record(c.Total())
-											if done != nil {
-												done(c)
-											}
-										})
-									})
-								})
-							})
-						})
-					})
-				})
-			})
-		})
-	})
-}
-
-// dmaIn streams k.DMAIn bytes from host memory to the device, chunk by
-// chunk: each chunk leaves a UMC read channel, crosses the die outward,
-// and serializes onto the device link.
-func (a *Accelerator) dmaIn(k Kernel, then func()) {
-	a.dma(k.DMAIn, k.InputUMC, true, then)
-}
-
-// dmaOut streams k.DMAOut bytes from the device to host memory.
-func (a *Accelerator) dmaOut(k Kernel, then func()) {
-	a.dma(k.DMAOut, k.OutputUMC, false, then)
-}
-
-// dma streams total bytes between host channel umc and the device in
-// dmaChunk units. Chunks are pipelined: the next chunk enters the source
-// leg as soon as the previous one clears it, so the slowest leg sets the
-// rate and downstream queues stay occupied — which is exactly what makes
-// bulk DMA block the signal plane behind it.
-func (a *Accelerator) dma(total units.ByteSize, umc int, toDevice bool, then func()) {
-	if total <= 0 {
-		then()
+	switch f.state {
+	case kSlot:
+		f.state, f.remaining = kDMAIn, f.k.DMAIn
+	case kDMAIn, kDMAOut:
+		f.inFlight--
+	case kExecuted:
+		f.c.Executed = eng.Now()
+		f.state, f.remaining = kDMAOut, f.k.DMAOut
+	case kNotified:
+		f.c.Notified = eng.Now()
+		a.slots.Release()
+		a.totals.Record(f.c.Total())
+		c, done := f.c, f.done
+		f.done = nil
+		a.free = append(a.free, f)
+		if done != nil {
+			done(c)
+		}
 		return
 	}
-	dram := a.net.DRAM(umc)
-	hops := a.net.NoC().HopDelay(a.net.Profile().BaseSHops)
-	chunks := int((total + dmaChunk - 1) / dmaChunk)
-	pending := chunks
-	// inFlight bounds the pipeline: the DMA engine's scatter-gather ring
-	// holds a fixed number of outstanding descriptors. Without the bound,
-	// a fast source leg would pile the whole transfer into the slowest
-	// link's backlog.
-	const ring = 16
-	inFlight := 0
-	remaining := total
-	idx := 0
-	var pump func()
-	delivered := func() {
-		pending--
-		inFlight--
-		if pending == 0 {
-			then()
-			return
-		}
-		pump()
+	umc, toDevice := f.k.OutputUMC, f.state == kDMAIn
+	if toDevice {
+		umc = f.k.InputUMC
 	}
-	pump = func() {
-		for inFlight < ring && remaining > 0 {
-			chunk := dmaChunk
-			if chunk > remaining {
-				chunk = remaining
-			}
-			remaining -= chunk
-			idx++
-			inFlight++
-			if toDevice {
-				// Host DRAM -> mesh -> device link.
-				dram.Read.Send(chunk, func() {
-					a.net.SendWithRetry(a.net.NoC().Write, chunk, hops, func() {
-						a.net.SendWithRetry(a.toDev, chunk, 0, delivered)
-					})
-				})
-				continue
-			}
-			// Device -> mesh -> host DRAM.
-			a.toHost.Send(chunk, func() {
-				a.net.SendWithRetry(a.net.NoC().Write, chunk, hops, func() {
-					dram.Write.Send(chunk, delivered)
-				})
-			})
-		}
+	for f.inFlight < dmaRing && f.remaining > 0 {
+		chunk := min(dmaChunk, f.remaining)
+		f.remaining -= chunk
+		f.inFlight++
+		a.net.DMA(umc, chunk, toDevice, f.stepFn)
 	}
-	pump()
+	if f.inFlight > 0 {
+		return
+	}
+	if toDevice {
+		// Inputs resident: execute on the single engine, FIFO.
+		f.c.Started = max(eng.Now(), a.execFree)
+		a.execFree = f.c.Started + f.k.Exec
+		f.state = kExecuted
+		eng.At(a.execFree, f.stepFn)
+		return
+	}
+	f.c.Drained = eng.Now()
+	f.state = kNotified
+	a.net.Notify(hostCCD, f.stepFn)
 }

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -139,4 +140,108 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}()
 	a.Submit(topology.CoreID{CCD: 3}, Kernel{}, nil)
+}
+
+// TestSubmitPinned pins one DMA-in, execute, DMA-out kernel on both lanes:
+// all six phase stamps and the message and byte counts of every channel
+// that carried its traffic. The values were captured from the closure-chain
+// model that the walker path replaced.
+func TestSubmitPinned(t *testing.T) {
+	type count struct {
+		name     string
+		messages uint64
+		bytes    units.ByteSize
+	}
+	shared := []count{
+		{"noc/rd", 1, 16},
+		{"noc/wr", 33, 131088},
+		{"ccd0/gmi/in", 1, 8},
+		{"ccd0/gmi/out", 1, 16},
+		{"umc1/rd", 16, 65536},
+		{"umc2/wr", 16, 65536},
+	}
+	cases := []struct {
+		priority bool
+		stamps   Completion
+		counts   []count
+	}{
+		{false, Completion{0, 63398, 2946571, 3946571, 6857115, 6870053}, append(shared,
+			count{"accel0/todev", 17, 65552},
+			count{"accel0/tohost", 17, 65552})},
+		{true, Completion{0, 73398, 2956571, 3956571, 6867115, 6890053}, append(shared,
+			count{"accel0/todev", 16, 65536},
+			count{"accel0/tohost", 16, 65536},
+			count{"accel0/ctl/todev", 1, 16},
+			count{"accel0/ctl/tohost", 1, 16})},
+	}
+	for _, tc := range cases {
+		net, a := newAccel(tc.priority)
+		var got Completion
+		a.Submit(topology.CoreID{}, Kernel{Exec: units.Microsecond,
+			DMAIn: 64 * units.KiB, InputUMC: 1, DMAOut: 64 * units.KiB, OutputUMC: 2},
+			func(c Completion) { got = c })
+		net.Engine().Run()
+		if got != tc.stamps {
+			t.Errorf("priority %v: stamps %+v, want %+v", tc.priority, got, tc.stamps)
+		}
+		chs := append(net.Channels(), a.toDev, a.toHost)
+		if tc.priority {
+			chs = append(chs, a.ctlToDev, a.ctlToHost)
+		}
+		var counts []count
+		for _, ch := range chs {
+			if ch.Messages() > 0 {
+				counts = append(counts, count{ch.Name(), ch.Messages(), ch.Bytes()})
+			}
+		}
+		if !slices.Equal(counts, tc.counts) {
+			t.Errorf("priority %v: channel counts\n%v\nwant\n%v", tc.priority, counts, tc.counts)
+		}
+	}
+}
+
+// submitKernels are the kernels the allocation gates run: one with no
+// data plane, one that streams 64 KiB each way.
+var submitKernels = []struct {
+	name string
+	k    Kernel
+}{
+	{"NoDMA", Kernel{Exec: units.Microsecond}},
+	{"DMA64KiB", Kernel{Exec: units.Microsecond, DMAIn: 64 * units.KiB, InputUMC: 1,
+		DMAOut: 64 * units.KiB, OutputUMC: 2}},
+}
+
+// TestSubmitAllocs holds a warm Submit, run to completion, to zero
+// allocations: the doorbell, every DMA chunk and the completion record
+// ride recycled walkers, and the kernel's phases a recycled frame.
+func TestSubmitAllocs(t *testing.T) {
+	for _, tc := range submitKernels {
+		net, a := newAccel(false)
+		run := func() {
+			a.Submit(topology.CoreID{}, tc.k, nil)
+			net.Engine().Run()
+		}
+		run()
+		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			t.Errorf("%s: a warm Submit makes %v allocations, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// BenchmarkSubmit times one kernel from doorbell to completion record on
+// a warm accelerator; ci.sh holds it to 0 allocs/op.
+func BenchmarkSubmit(b *testing.B) {
+	for _, tc := range submitKernels {
+		b.Run(tc.name, func(b *testing.B) {
+			net, a := newAccel(false)
+			a.Submit(topology.CoreID{}, tc.k, nil)
+			net.Engine().Run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Submit(topology.CoreID{}, tc.k, nil)
+				net.Engine().Run()
+			}
+		})
+	}
 }

@@ -32,9 +32,17 @@ const (
 	// It holds DestDRAM's tokens; a temporal write runs as its
 	// read-for-ownership, with no writeback.
 	DestRemoteDRAM
+	// DestDevice rings the doorbell of the device behind the I/O hub (see
+	// AttachDevice): a posted signalSize MMIO write that completes when
+	// the device's signal lane delivers it. It holds no tokens and has no
+	// cache-miss stage.
+	DestDevice
 )
 
-var destKindNames = [...]string{"dram", "cxl", "llc-intra", "llc-inter", "remote-dram"}
+var destKindNames = [...]string{"dram", "cxl", "llc-intra", "llc-inter", "remote-dram", "device"}
+
+// signalSize is the payload of a doorbell and of a completion record.
+const signalSize units.ByteSize = 16
 
 func (k DestKind) String() string {
 	if k < 0 || int(k) >= len(destKindNames) {
@@ -53,8 +61,8 @@ type Access struct {
 	DstCCD int // DestLLCInter: target chiplet
 }
 
-// destEndpoint resolves the transaction-layer endpoint of an access.
-func (a Access) destEndpoint(p *topology.Profile) txn.Endpoint {
+// destEndpoint resolves the transaction-layer endpoint of an access on n.
+func (n *Network) destEndpoint(a Access) txn.Endpoint {
 	switch a.Kind {
 	case DestDRAM, DestRemoteDRAM:
 		return txn.DRAMEP(a.UMC)
@@ -63,10 +71,15 @@ func (a Access) destEndpoint(p *topology.Profile) txn.Endpoint {
 	case DestLLCIntra:
 		// The peer complex on the same chiplet (the 9634 has only one
 		// CCX per CCD, so the "peer" is the complex itself).
-		peer := (a.Src.CCX + 1) % p.CCXPerCCD()
+		peer := (a.Src.CCX + 1) % n.prof.CCXPerCCD()
 		return txn.LLCEP(topology.CCXID{CCD: a.Src.CCD, CCX: peer})
 	case DestLLCInter:
 		return txn.LLCEP(topology.CCXID{CCD: a.DstCCD, CCX: 0})
+	case DestDevice:
+		if n.toDev == nil {
+			panic("core: device access on a network with no device attached (see AttachDevice)")
+		}
+		return txn.Endpoint{Kind: txn.DeviceEndpoint}
 	default:
 		panic(fmt.Sprintf("core: unknown destination kind %d", int(a.Kind)))
 	}
@@ -95,7 +108,7 @@ func (n *Network) Issue(a Access, extraTokens []*link.TokenPool, done func(*txn.
 	t.ID = n.nextID
 	t.Op = a.Op
 	t.Size = units.CacheLine
-	t.Flow = txn.Flow{Src: txn.CoreEP(a.Src), Dst: a.destEndpoint(n.prof)}
+	t.Flow = txn.Flow{Src: txn.CoreEP(a.Src), Dst: n.destEndpoint(a)}
 
 	idx := n.coreIndex(a.Src)
 	w := n.getWalker()
@@ -105,7 +118,6 @@ func (n *Network) Issue(a Access, extraTokens []*link.TokenPool, done func(*txn.
 	w.extra = extraTokens
 	w.hw = n.poolSet(idx, poolSetIndex(a))
 	w.id = t.ID
-	w.wb = false
 	w.state = sExtra
 	w.acq = 0
 	w.step()
@@ -186,10 +198,12 @@ type admission struct {
 }
 
 // admit makes one admission try for transaction id with then as the
-// delivery; walkers and SendWithRetry both retry through it. A refusal
-// rearms retry after a jittered service quantum (see SendWithRetry for why
-// the cadence matters); the time from the first refusal to acceptance is
-// attributed as backpressure.
+// delivery; its only callers are walkers (see walker.attempt). A refusal
+// rearms retry after a jittered service quantum; the time from the first
+// refusal to acceptance is attributed as backpressure. The retry cadence
+// is what makes admission arrival-proportional: a sender that wants more
+// bandwidth has more messages in the retry pool, so it wins more freed
+// slots — the sender-driven aggressive partitioning of §3.5.
 func (n *Network) admit(m *admission, id uint64, then, retry func()) {
 	n.trSet(id)
 	if m.ch.TrySendAfter(m.size, m.extra, then) {
@@ -202,19 +216,4 @@ func (n *Network) admit(m *admission, id uint64, then, retry func()) {
 		m.blocked = n.eng.Now()
 	}
 	n.eng.After(retryBackoff(n.eng, retryQuantum(m.ch.Capacity(), m.size)), retry)
-}
-
-// SendWithRetry sends on a bounded channel, retrying after a jittered
-// service quantum when backpressured. The retry cadence is what makes
-// admission arrival-proportional: a sender that wants more bandwidth has
-// more messages in the retry pool, so it wins more freed slots — the
-// sender-driven aggressive partitioning of §3.5. Exported so the
-// accelerator model's DMA and doorbell chains inherit the same admission
-// behaviour; they issue no core transactions, so their traffic is traced
-// as infrastructure (transaction id 0).
-func (n *Network) SendWithRetry(ch *link.Channel, size units.ByteSize, extra units.Time, then func()) {
-	m := &admission{ch: ch, size: size, extra: extra, blocked: -1}
-	var retry func()
-	retry = func() { n.admit(m, 0, then, retry) }
-	retry()
 }

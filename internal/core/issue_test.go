@@ -14,13 +14,26 @@ func TestDestKindString(t *testing.T) {
 	cases := map[DestKind]string{
 		DestDRAM: "dram", DestCXL: "cxl",
 		DestLLCIntra: "llc-intra", DestLLCInter: "llc-inter",
-		DestRemoteDRAM: "remote-dram", DestKind(9): "dest(9)",
+		DestRemoteDRAM: "remote-dram", DestDevice: "device", DestKind(9): "dest(9)",
 	}
 	for k, want := range cases {
 		if k.String() != want {
 			t.Errorf("DestKind(%d).String() = %q, want %q", int(k), k.String(), want)
 		}
 	}
+}
+
+// TestDeviceAccessNeedsDevice: a doorbell on a network with no device
+// attached panics and names the missing attachment.
+func TestDeviceAccessNeedsDevice(t *testing.T) {
+	net := newNet(topology.EPYC9634())
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "no device attached") {
+			t.Errorf("panic %q, want one naming the missing device", msg)
+		}
+	}()
+	net.Issue(Access{Op: txn.NTWrite, Kind: DestDevice}, nil, nil)
 }
 
 func TestTemporalWriteIsRFOPlusWriteback(t *testing.T) {
@@ -34,11 +47,11 @@ func TestTemporalWriteIsRFOPlusWriteback(t *testing.T) {
 		t.Errorf("temporal write latency = %v, want ~%v (RFO)", h.Mean(), want)
 	}
 	net.Engine().Run() // drain writebacks
-	wr := net.DRAM(0).Write.Stats()
+	wr := net.drams[0].Write.Stats()
 	if wr.Bytes < 500*units.CacheLine {
 		t.Errorf("writebacks moved %v, want >= %v", wr.Bytes, 500*units.CacheLine)
 	}
-	rd := net.DRAM(0).Read.Stats()
+	rd := net.drams[0].Read.Stats()
 	if rd.Bytes < 500*units.CacheLine {
 		t.Errorf("RFO fills moved %v on the read channel", rd.Bytes)
 	}
@@ -52,7 +65,7 @@ func TestCXLWritePath(t *testing.T) {
 		t.Errorf("CXL NT write latency = %v, want ~243ns", h.Mean())
 	}
 	// The P-link write channel carried 68 B flits, not bare cachelines.
-	wr := net.CXLModule(2).Write.Stats()
+	wr := net.cxls[2].Write.Stats()
 	if wr.Bytes < 500*68 {
 		t.Errorf("CXL write channel moved %v, want >= %v (flit framing)",
 			wr.Bytes, units.ByteSize(500*68))
@@ -68,10 +81,10 @@ func TestInterCCWrite(t *testing.T) {
 	}
 	// Write data crosses the source's out direction and the target's in
 	// direction.
-	if net.GMIOut(0).Stats().Bytes < 500*units.CacheLine {
+	if net.gmiOut[0].Stats().Bytes < 500*units.CacheLine {
 		t.Error("source GMI out direction unused")
 	}
-	if net.GMIIn(2).Stats().Bytes < 500*units.CacheLine {
+	if net.gmiIn[2].Stats().Bytes < 500*units.CacheLine {
 		t.Error("target GMI in direction unused")
 	}
 }
@@ -188,10 +201,10 @@ func TestTokenAccountingBalances(t *testing.T) {
 	if n := net.CCXTokens(topology.CCXID{}).InUse(); n != 0 {
 		t.Errorf("CCX tokens leaked: %d", n)
 	}
-	if n := net.ReadMSHRs(topology.CoreID{}).InUse(); n != 0 {
+	if n := net.readMSHRs[0].InUse(); n != 0 {
 		t.Errorf("MSHRs leaked: %d", n)
 	}
-	if n := net.WriteWCBs(topology.CoreID{}).InUse(); n != 0 {
+	if n := net.writeWCBs[0].InUse(); n != 0 {
 		t.Errorf("WCBs leaked: %d", n)
 	}
 }

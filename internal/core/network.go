@@ -115,6 +115,10 @@ type Network struct {
 	// requests and write data; in: read data and acks), set by Join.
 	peer            *Network
 	xgmiOut, xgmiIn *link.Channel
+
+	// The attached device's data lanes and its signal lanes (nil when
+	// signals share the data lanes), set by AttachDevice.
+	toDev, toHost, sigToDev, sigToHost *link.Channel
 }
 
 // poolSpan locates one pool-set within a core's block of setPools.
@@ -252,18 +256,26 @@ func (n *Network) Join(peer *Network, out, in *link.Channel) {
 	n.peer, n.xgmiOut, n.xgmiIn = peer, out, in
 }
 
-// numPoolSets is the pool-set slots per core: four destination kinds times
+// AttachDevice attaches the one device behind the I/O hub: DMA chunks ride
+// toDev and toHost, DestDevice doorbells and Notify's completion records
+// the signal lanes, or the data lanes when those are nil. Attach it before
+// any tracer, which then records the lanes as hops.
+func (n *Network) AttachDevice(toDev, toHost, sigToDev, sigToHost *link.Channel) {
+	if n.tracer != nil {
+		panic("core: attach the device before the tracer")
+	}
+	n.toDev, n.toHost, n.sigToDev, n.sigToHost = toDev, toHost, sigToDev, sigToHost
+}
+
+// numPoolSets is the pool-set slots per core: every destination kind times
 // two operation classes (demand read/RFO vs. non-temporal write). Remote
-// DRAM shares DRAM's slots: it holds the same tokens.
-const numPoolSets = 8
+// DRAM's slots hold DRAM's sets: the same tokens. The device's slots stay
+// empty: a doorbell holds no tokens.
+const numPoolSets = 2 * len(destKindNames)
 
 // poolSetIndex selects an access's slot within a core's pool-set block.
 func poolSetIndex(a Access) int {
-	kind := a.Kind
-	if kind == DestRemoteDRAM {
-		kind = DestDRAM
-	}
-	i := int(kind) * 2
+	i := int(a.Kind) * 2
 	if a.Op == txn.NTWrite {
 		i++
 	}
@@ -289,6 +301,7 @@ func (n *Network) buildPoolSets() {
 	}
 	n.setSlots[int(DestDRAM)*2] = span(dram)
 	n.setSlots[int(DestDRAM)*2+1] = span(dram)
+	copy(n.setSlots[int(DestRemoteDRAM)*2:], n.setSlots[int(DestDRAM)*2:][:2])
 	if hasCXL {
 		n.setSlots[int(DestCXL)*2] = span(2)
 		n.setSlots[int(DestCXL)*2+1] = span(2)
@@ -360,19 +373,6 @@ func (n *Network) EventsFused() uint64 { return n.eng.Fused() }
 // Profile reports the platform profile the network was built from.
 func (n *Network) Profile() *topology.Profile { return n.prof }
 
-// DRAM reports memory channel umc.
-func (n *Network) DRAM(umc int) *memsys.DRAMChannel { return &n.drams[umc] }
-
-// CXLModule reports CXL module m.
-func (n *Network) CXLModule(m int) *memsys.CXLModule { return &n.cxls[m] }
-
-// NoC reports the I/O die routing fabric.
-func (n *Network) NoC() *mesh.NoC { return &n.noc }
-
-// GMIIn and GMIOut report the per-chiplet GMI channel directions.
-func (n *Network) GMIIn(ccd int) *link.Channel  { return &n.gmiIn[ccd] }
-func (n *Network) GMIOut(ccd int) *link.Channel { return &n.gmiOut[ccd] }
-
 // CCXTokens reports the token pool of a core complex.
 func (n *Network) CCXTokens(id topology.CCXID) *link.TokenPool {
 	return &n.ccxTokens[id.CCD*n.prof.CCXPerCCD()+id.CCX]
@@ -390,16 +390,6 @@ func (n *Network) CCDTokens(ccd int) *link.TokenPool {
 // coreIndex flattens a CoreID to a linear index.
 func (n *Network) coreIndex(id topology.CoreID) int {
 	return id.CCD*n.prof.CoresPerCCD() + id.CCX*n.prof.CoresPerCCX() + id.Core
-}
-
-// ReadMSHRs reports a core's demand-read window pool.
-func (n *Network) ReadMSHRs(id topology.CoreID) *link.TokenPool {
-	return &n.readMSHRs[n.coreIndex(id)]
-}
-
-// WriteWCBs reports a core's write-combining buffer pool.
-func (n *Network) WriteWCBs(id topology.CoreID) *link.TokenPool {
-	return &n.writeWCBs[n.coreIndex(id)]
 }
 
 // Channels returns every directional channel in the network, for

@@ -22,10 +22,10 @@ import (
 )
 
 // AttachTracer wires the flight recorder into every channel, token pool,
-// device and path stage of the network. Attach at most once per network,
-// before running traffic; the tracer records nothing until Enable. It
-// sizes the tracer's hop registry once and builds the stage and device
-// hop names in one string.
+// device, attached device lane and path stage of the network. Attach at
+// most once per network, before running traffic; the tracer records
+// nothing until Enable. It sizes the tracer's hop registry once and
+// builds the stage and device hop names in one string.
 func (n *Network) AttachTracer(tr *trace.Tracer) {
 	if tr == nil {
 		panic("core: nil tracer")
@@ -59,6 +59,11 @@ func (n *Network) AttachTracer(tr *trace.Tracer) {
 	for i := range n.pools {
 		n.pools[i].SetTracer(tr)
 	}
+	for _, ch := range [...]*link.Channel{n.toDev, n.toHost, n.sigToDev, n.sigToHost} {
+		if ch != nil {
+			ch.SetTracer(tr)
+		}
+	}
 	stages := make([]trace.HopID, 3*ccds)
 	n.ccmHops, n.llcHops, n.ifHops = stages[:ccds], stages[ccds:2*ccds], stages[2*ccds:]
 	for c := 0; c < ccds; c++ {
@@ -68,9 +73,6 @@ func (n *Network) AttachTracer(tr *trace.Tracer) {
 	}
 	n.interHop = tr.RegisterHop("noc/intercc", trace.KindStage)
 }
-
-// Tracer reports the attached flight recorder, nil when none is attached.
-func (n *Network) Tracer() *trace.Tracer { return n.tracer }
 
 // stageHop reports chiplet ccd's hop in one of the per-CCD stage tables
 // (ccmHops, llcHops, ifHops): zero when no tracer is attached, since

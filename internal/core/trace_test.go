@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/link"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -43,19 +44,59 @@ func traceWorkload(n *core.Network) []units.Time {
 // guarantee: for every completed transaction, the recorded spans tile
 // [Issued, Completed] exactly — their durations sum to the end-to-end
 // latency with zero residual, at picosecond resolution, across all
-// destination kinds, ops, window stalls and backpressure.
+// destination kinds, ops, window stalls and backpressure. A device
+// doorbell is one more numbered transaction; the DMA chunks and
+// completion records that no core issues trace as id 0, counted only in
+// the per-hop registry.
 func TestTraceTilesTransactionLatency(t *testing.T) {
 	eng := sim.New(7)
 	n := core.New(eng, topology.EPYC9634())
+	toDev := link.NewChannel(eng, "dev/todev", 24*units.Bandwidth(units.GB), 12*units.Nanosecond, 96)
+	toHost := link.NewChannel(eng, "dev/tohost", 24*units.Bandwidth(units.GB), 12*units.Nanosecond, 0)
+	n.AttachDevice(toDev, toHost, nil, nil)
 	tr := trace.New(trace.Config{})
 	n.AttachTracer(tr)
 	tr.Enable()
+	var doorbell uint64
+	n.Issue(core.Access{Op: txn.NTWrite, Kind: core.DestDevice}, nil, func(t *txn.Transaction) {
+		doorbell = t.ID
+	})
+	nop := func() {}
+	n.DMA(0, 4*units.KiB, true, nop)
+	n.DMA(1, 4*units.KiB, false, nop)
+	n.Notify(0, nop)
 	done := traceWorkload(n)
-	if len(done) != 360 {
-		t.Fatalf("completed %d transactions, want 360", len(done))
+	if len(done) != 360 || doorbell == 0 {
+		t.Fatalf("completed %d transactions and doorbell %d, want 360 and a numbered doorbell", len(done), doorbell)
 	}
-	if tr.TxnCount() != 360 {
-		t.Fatalf("tracer recorded %d transactions, want 360", tr.TxnCount())
+	if tr.TxnCount() != 361 {
+		t.Fatalf("tracer recorded %d transactions, want 361", tr.TxnCount())
+	}
+	// Each lane carried the doorbell or a completion record and one DMA
+	// chunk; only the doorbell's spans carry a transaction id.
+	for _, ch := range []*link.Channel{toDev, toHost} {
+		if c := tr.Counters(ch.Hop()); c.Meter.Ops() != 2 {
+			t.Errorf("%s: registry counts %d messages, want 2", ch.Name(), c.Meter.Ops())
+		}
+	}
+	infra := map[trace.HopID]int{}
+	tr.EachSpan(func(s trace.Span) {
+		if s.Hop != toDev.Hop() && s.Hop != toHost.Hop() {
+			return
+		}
+		switch s.Txn {
+		case 0:
+			infra[s.Hop]++
+		case doorbell:
+			if s.Hop != toDev.Hop() {
+				t.Errorf("doorbell span on %s", toHost.Name())
+			}
+		default:
+			t.Errorf("device lane span attributed to transaction %d", s.Txn)
+		}
+	})
+	if infra[toDev.Hop()] == 0 || infra[toHost.Hop()] == 0 {
+		t.Errorf("id-0 spans per device lane = %v, want some on both", infra)
 	}
 	if tr.Dropped() != 0 {
 		t.Fatalf("span ring wrapped (%d dropped) — enlarge SpanCap for this test", tr.Dropped())
@@ -71,7 +112,7 @@ func TestTraceTilesTransactionLatency(t *testing.T) {
 		}
 	}
 	if bad > 0 {
-		t.Fatalf("%d/360 transactions have non-zero residual", bad)
+		t.Fatalf("%d/361 transactions have non-zero residual", bad)
 	}
 	// The streaming aggregates must agree: every picosecond of every
 	// transaction's latency attributed to a named cause.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+
 	"repro/internal/link"
 	"repro/internal/memsys"
 	"repro/internal/topology"
@@ -18,8 +20,10 @@ import (
 // Every off-chiplet path has Fig 2's shape: cache miss and CCM, out
 // through the source GMI, across the I/O-die NoC, a destination-specific
 // far end, then back over the NoC and into the source GMI. The walker runs
-// that skeleton once for every destination, the peer socket's memory
-// included; only the far end (farEnd) differs. Each state is one event
+// that skeleton once for every destination, the peer socket's memory and
+// the attached device included; only the far end (farEnd) differs. The
+// messages no core issues (writebacks, DMA chunks, completion records)
+// ride id-0 walkers that join the skeleton partway. Each state is one event
 // callback. The event order, the tracer
 // attributions and the random draws are part of seeded replay: changing
 // the sequence changes every result. Every hop is one channel send whose
@@ -27,7 +31,7 @@ import (
 // depart events (see link.Channel).
 type walker struct {
 	n    *Network
-	t    *txn.Transaction
+	t    *txn.Transaction // nil when no core issued the walker's message
 	a    Access
 	done func(*txn.Transaction)
 
@@ -37,8 +41,8 @@ type walker struct {
 	extra []*link.TokenPool
 	acq   int
 
-	id uint64 // trace attribution: t.ID, or 0 for writebacks
-	wb bool   // asynchronous dirty-writeback walker
+	id   uint64 // trace attribution: t.ID, or 0 when t is nil
+	then func() // a DMA chunk's or completion record's delivery
 
 	state int
 
@@ -95,6 +99,7 @@ func (n *Network) putWalker(w *walker) {
 	}
 	w.t = nil
 	w.done = nil
+	w.then = nil
 	w.hw = nil
 	w.extra = nil
 	w.push.ch = nil
@@ -201,8 +206,13 @@ func (w *walker) enterPath() {
 		// Each die is crossed at its xGMI port with the base switch-hop
 		// walk: the choice of remote channel already sets the UMC.
 		w.hopExtra = n.noc.HopDelay(p.BaseSHops)
-	case DestCXL:
+	case DestCXL, DestDevice:
 		w.hopExtra = n.noc.IOHopDelay(a.Src.CCD) + p.IOHubLatency + p.RootComplexLatency
+		if a.Kind == DestDevice { // an uncached write: no cache miss
+			w.req, w.state = signalSize, sNoC
+			w.pushTo(&n.gmiOut[a.Src.CCD], w.req, 0)
+			return
+		}
 	case DestLLCInter:
 		// The deterministic latency budget beyond the explicitly modelled
 		// legs (GMI crossings and the remote LLC lookup), plus coherence
@@ -233,14 +243,19 @@ func (w *walker) enterPath() {
 //     GMI directions on both chiplets, which is why the paper sees
 //     inter-CC interference only at much higher aggregate bandwidth ("the
 //     I/O chiplet provisions more than one routing path").
-//   - Writeback: the line enters the UMC write queue and the walker ends.
+//   - Device: a doorbell crosses the I/O hub onto the device's signal
+//     lane, done on delivery (a posted write); a DMA chunk ends on the
+//     data lane (Read) or in the UMC write queue (Write); a completion
+//     record turns off the signal lane onto the NoC read direction.
+//   - Writeback (a DRAM walker with no transaction): the line enters the
+//     UMC write queue and the walker ends.
 func (w *walker) farEnd() {
 	n, p, a := w.n, w.n.prof, w.a
 	step := w.state - sFar
 	w.state++
 	n.trSet(w.id)
 	switch {
-	case w.wb:
+	case a.Kind == DestDRAM && w.t == nil:
 		n.drams[a.UMC].Write.Send(units.CacheLine, nil)
 		n.putWalker(w)
 	case a.Kind == DestDRAM:
@@ -291,6 +306,20 @@ func (w *walker) farEnd() {
 			w.state = sReturn
 			w.xsend(&n.gmiOut[dst], w.resp, 0)
 		}
+	case a.Kind == DestDevice:
+		w.state = sDone
+		switch {
+		case w.t != nil:
+			w.trHubHops(p.IOHubLatency, p.RootComplexLatency)
+			w.pushTo(cmp.Or(n.sigToDev, n.toDev), w.req, 0)
+		case a.Op == txn.Read:
+			w.pushTo(n.toDev, w.req, 0)
+		case a.Op == txn.Write:
+			w.xsend(n.drams[a.UMC].Write, w.req, 0)
+		default:
+			w.state = sGMIIn
+			w.xsend(n.noc.Read, w.req, 0)
+		}
 	}
 }
 
@@ -327,14 +356,41 @@ func flitted(mod *memsys.CXLModule, size units.ByteSize) units.ByteSize {
 // transaction tilings. It joins the skeleton at the source GMI, reusing
 // the parent's NoC hop-extra (same CCD -> UMC route).
 func (n *Network) startWriteback(a Access, hopExtra units.Time) {
-	w := n.getWalker()
-	w.a = a
-	w.wb = true
-	w.id = 0
+	w := n.joinWalker(a, &n.gmiOut[a.Src.CCD], units.CacheLine, sNoC, nil)
 	w.hopExtra = hopExtra
-	w.req = units.CacheLine
-	w.state = sNoC
-	w.pushTo(&n.gmiOut[a.Src.CCD], units.CacheLine, 0)
+}
+
+// DMA moves a size-byte chunk between memory channel umc and the device,
+// toward the device when toDevice, and calls then on delivery. It joins
+// the skeleton at the NoC write after a first leg out of the UMC read
+// queue or off the device's data lane, and traces as id 0.
+func (n *Network) DMA(umc int, size units.ByteSize, toDevice bool, then func()) {
+	a, first := Access{Op: txn.Write, Kind: DestDevice, UMC: umc}, n.toHost
+	if toDevice {
+		a.Op, first = txn.Read, n.drams[umc].Read
+	}
+	w := n.joinWalker(a, first, size, sNoC, then)
+	w.hopExtra = n.noc.HopDelay(n.prof.BaseSHops)
+}
+
+// Notify sends a completion record from the device to chiplet ccd and
+// calls then on arrival: off the signal lane, over the NoC read and into
+// the chiplet's GMI as an ack. It traces as id 0.
+func (n *Network) Notify(ccd int, then func()) {
+	a := Access{Src: topology.CoreID{CCD: ccd}, Op: txn.NTWrite, Kind: DestDevice}
+	w := n.joinWalker(a, cmp.Or(n.sigToHost, n.toHost), signalSize, sFar, then)
+	w.resp = n.prof.WriteAckSize
+}
+
+// joinWalker starts a walker that carries no transaction (trace id 0)
+// partway along the skeleton: it pushes req onto first, and the delivery
+// resumes it in state.
+func (n *Network) joinWalker(a Access, first *link.Channel, req units.ByteSize, state int, then func()) *walker {
+	w := n.getWalker()
+	w.a, w.req, w.state, w.then = a, req, state, then
+	w.id = 0
+	w.pushTo(first, req, 0)
+	return w
 }
 
 // after resumes the walker d from now.
@@ -376,6 +432,12 @@ func (w *walker) attempt() {
 // returns, unless the callback pinned it.
 func (w *walker) finish() {
 	n, t := w.n, w.t
+	if t == nil { // a DMA chunk or completion record
+		then := w.then
+		n.putWalker(w)
+		then()
+		return
+	}
 	t.Completed = n.eng.Now()
 	if n.tracer != nil {
 		n.tracer.EndTxn(t.ID, t.Issued, t.Completed)

@@ -39,8 +39,8 @@ type Bottleneck struct {
 
 // Bottlenecks ranks every tracked resource in window w by accumulated
 // congestion time (then refusals, then name, for a deterministic order),
-// returning the top k (all when k <= 0). Resources with no congestion
-// signal in the window are omitted.
+// returning the top k (none when k <= 0, as every -top flag reads it).
+// Resources with no congestion signal in the window are omitted.
 func Bottlenecks(s Source, w, k int) []Bottleneck {
 	span := s.WindowEnd(w) - s.WindowStart(w)
 	byResource := map[string]*Bottleneck{}
@@ -92,10 +92,7 @@ func Bottlenecks(s Source, w, k int) []Bottleneck {
 		}
 		return ranked[i].Resource < ranked[j].Resource
 	})
-	if k > 0 && len(ranked) > k {
-		ranked = ranked[:k]
-	}
-	return ranked
+	return ranked[:max(0, min(k, len(ranked)))]
 }
 
 // familyTotal sums one metric's window-w values over a family ("" = all).
@@ -113,8 +110,8 @@ func familyTotal(s Source, w int, family, metric string) float64 {
 // RenderWindow renders one harvest window as a top-like table: the
 // header line carries the window bounds and whole-network totals, the
 // body the k most congested resources with their utilization, depth and
-// backpressure columns. This is the live view `reproduce -stats` prints
-// per window and `chipletstat` pages through.
+// backpressure columns (no rows when k <= 0). This is the live view
+// `reproduce -stats` prints per window and `chipletstat` pages through.
 func RenderWindow(s Source, w, k int) string {
 	span := s.WindowEnd(w) - s.WindowStart(w)
 	bytes := familyTotal(s, w, "", MetricBytes)
@@ -124,7 +121,7 @@ func RenderWindow(s Source, w, k int) string {
 		units.ByteSize(bytes), units.Rate(units.ByteSize(bytes), span),
 		units.Time(familyTotal(s, w, "", MetricWait)))
 	ranked := Bottlenecks(s, w, k)
-	if len(ranked) == 0 {
+	if len(ranked) == 0 && k > 0 {
 		b.WriteString("  (no congestion recorded)\n")
 		return b.String()
 	}
@@ -139,15 +136,15 @@ func RenderWindow(s Source, w, k int) string {
 }
 
 // BottleneckReport renders the per-window attribution for every retained
-// window: one row per window naming the top congestion points. The first
-// named resource is the windowed answer to "which link or queue is the
-// bottleneck right now".
+// window: one row per window naming the top k congestion points (no rows
+// when k <= 0). The first named resource is the windowed answer to "which
+// link or queue is the bottleneck right now".
 func BottleneckReport(s Source, k int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "bottleneck attribution (%d windows of %v)\n", s.Total()-s.FirstWindow(), s.Window())
 	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  win\tstart\tcongestion points (wait, share)")
-	for w := s.FirstWindow(); w < s.Total(); w++ {
+	for w := s.FirstWindow(); k > 0 && w < s.Total(); w++ {
 		ranked := Bottlenecks(s, w, k)
 		cells := make([]string, 0, len(ranked))
 		for _, r := range ranked {

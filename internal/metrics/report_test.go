@@ -41,7 +41,7 @@ func synthetic(t *testing.T) *metrics.Registry {
 
 func TestBottleneckRanking(t *testing.T) {
 	reg := synthetic(t)
-	ranked := metrics.Bottlenecks(reg, 0, 0)
+	ranked := metrics.Bottlenecks(reg, 0, 4) // every resource of the fixture
 	if len(ranked) != 3 {
 		t.Fatalf("ranked %d resources, want 3 (cold omitted): %+v", len(ranked), ranked)
 	}

@@ -34,10 +34,12 @@
 // Attribution relies on the "active transaction" register: the simulation
 // is one callback chain at a time, so the issuing layer (internal/core)
 // sets the register at the top of every event callback and the hooks read
-// it. Traffic that never sets the register (writebacks, the accelerator's
-// doorbell and DMA chains driven through SendWithRetry) records under
-// transaction id 0: counted in the per-hop registry, excluded from
-// per-transaction attribution.
+// it. Every message rides a walker that sets the register: an issued
+// transaction's walker to its id, so its spans tile [Issued, Completed];
+// the walkers no core issues (writebacks, an accelerator's DMA chunks and
+// completion records) to id 0, which counts in the per-hop registry only
+// and is excluded from per-transaction attribution. An accelerator's
+// doorbell is an issued transaction like any other.
 package trace
 
 import (

@@ -131,6 +131,8 @@ func NewFlow(net *core.Network, cfg FlowConfig) (*Flow, error) {
 			return nil, fmt.Errorf("traffic: flow %q inter-CC target ccd%d is the chiplet of source cores %s",
 				cfg.Name, cfg.DstCCD, strings.Join(clash, ", "))
 		}
+	case core.DestDevice:
+		return nil, fmt.Errorf("traffic: flow %q targets the device: doorbells ring through accel.Submit", cfg.Name)
 	default:
 		return nil, fmt.Errorf("traffic: flow %q has unknown destination kind %d", cfg.Name, int(cfg.Kind))
 	}

@@ -190,6 +190,11 @@ func TestNewFlowValidation(t *testing.T) {
 	if err == nil || !strings.HasSuffix(err.Error(), "source cores "+want) {
 		t.Errorf("same-chiplet inter-CC error = %v, want it to name %s", err, want)
 	}
+	// A doorbell is no flow: the device kind is refused by name.
+	_, err = NewFlow(net, FlowConfig{Name: "x", Cores: coresOf(p, 1), Kind: core.DestDevice})
+	if err == nil || !strings.Contains(err.Error(), "targets the device") {
+		t.Errorf("device flow error = %v, want a refusal naming the device", err)
+	}
 	// Cores on the other chiplets are accepted.
 	if _, err := NewFlow(net, FlowConfig{Name: "x", Cores: coresOf(p, 4), Kind: core.DestLLCInter, DstCCD: 1}); err != nil {
 		t.Errorf("ccd0 -> ccd1 rejected: %v", err)

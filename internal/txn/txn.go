@@ -42,15 +42,16 @@ func (o Op) IsWrite() bool { return o == Write || o == NTWrite }
 type EndpointKind int
 
 // Endpoint kinds: traffic sources are cores; destinations are LLC slices,
-// memory channels, or CXL modules.
+// memory channels, CXL modules, or the device attached behind the I/O hub.
 const (
 	CoreEndpoint EndpointKind = iota
 	LLCEndpoint
 	DRAMEndpoint
 	CXLEndpoint
+	DeviceEndpoint
 )
 
-var endpointKindNames = [...]string{"core", "llc", "dram", "cxl"}
+var endpointKindNames = [...]string{"core", "llc", "dram", "cxl", "device"}
 
 func (k EndpointKind) String() string {
 	if k < 0 || int(k) >= len(endpointKindNames) {
@@ -67,6 +68,7 @@ type Endpoint struct {
 	//   LLCEndpoint:  CCD/CCX indices (Core unused)
 	//   DRAMEndpoint: CCD = UMC channel (CCX/Core unused)
 	//   CXLEndpoint:  CCD = module index (CCX/Core unused)
+	//   DeviceEndpoint: no address (one device per network)
 	CCD, CCX, Core int
 }
 
@@ -105,6 +107,8 @@ func (e Endpoint) String() string {
 		return fmt.Sprintf("dram:umc%d", e.CCD)
 	case CXLEndpoint:
 		return fmt.Sprintf("cxl:mod%d", e.CCD)
+	case DeviceEndpoint:
+		return "device"
 	default:
 		return fmt.Sprintf("endpoint(%d)", int(e.Kind))
 	}
